@@ -1,41 +1,16 @@
-"""Kernel selection: the compiled extension when available, pure Python otherwise.
+"""Integer kernels for the rational sweeps, in plain Python.
 
-Both backends expose the same five functions (best_flag, near_flag,
-witness_flag, pair_flags, gap_class) over numerators and denominators of
-reduced fractions.  Set the environment variable FORDCIRCLES_PURE to any
-non-empty value to force the pure backend even when the extension is built.
+``_pure`` holds the per-pair predicates (best_flag, near_flag, witness_flag,
+pair_flags) and the per-alpha candidate sets built on them (best_set,
+near_set, witness_set).  ``backend_name`` names the kernel in run reports.
 """
 
 from __future__ import annotations
 
-import os
-from types import ModuleType
-
 from . import _pure
 
-try:
-    from . import _speedups  # type: ignore[attr-defined]
-except ImportError:
-    _speedups = None  # type: ignore[assignment]
-
-if _speedups is not None and not os.environ.get("FORDCIRCLES_PURE"):
-    active: ModuleType = _speedups
-else:
-    active = _pure
+active = _pure
 
 
 def backend_name() -> str:
-    return "compiled" if active is _speedups else "pure"
-
-
-def get_backend(name: str | None = None) -> ModuleType:
-    """Resolve a backend by name: None for the active one, or 'pure'/'compiled'."""
-    if name is None:
-        return active
-    if name == "pure":
-        return _pure
-    if name == "compiled":
-        if _speedups is None:
-            raise RuntimeError("compiled backend unavailable")
-        return _speedups
-    raise ValueError(f"unknown backend {name!r}")
+    return "pure"

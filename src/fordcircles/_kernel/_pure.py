@@ -1,10 +1,11 @@
 """Pure-Python kernels for the rational sweeps.
 
-These are the hot per-pair predicates for x = a/b against a rational
+These are the per-pair predicates for x = a/b against a rational
 alpha = p/q, written in plain integer arithmetic (everything is scaled by q,
-or by 2*q*q for the radius route, so no fractions appear).  The compiled
-extension implements the same five functions; this module is the fallback
-twin and the reference the extension is tested against.
+or by 2*q*q for the radius route, so no fractions appear), and the per-alpha
+candidate sets that decide a predicate for every x with b <= X in one scan
+of O(X) integer work.  The per-pair predicates are the reference the sets
+are tested against.
 
 Candidate pruning (used by the best-approximation and nearby routes): for a
 fixed denominator d, the form |d*alpha - c| and the tangent-horocircle radius
@@ -91,17 +92,75 @@ def pair_flags(a: int, b: int, p: int, q: int) -> int:
     )
 
 
-def gap_class(a: int, b: int, c: int, d: int) -> int:
-    """0 when the Ford circles at a/b and c/d are tangent, 1 when apart.
+def best_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
+    """Statement (iii) at once: every reduced (a, b) with b <= max_den for
+    which best_flag(a, b, p, q) holds.
 
-    The gap |x - y|^2 - 4*r_x*r_y scaled by (b*d)^2 is det^2 - 1 with
-    det = a*d - b*c, so tangency is det^2 == 1 and overlap (negative gap) is
-    impossible for distinct reduced base points.
+    By the pruning lemma only the two candidates floor(d*p/q) and
+    floor(d*p/q) + 1 at each d can satisfy or violate (iii): any other a/b has
+    form |b*p - a*q| >= q, above the nearer candidate at d = 1 (form <= q/2).
+    A reduced candidate therefore holds iff its form is strictly below every
+    form of a reduced candidate with smaller d (the running minimum) and
+    strictly below the form of the other reduced candidate at its own d.
     """
-    det = a * d - b * c
-    g = det * det - 1
-    if g == 0:
-        return 0
-    if g > 0:
-        return 1
-    raise ValueError("identical circles")
+    found: set[tuple[int, int]] = set()
+    record = q + 1  # above every form: both candidate forms lie in [0, q]
+    for d in range(1, max_den + 1):
+        c0, t0 = divmod(d * p, q)  # t0 = |d*p - c0*q|
+        t1 = q - t0  # |d*p - (c0 + 1)*q|
+        r0, r1 = gcd(c0, d) == 1, gcd(c0 + 1, d) == 1
+        if r0 and t0 < record and not (r1 and t1 <= t0):
+            found.add((c0, d))
+        if r1 and t1 < record and not (r0 and t0 <= t1):
+            found.add((c0 + 1, d))
+        if r0 and t0 < record:
+            record = t0
+        if r1 and t1 < record:
+            record = t1
+    return found
+
+
+def near_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
+    """Statement (iv) at once: every reduced (a, b) with b <= max_den for
+    which near_flag(a, b, p, q) holds.
+
+    The radii route of best_set's scan: tangent-horocircle radii at base
+    alpha, cleared of the common factor 2*q*q to the squares
+    (d*p - c*q)^2.  Only the two candidates nearest d*p/q at each d can hold
+    or violate (iv), by the pruning lemma; a reduced candidate holds iff its
+    radius is strictly below every radius of a reduced candidate with smaller
+    d and strictly below that of the other reduced candidate at its own d.
+    """
+    found: set[tuple[int, int]] = set()
+    least = q * q + 1  # above every radius: both candidate squares are <= q*q
+    for d in range(1, max_den + 1):
+        c0 = d * p // q
+        e = d * p - c0 * q
+        s0, s1 = e * e, (e - q) * (e - q)  # radii of c0 and c0 + 1
+        r0, r1 = gcd(c0, d) == 1, gcd(c0 + 1, d) == 1
+        if r0 and s0 < least and not (r1 and s1 <= s0):
+            found.add((c0, d))
+        if r1 and s1 < least and not (r0 and s0 <= s1):
+            found.add((c0 + 1, d))
+        if r0 and s0 < least:
+            least = s0
+        if r1 and s1 < least:
+            least = s1
+    return found
+
+
+def witness_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
+    """Statement (v) at once: every reduced (a, b) with b <= max_den for
+    which witness_flag(a, b, p, q) holds.
+
+    A witness y at x = a/b has den(y) = d > b and |alpha - x| < 1/(b*d),
+    so |b*alpha - a| < 1/d < 1: only a = floor(b*p/q) and a = floor(b*p/q) + 1
+    can qualify, and witness_flag decides those two.
+    """
+    found: set[tuple[int, int]] = set()
+    for b in range(1, max_den + 1):
+        c0 = b * p // q
+        for a in (c0, c0 + 1):
+            if gcd(a, b) == 1 and witness_flag(a, b, p, q):
+                found.add((a, b))
+    return found

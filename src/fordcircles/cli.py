@@ -124,7 +124,9 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--max-den-x", type=int, required=True, metavar="X")
     p_verify.add_argument("--max-den-alpha", type=int, required=True, metavar="Y")
     p_verify.add_argument("--window", required=True, metavar="LO..HI")
-    p_verify.add_argument("--backend", choices=["pure", "compiled"], default=None)
+    p_verify.add_argument("--backend", choices=["pure"], default=None,
+                          help="pure: the per-pair reference engine instead of "
+                               "the per-alpha candidate sweep")
 
     p_render = sub.add_parser("render", help="write an SVG figure")
     r_sub = p_render.add_subparsers(dest="figure", required=True)

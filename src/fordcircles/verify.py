@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Iterator
 
-from . import _kernel
+from ._kernel import _pure
 from .cf import Convergent, cf_of_rational, cf_of_real, convergents
 from .geometry import FordCircle, compare_radii, ford_circle, tangent_horocircle_radius
 from .rational import reduced_fractions_in
@@ -173,12 +173,7 @@ def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike,
     if exhaustive and not isinstance(alpha, ExactReal):
         raise ValueError("exhaustive candidate mode requires a rational alpha")
     if isinstance(alpha, ExactReal) and not exhaustive:
-        p, q = alpha.value.numerator, alpha.value.denominator
-        kern = _kernel.active
-        try:
-            return kern.best_flag(a, b, p, q)
-        except OverflowError:
-            return _kernel.get_backend("pure").best_flag(a, b, p, q)
+        return _pure.best_flag(a, b, alpha.value.numerator, alpha.value.denominator)
     for d in range(1, b + 1):
         if exhaustive:
             assert isinstance(alpha, ExactReal)
@@ -212,12 +207,7 @@ def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike,
     if exhaustive and not isinstance(alpha, ExactReal):
         raise ValueError("exhaustive candidate mode requires a rational alpha")
     if isinstance(alpha, ExactReal) and not exhaustive:
-        p, q = alpha.value.numerator, alpha.value.denominator
-        kern = _kernel.active
-        try:
-            return kern.near_flag(a, b, p, q)
-        except OverflowError:
-            return _kernel.get_backend("pure").near_flag(a, b, p, q)
+        return _pure.near_flag(a, b, alpha.value.numerator, alpha.value.denominator)
     rx = tangent_horocircle_radius(alpha, x)
     for d in range(1, b + 1):
         if exhaustive:
@@ -331,17 +321,25 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
 
     Runs the equivalence over every non-integer reduced x with denominator
     <= den_max_x strictly inside (lo - 1, hi + 1) against every reduced alpha
-    with denominator <= den_max_alpha in [lo, hi).  Statement flags come from
-    the kernel backend; statements (i) and (ii) come from the cf engine and
-    the chain, precomputed per alpha.  Cost grows roughly like
-    den_max_x^2 * den_max_alpha^2 * |window|.
+    with denominator <= den_max_alpha in [lo, hi).  Statements (i) and (ii)
+    come from the cf engine and the chain, precomputed per alpha.
+
+    The default engine takes statements (iii), (iv) and (v) for a whole alpha
+    from the kernel's candidate sets, O(den_max_x) integer work each.  A pair
+    outside all five statement sets is false on all five, hence consistent,
+    so it is counted without being visited; the pairs inside are visited in
+    the order of the x enumeration.  Cost: O(|alphas| * den_max_x + |xs|).
+    backend="pure" runs the per-pair reference instead, one pair_flags call
+    per pair at O(den_max_x) each, and reports the same inconsistencies in
+    the same order.
     """
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if lo >= hi:
         raise ValueError("window must satisfy lo < hi")
     if den_max_x < 1 or den_max_alpha < 1:
         raise ValueError("denominator caps must be >= 1")
-    kern = _kernel.get_backend(backend)
+    if backend not in (None, "pure"):
+        raise ValueError(f"unknown backend {backend!r}")
     started = time.perf_counter()
 
     xs = [
@@ -351,17 +349,9 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
         if x.denominator > 1
     ]
     alphas = list(reduced_fractions_in(lo, hi, den_max_alpha, include_hi=False))
+    position = {x: i for i, x in enumerate(xs)}
 
-    # the compiled kernel is 64-bit; route oversized sweeps to the pure twin
-    if alphas and xs:
-        worst_p = max(abs(al.numerator) for al in alphas)
-        worst_a = max(abs(a) for a, _ in xs)
-        if den_max_x * worst_p + (worst_a + 2) * den_max_alpha >= 1 << 30:
-            kern = _kernel.get_backend("pure")
-
-    pair_flags = kern.pair_flags
     inconsistencies: list[dict] = []
-    total = 0
     for alpha in alphas:
         p, q = alpha.numerator, alpha.denominator
         cf = cf_of_rational(alpha)
@@ -370,22 +360,25 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
             (e.circle.base.numerator, e.circle.base.denominator)
             for e in cf_chain(alpha, cf.length)
         }
-        for a, b in xs:
-            flags = pair_flags(a, b, p, q)
-            stmt_i = (a, b) in conv_set
-            stmt_ii = (a, b) in chain_set
-            total += 1
-            if not (stmt_i == stmt_ii == bool(flags & 1) == bool(flags & 2)
-                    == bool(flags & 4)):
-                inconsistencies.append({
-                    "x": f"{a}/{b}",
-                    "alpha": f"{p}/{q}",
-                    "stmt_i": stmt_i,
-                    "stmt_ii": stmt_ii,
-                    "stmt_iii": bool(flags & 1),
-                    "stmt_iv": bool(flags & 2),
-                    "stmt_v": bool(flags & 4),
-                })
+        if backend == "pure":
+            pair_flags = _pure.pair_flags
+            for x in xs:
+                flags = pair_flags(x[0], x[1], p, q)
+                stmts = (x in conv_set, x in chain_set,
+                         bool(flags & 1), bool(flags & 2), bool(flags & 4))
+                if any(stmts) and not all(stmts):
+                    inconsistencies.append(_inconsistency(x, alpha, stmts))
+        else:
+            best_set = _pure.best_set(p, q, den_max_x)
+            near_set = _pure.near_set(p, q, den_max_x)
+            witness_set = _pure.witness_set(p, q, den_max_x)
+            candidates = conv_set | chain_set | best_set | near_set | witness_set
+            for i in sorted(position[x] for x in candidates if x in position):
+                x = xs[i]
+                stmts = (x in conv_set, x in chain_set,
+                         x in best_set, x in near_set, x in witness_set)
+                if any(stmts) and not all(stmts):
+                    inconsistencies.append(_inconsistency(x, alpha, stmts))
 
     return {
         "params": {
@@ -393,7 +386,17 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
             "maxDenAlpha": den_max_alpha,
             "window": f"{lo}..{hi}",
         },
-        "totalChecked": total,
+        "totalChecked": len(alphas) * len(xs),
         "inconsistencies": inconsistencies,
         "elapsed": time.perf_counter() - started,
+    }
+
+
+def _inconsistency(x: tuple[int, int], alpha: Fraction,
+                   stmts: tuple[bool, ...]) -> dict:
+    """The sweep report entry for x = a/b against alpha."""
+    return {
+        "x": f"{x[0]}/{x[1]}",
+        "alpha": f"{alpha.numerator}/{alpha.denominator}",
+        **dict(zip(("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv", "stmt_v"), stmts)),
     }

@@ -104,6 +104,13 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["inconsistencies"] == []
 
+    def test_unknown_backend_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-den-x", "4",
+                             "--max-den-alpha", "4", "--window", "0..1",
+                             "--backend", "compiled")
+        assert (code, out) == (1, "")
+        assert "error:" in err and "Traceback" not in err
+
     def test_bad_window(self, capsys):
         code, _, err = run(capsys, "verify", "--max-den-x", "5",
                            "--max-den-alpha", "5", "--window", "1..0")

@@ -1,25 +1,12 @@
-"""Backend parity: the compiled kernels must agree with the pure twins."""
+"""The integer kernels agree with the Fraction-based statement oracles."""
 
 from __future__ import annotations
 
-import subprocess
-import sys
 from fractions import Fraction as F
 
-import pytest
-
-from fordcircles import (
-    GapRelation,
-    gap_relation,
-    reduced_fractions_in,
-    statement_v_witness,
-    theorem_u_check,
-)
+from fordcircles import reduced_fractions_in, statement_v_witness, theorem_u_check
 from fordcircles import _kernel
 from fordcircles._kernel import _pure
-
-compiled = pytest.importorskip(
-    "fordcircles._kernel._speedups", reason="compiled backend not built")
 
 
 def _pairs(max_den_x: int, max_den_alpha: int):
@@ -30,34 +17,6 @@ def _pairs(max_den_x: int, max_den_alpha: int):
     for alpha in alphas:
         for x in xs:
             yield x.numerator, x.denominator, alpha.numerator, alpha.denominator
-
-
-class TestParity:
-    def test_flag_functions(self):
-        for a, b, p, q in _pairs(9, 9):
-            assert compiled.best_flag(a, b, p, q) == _pure.best_flag(a, b, p, q)
-            assert compiled.near_flag(a, b, p, q) == _pure.near_flag(a, b, p, q)
-            assert compiled.witness_flag(a, b, p, q) == \
-                _pure.witness_flag(a, b, p, q)
-            assert compiled.pair_flags(a, b, p, q) == \
-                _pure.pair_flags(a, b, p, q)
-
-    def test_gap_class(self):
-        pts = list(reduced_fractions_in(F(0), F(1), 8))
-        for x in pts:
-            for y in pts:
-                if x == y:
-                    continue
-                assert compiled.gap_class(x.numerator, x.denominator,
-                                          y.numerator, y.denominator) == \
-                    _pure.gap_class(x.numerator, x.denominator,
-                                    y.numerator, y.denominator)
-
-    def test_identical_circles_both_raise(self):
-        with pytest.raises(ValueError, match="identical circles"):
-            _pure.gap_class(1, 2, 1, 2)
-        with pytest.raises(ValueError, match="identical circles"):
-            compiled.gap_class(1, 2, 1, 2)
 
 
 class TestAgainstHighLevel:
@@ -74,60 +33,21 @@ class TestAgainstHighLevel:
             found = statement_v_witness(F(a, b), F(p, q)) is not None
             assert _pure.witness_flag(a, b, p, q) == found
 
-    def test_gap_class_matches_gap_relation(self):
-        pts = list(reduced_fractions_in(F(0), F(1), 9))
-        for x in pts:
-            for y in pts:
-                if x == y:
-                    continue
-                cls = _pure.gap_class(x.numerator, x.denominator,
-                                      y.numerator, y.denominator)
-                rel = gap_relation(x, y)
-                assert (cls == 0) == (rel is GapRelation.TANGENT_EQUALITY)
+    def test_pair_flags_packs_the_three_flags(self):
+        for a, b, p, q in _pairs(6, 6):
+            assert _pure.pair_flags(a, b, p, q) == (
+                _pure.best_flag(a, b, p, q)
+                | _pure.near_flag(a, b, p, q) << 1
+                | _pure.witness_flag(a, b, p, q) << 2)
 
 
-class TestOverflowGuard:
-    def test_oversized_operands_rejected(self):
-        big = 1 << 40
-        with pytest.raises(OverflowError):
-            compiled.best_flag(1, 2, big + 1, 2 * big)
-        with pytest.raises(OverflowError):
-            compiled.near_flag(big - 1, big, 1, 3)
-        with pytest.raises(OverflowError):
-            compiled.pair_flags(1, 2, big + 1, 2 * big)
-        with pytest.raises(OverflowError):
-            compiled.gap_class(1 << 20, 1, 0, 1)
-
+class TestSizes:
     def test_pure_has_no_size_limit(self):
         big = 1 << 40
         assert isinstance(_pure.best_flag(1, 2, big + 1, 2 * big), bool)
-        assert _pure.gap_class(1 << 20, 1, 0, 1) == 1
+        assert isinstance(_pure.near_flag(big - 1, big, 1, 3), bool)
+        assert isinstance(_pure.pair_flags(1, 2, big + 1, 2 * big), int)
 
-    def test_bad_denominators(self):
-        with pytest.raises(ValueError, match="denominators"):
-            compiled.best_flag(1, 0, 1, 2)
-        with pytest.raises(ValueError, match="denominators"):
-            compiled.pair_flags(1, 2, 1, 0)
-
-
-class TestSelection:
-    def test_active_is_compiled_here(self):
-        assert _kernel.backend_name() == "compiled"
-        assert _kernel.active is compiled
-
-    def test_get_backend(self):
-        assert _kernel.get_backend() is _kernel.active
-        assert _kernel.get_backend("pure") is _pure
-        assert _kernel.get_backend("compiled") is compiled
-        with pytest.raises(ValueError, match="unknown backend"):
-            _kernel.get_backend("fast")
-
-    def test_env_var_forces_pure(self):
-        code = ("import fordcircles._kernel as k; "
-                "print(k.backend_name())")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, check=True,
-            env={"PATH": "/usr/bin:/bin", "FORDCIRCLES_PURE": "1"},
-        )
-        assert out.stdout.strip() == "pure"
+    def test_backend_name(self):
+        assert _kernel.backend_name() == "pure"
+        assert _kernel.active is _pure

@@ -4,6 +4,7 @@ checker, and sweep reports."""
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction as F
 from math import gcd
 
@@ -26,6 +27,7 @@ from fordcircles import (
     theorem_u_check,
     verify_sweep,
 )
+from fordcircles._kernel import _pure
 
 
 class TestCfChain:
@@ -307,6 +309,88 @@ class TestVerifySweep:
         report = verify_sweep(6, 6, (F(-2), F(-1)))
         assert report["inconsistencies"] == []
         assert report["totalChecked"] > 0
+
+
+class TestCandidateSets:
+    """The per-alpha candidate sets against the per-pair reference kernels."""
+
+    @staticmethod
+    def random_alphas(seed: int, count: int):
+        # windows of integer part in [-60, 60), below zero, and at 2^30 and up
+        rng = random.Random(seed)
+        for _ in range(count):
+            base = rng.choice([rng.randrange(-60, 60), -rng.randrange(1, 1 << 31),
+                               (1 << 30) + rng.randrange(1 << 32)])
+            q = rng.randint(1, 40)
+            yield base * q + rng.randrange(q), q
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sets_match_pair_flags(self, seed):
+        rng = random.Random(1000 + seed)
+        for p, q in self.random_alphas(seed, 12):
+            if gcd(p, q) != 1:
+                continue
+            max_den = rng.randint(1, 24)
+            best = _pure.best_set(p, q, max_den)
+            near = _pure.near_set(p, q, max_den)
+            witness = _pure.witness_set(p, q, max_den)
+            seen = set()
+            for b in range(1, max_den + 1):
+                c0 = b * p // q
+                for a in range(c0 - 3, c0 + 5):
+                    if gcd(a, b) != 1:
+                        continue
+                    seen.add((a, b))
+                    flags = _pure.pair_flags(a, b, p, q)
+                    assert ((a, b) in best) == bool(flags & 1), (a, b, p, q)
+                    assert ((a, b) in near) == bool(flags & 2), (a, b, p, q)
+                    assert ((a, b) in witness) == bool(flags & 4), (a, b, p, q)
+            # every member of the sets was among the pairs checked above
+            assert best | near | witness <= seen
+
+    def test_sets_hold_the_convergents(self):
+        cf = cf_of_rational(F(355, 113))
+        convs = {(c.num, c.den) for c in convergents(cf, cf.length) if c.den > 1}
+        for make in (_pure.best_set, _pure.near_set, _pure.witness_set):
+            found = make(355, 113, 120)
+            assert {x for x in found if x[1] > 1} == convs
+
+    @pytest.mark.parametrize("caps, window", [
+        ((12, 6), (F(-7, 2), F(-5, 2))),
+        ((6, 5), (F(1 << 30), F((1 << 30) + 1))),
+        ((9, 4), (F(-(1 << 31) - 1, 2), F(-(1 << 31) + 1, 2))),
+    ])
+    def test_engines_agree(self, caps, window):
+        pure = verify_sweep(*caps, window, backend="pure")
+        default = verify_sweep(*caps, window)
+        assert pure["totalChecked"] == default["totalChecked"] > 0
+        assert pure["inconsistencies"] == default["inconsistencies"] == []
+
+    def test_engines_report_the_same_inconsistencies(self, monkeypatch):
+        # flip statement (v) on three candidate pairs, two true and one false
+        flipped = {(1, 3, 1, 4), (1, 2, 3, 5), (2, 3, 3, 5)}
+        reference = _pure.witness_flag
+
+        def witness_flag(a, b, p, q):
+            return reference(a, b, p, q) != ((a, b, p, q) in flipped)
+
+        monkeypatch.setattr(_pure, "witness_flag", witness_flag)
+        pure = verify_sweep(8, 8, (F(0), F(1)), backend="pure")
+        default = verify_sweep(8, 8, (F(0), F(1)))
+
+        def entry(x, alpha, stmts):
+            names = ("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv", "stmt_v")
+            return {"x": x, "alpha": alpha, **dict(zip(names, stmts))}
+
+        assert pure["inconsistencies"] == default["inconsistencies"] == [
+            entry("1/3", "1/4", (False, False, False, False, True)),
+            entry("1/2", "3/5", (True, True, True, True, False)),
+            entry("2/3", "3/5", (False, False, False, False, True)),
+        ]
+
+    def test_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend"):
+            verify_sweep(3, 3, (F(0), F(1)), backend="compiled")
 
 
 class TestPenultimatePair:
