@@ -83,15 +83,6 @@ def witness_flag(a: int, b: int, p: int, q: int) -> bool:
     return abs(lhs) * d < q
 
 
-def pair_flags(a: int, b: int, p: int, q: int) -> int:
-    """Bit 0: best approximation; bit 1: nearby; bit 2: tangent witness."""
-    return (
-        (1 if best_flag(a, b, p, q) else 0)
-        | (2 if near_flag(a, b, p, q) else 0)
-        | (4 if witness_flag(a, b, p, q) else 0)
-    )
-
-
 def best_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     """Statement (iii) at once: every reduced (a, b) with b <= max_den for
     which best_flag(a, b, p, q) holds.

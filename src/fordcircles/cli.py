@@ -124,9 +124,6 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--max-den-x", type=int, required=True, metavar="X")
     p_verify.add_argument("--max-den-alpha", type=int, required=True, metavar="Y")
     p_verify.add_argument("--window", required=True, metavar="LO..HI")
-    p_verify.add_argument("--backend", choices=["pure"], default=None,
-                          help="pure: the per-pair reference engine instead of "
-                               "the per-alpha candidate sweep")
 
     p_render = sub.add_parser("render", help="write an SVG figure")
     r_sub = p_render.add_subparsers(dest="figure", required=True)
@@ -156,9 +153,12 @@ def _build_parser() -> _Parser:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {output!r}: {exc.strerror}") from None
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -188,7 +188,7 @@ def _run(args: argparse.Namespace) -> int:
         if args.max_den_x < 1 or args.max_den_alpha < 1:
             raise UsageError("denominator caps must be >= 1")
         report = verify_sweep(args.max_den_x, args.max_den_alpha,
-                              parse_window(args.window), backend=args.backend)
+                              parse_window(args.window))
         print(json.dumps(report, indent=2))
         return 0 if not report["inconsistencies"] else 2
 

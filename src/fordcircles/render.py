@@ -34,8 +34,6 @@ class RenderSpec:
     window: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1))
     max_den: int = 20
     width_px: int = 800
-    highlight: tuple[Fraction, ...] | None = None
-    annotate: Fraction | None = None
 
     def validate(self) -> None:
         lo, hi = self.window

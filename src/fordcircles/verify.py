@@ -21,6 +21,7 @@ a meaningful cross-check rather than a tautology.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from math import ceil, floor, gcd
 from typing import Iterator
 
 from ._kernel import _pure
-from .cf import Convergent, cf_of_rational, cf_of_real, convergents
+from .cf import Convergent, cf_of_rational, convergents
 from .geometry import FordCircle, compare_radii, ford_circle, tangent_horocircle_radius
 from .rational import reduced_fractions_in
 from .real import (
@@ -91,14 +92,8 @@ def _chain_iter(alpha: RealNumber | RationalLike) -> Iterator[ChainEntry]:
             yield ChainEntry(conv.index, conv, ford_circle(conv.value))
         return
     assert isinstance(alpha, CFStream)
-    num_prev, den_prev = 1, 0
-    num = den = 0
-    for n, b in enumerate(alpha.coefficients()):
-        if n == 0:
-            num, den = b, 1
-        else:
-            num, num_prev = b * num + num_prev, num
-            den, den_prev = b * den + den_prev, den
+    # the consumer bounds the walk (a count or a radius), not a pull cap
+    for n, (num, den) in enumerate(alpha.convergent_pairs(max_pulls=sys.maxsize)):
         conv = Convergent(n, num, den)
         yield ChainEntry(n, conv, ford_circle(conv.value))
 
@@ -144,17 +139,31 @@ def _is_chain_member(x: Fraction, alpha: RealNumber) -> bool:
     return False
 
 
-def _pruned_candidates(alpha: RealNumber, d: int) -> tuple[int, int]:
-    m = floor_scaled(alpha, d)
-    return (m, m + 1)
+def _rivals(x: Fraction, alpha: RealNumber, exhaustive: bool) -> Iterator[tuple[int, int]]:
+    """The reduced rivals (c, d) of x = a/b at alpha: every c/d != x with
+    d <= b that could match or beat x.
 
-
-def _exhaustive_candidates(alpha: RealNumber, d: int, span: Fraction) -> range:
-    """Every c with |d*alpha - c| within span, for the pruning self-check."""
-    if not isinstance(alpha, ExactReal):
-        raise ValueError("exhaustive candidate mode requires a rational alpha")
-    t = d * alpha.value
-    return range(ceil(t - span) - 1, floor(t + span) + 2)
+    By the pruning lemma in _kernel/_pure.py only the two integers nearest
+    d*alpha matter at each d.  With exhaustive=True (rational alpha only)
+    every c with |d*alpha - c| within |b*alpha - a| + 1 is yielded instead,
+    as a self-check of the pruning.
+    """
+    a, b = x.numerator, x.denominator
+    if exhaustive:
+        if not isinstance(alpha, ExactReal):
+            raise ValueError("exhaustive candidate mode requires a rational alpha")
+        span = abs(b * alpha.value - a) + 1
+    for d in range(1, b + 1):
+        if exhaustive:
+            t = d * alpha.value
+            candidates: tuple[int, int] | range = range(ceil(t - span) - 1,
+                                                         floor(t + span) + 2)
+        else:
+            m = floor_scaled(alpha, d)
+            candidates = (m, m + 1)
+        for c in candidates:
+            if (c != a or d != b) and gcd(c, d) == 1:
+                yield c, d
 
 
 def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike,
@@ -170,23 +179,10 @@ def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike,
     x = Fraction(x)
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
-    if exhaustive and not isinstance(alpha, ExactReal):
-        raise ValueError("exhaustive candidate mode requires a rational alpha")
     if isinstance(alpha, ExactReal) and not exhaustive:
         return _pure.best_flag(a, b, alpha.value.numerator, alpha.value.denominator)
-    for d in range(1, b + 1):
-        if exhaustive:
-            assert isinstance(alpha, ExactReal)
-            span = abs(b * alpha.value - a) + 1
-            candidates: tuple[int, ...] | range = _exhaustive_candidates(alpha, d, span)
-        else:
-            candidates = _pruned_candidates(alpha, d)
-        for c in candidates:
-            if (c == a and d == b) or gcd(c, d) != 1:
-                continue
-            if compare_linear_forms(d, c, b, a, alpha) != GT:
-                return False
-    return True
+    return all(compare_linear_forms(d, c, b, a, alpha) == GT
+               for c, d in _rivals(x, alpha, exhaustive))
 
 
 def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike,
@@ -204,25 +200,11 @@ def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike,
     x = Fraction(x)
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
-    if exhaustive and not isinstance(alpha, ExactReal):
-        raise ValueError("exhaustive candidate mode requires a rational alpha")
     if isinstance(alpha, ExactReal) and not exhaustive:
         return _pure.near_flag(a, b, alpha.value.numerator, alpha.value.denominator)
     rx = tangent_horocircle_radius(alpha, x)
-    for d in range(1, b + 1):
-        if exhaustive:
-            assert isinstance(alpha, ExactReal)
-            span = abs(b * alpha.value - a) + 1
-            candidates: tuple[int, ...] | range = _exhaustive_candidates(alpha, d, span)
-        else:
-            candidates = _pruned_candidates(alpha, d)
-        for c in candidates:
-            if (c == a and d == b) or gcd(c, d) != 1:
-                continue
-            rz = tangent_horocircle_radius(alpha, Fraction(c, d))
-            if compare_radii(rz, rx) != GT:
-                return False
-    return True
+    return all(compare_radii(tangent_horocircle_radius(alpha, Fraction(c, d)), rx) == GT
+               for c, d in _rivals(x, alpha, exhaustive))
 
 
 def _min_den_tangent_neighbor(x: Fraction, side: int) -> Fraction:
@@ -315,8 +297,7 @@ def penultimate_pair(alpha: RationalLike) -> tuple[Convergent, Convergent, int, 
 
 
 def verify_sweep(den_max_x: int, den_max_alpha: int,
-                 window: tuple[RationalLike, RationalLike],
-                 *, backend: str | None = None) -> dict:
+                 window: tuple[RationalLike, RationalLike]) -> dict:
     """Check the five-way equivalence over a rational grid and report.
 
     Runs the equivalence over every non-integer reduced x with denominator
@@ -324,22 +305,19 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     with denominator <= den_max_alpha in [lo, hi).  Statements (i) and (ii)
     come from the cf engine and the chain, precomputed per alpha.
 
-    The default engine takes statements (iii), (iv) and (v) for a whole alpha
-    from the kernel's candidate sets, O(den_max_x) integer work each.  A pair
-    outside all five statement sets is false on all five, hence consistent,
-    so it is counted without being visited; the pairs inside are visited in
-    the order of the x enumeration.  Cost: O(|alphas| * den_max_x + |xs|).
-    backend="pure" runs the per-pair reference instead, one pair_flags call
-    per pair at O(den_max_x) each, and reports the same inconsistencies in
-    the same order.
+    Statements (iii), (iv) and (v) for a whole alpha come from the kernel's
+    candidate sets, O(den_max_x) integer work each.  A pair outside all five
+    statement sets is false on all five, hence consistent, so it is counted
+    without being visited; the pairs inside are visited in the order of the
+    x enumeration.  Cost: O(|alphas| * den_max_x + |xs|).  The per-pair
+    predicates in _kernel/_pure.py are the reference the tests hold this
+    against.
     """
     lo, hi = Fraction(window[0]), Fraction(window[1])
     if lo >= hi:
         raise ValueError("window must satisfy lo < hi")
     if den_max_x < 1 or den_max_alpha < 1:
         raise ValueError("denominator caps must be >= 1")
-    if backend not in (None, "pure"):
-        raise ValueError(f"unknown backend {backend!r}")
     started = time.perf_counter()
 
     xs = [
@@ -358,27 +336,23 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
         conv_set = {(c.num, c.den) for c in convergents(cf, cf.length)}
         chain_set = {
             (e.circle.base.numerator, e.circle.base.denominator)
-            for e in cf_chain(alpha, cf.length)
+            for e in _chain_iter(alpha)
         }
-        if backend == "pure":
-            pair_flags = _pure.pair_flags
-            for x in xs:
-                flags = pair_flags(x[0], x[1], p, q)
-                stmts = (x in conv_set, x in chain_set,
-                         bool(flags & 1), bool(flags & 2), bool(flags & 4))
-                if any(stmts) and not all(stmts):
-                    inconsistencies.append(_inconsistency(x, alpha, stmts))
-        else:
-            best_set = _pure.best_set(p, q, den_max_x)
-            near_set = _pure.near_set(p, q, den_max_x)
-            witness_set = _pure.witness_set(p, q, den_max_x)
-            candidates = conv_set | chain_set | best_set | near_set | witness_set
-            for i in sorted(position[x] for x in candidates if x in position):
-                x = xs[i]
-                stmts = (x in conv_set, x in chain_set,
-                         x in best_set, x in near_set, x in witness_set)
-                if any(stmts) and not all(stmts):
-                    inconsistencies.append(_inconsistency(x, alpha, stmts))
+        best_set = _pure.best_set(p, q, den_max_x)
+        near_set = _pure.near_set(p, q, den_max_x)
+        witness_set = _pure.witness_set(p, q, den_max_x)
+        candidates = conv_set | chain_set | best_set | near_set | witness_set
+        for i in sorted(position[x] for x in candidates if x in position):
+            x = xs[i]
+            stmts = (x in conv_set, x in chain_set,
+                     x in best_set, x in near_set, x in witness_set)
+            if any(stmts) and not all(stmts):
+                inconsistencies.append({
+                    "x": f"{x[0]}/{x[1]}",
+                    "alpha": f"{p}/{q}",
+                    **dict(zip(("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv",
+                                "stmt_v"), stmts)),
+                })
 
     return {
         "params": {
@@ -389,14 +363,4 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
         "totalChecked": len(alphas) * len(xs),
         "inconsistencies": inconsistencies,
         "elapsed": time.perf_counter() - started,
-    }
-
-
-def _inconsistency(x: tuple[int, int], alpha: Fraction,
-                   stmts: tuple[bool, ...]) -> dict:
-    """The sweep report entry for x = a/b against alpha."""
-    return {
-        "x": f"{x[0]}/{x[1]}",
-        "alpha": f"{alpha.numerator}/{alpha.denominator}",
-        **dict(zip(("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv", "stmt_v"), stmts)),
     }

@@ -39,7 +39,7 @@ from fordcircles import (
     value,
     verify_sweep,
 )
-from fordcircles import _kernel
+from fordcircles._kernel import _pure
 
 
 def announce(capsys, line: str) -> None:
@@ -124,12 +124,11 @@ def test_criterion_2_irrational_equivalence(capsys):
 
 
 def test_criterion_3_dual_route_agreement(capsys):
-    kern = _kernel.active
     alphas, xs = grid_pairs()
     mismatches = 0
     for p, q in alphas:
         for a, b in xs:
-            if kern.best_flag(a, b, p, q) != kern.near_flag(a, b, p, q):
+            if _pure.best_flag(a, b, p, q) != _pure.near_flag(a, b, p, q):
                 mismatches += 1
     grid_count = len(alphas) * len(xs)
 

@@ -98,11 +98,12 @@ class TestVerify:
         assert report["totalChecked"] == 270
 
     def test_backend_flag(self, capsys):
-        code, out, _ = run(capsys, "verify", "--max-den-x", "4",
-                           "--max-den-alpha", "4", "--window", "0..1",
-                           "--backend", "pure")
-        assert code == 0
-        assert json.loads(out)["inconsistencies"] == []
+        # the sweep has one engine, so there is no engine to pick
+        code, out, err = run(capsys, "verify", "--max-den-x", "4",
+                             "--max-den-alpha", "4", "--window", "0..1",
+                             "--backend", "pure")
+        assert (code, out) == (1, "")
+        assert "error:" in err and "Traceback" not in err
 
     def test_unknown_backend_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "--max-den-x", "4",
@@ -134,6 +135,21 @@ class TestRender:
                            "-o", str(target))
         assert code == 0 and out == ""
         assert target.read_text(encoding="utf-8").count("<circle") == 5
+
+    def test_output_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "field.svg"
+        code, out, err = run(capsys, "render", "field", "--max-den", "3",
+                             "-o", str(target))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and str(target) in err
+        assert "Traceback" not in err
+
+    def test_output_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run(capsys, "render", "field", "--max-den", "3",
+                             "-o", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and str(tmp_path) in err
+        assert "Traceback" not in err
 
     def test_chain(self, capsys):
         code, out, _ = run(capsys, "render", "chain", "sqrt:2", "--depth", "3",

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 
-from fordcircles import reduced_fractions_in, statement_v_witness, theorem_u_check
+from fordcircles import (
+    is_best_approx_2nd,
+    is_nearby,
+    reduced_fractions_in,
+    statement_v_witness,
+    theorem_u_check,
+)
 from fordcircles import _kernel
 from fordcircles._kernel import _pure
 
@@ -21,24 +27,18 @@ def _pairs(max_den_x: int, max_den_alpha: int):
 
 class TestAgainstHighLevel:
     def test_pure_matches_theorem_u_check(self):
-        # the kernels and the Fraction-based checker decide identically
+        # the kernels and the unpruned Fraction routes decide identically
         for a, b, p, q in _pairs(7, 7):
-            report = theorem_u_check(F(a, b), F(p, q))
-            assert _pure.best_flag(a, b, p, q) == report.stmt_iii
-            assert _pure.near_flag(a, b, p, q) == report.stmt_iv
-            assert _pure.witness_flag(a, b, p, q) == report.stmt_v
+            x, alpha = F(a, b), F(p, q)
+            assert _pure.best_flag(a, b, p, q) == \
+                is_best_approx_2nd(x, alpha, exhaustive=True)
+            assert _pure.near_flag(a, b, p, q) == is_nearby(x, alpha, exhaustive=True)
+            assert _pure.witness_flag(a, b, p, q) == theorem_u_check(x, alpha).stmt_v
 
     def test_witness_flag_matches_search(self):
         for a, b, p, q in _pairs(8, 8):
             found = statement_v_witness(F(a, b), F(p, q)) is not None
             assert _pure.witness_flag(a, b, p, q) == found
-
-    def test_pair_flags_packs_the_three_flags(self):
-        for a, b, p, q in _pairs(6, 6):
-            assert _pure.pair_flags(a, b, p, q) == (
-                _pure.best_flag(a, b, p, q)
-                | _pure.near_flag(a, b, p, q) << 1
-                | _pure.witness_flag(a, b, p, q) << 2)
 
 
 class TestSizes:
@@ -46,8 +46,6 @@ class TestSizes:
         big = 1 << 40
         assert isinstance(_pure.best_flag(1, 2, big + 1, 2 * big), bool)
         assert isinstance(_pure.near_flag(big - 1, big, 1, 3), bool)
-        assert isinstance(_pure.pair_flags(1, 2, big + 1, 2 * big), int)
 
     def test_backend_name(self):
         assert _kernel.backend_name() == "pure"
-        assert _kernel.active is _pure

@@ -30,6 +30,32 @@ from fordcircles import (
 from fordcircles._kernel import _pure
 
 
+def per_pair_sweep(den_max_x, den_max_alpha, window):
+    """The per-pair reference for verify_sweep: every pair of the same grid,
+    (i) and (ii) from the convergents, (iii)-(v) from the per-pair kernels."""
+    lo, hi = window
+    xs = [x for x in reduced_fractions_in(lo - 1, hi + 1, den_max_x,
+                                          include_lo=False, include_hi=False)
+          if x.denominator > 1]
+    alphas = list(reduced_fractions_in(lo, hi, den_max_alpha, include_hi=False))
+    inconsistencies = []
+    for alpha in alphas:
+        p, q = alpha.numerator, alpha.denominator
+        cf = cf_of_rational(alpha)
+        convs = {(c.num, c.den) for c in convergents(cf, cf.length)}
+        for x in xs:
+            a, b = x.numerator, x.denominator
+            stmts = ((a, b) in convs, (a, b) in convs,
+                     _pure.best_flag(a, b, p, q), _pure.near_flag(a, b, p, q),
+                     _pure.witness_flag(a, b, p, q))
+            if any(stmts) and not all(stmts):
+                names = ("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv", "stmt_v")
+                inconsistencies.append({"x": f"{a}/{b}", "alpha": f"{p}/{q}",
+                                        **dict(zip(names, stmts))})
+    return {"totalChecked": len(alphas) * len(xs),
+            "inconsistencies": inconsistencies}
+
+
 class TestCfChain:
     def test_rational_chain(self):
         chain = cf_chain(F(3, 5), 4)
@@ -294,10 +320,10 @@ class TestVerifySweep:
             assert n == expected, alpha
 
     def test_backends_agree(self):
-        pure = verify_sweep(8, 8, (F(0), F(1)), backend="pure")
-        default = verify_sweep(8, 8, (F(0), F(1)))
-        assert pure["totalChecked"] == default["totalChecked"]
-        assert pure["inconsistencies"] == default["inconsistencies"] == []
+        per_pair = per_pair_sweep(8, 8, (F(0), F(1)))
+        report = verify_sweep(8, 8, (F(0), F(1)))
+        assert per_pair["totalChecked"] == report["totalChecked"]
+        assert per_pair["inconsistencies"] == report["inconsistencies"] == []
 
     def test_window_validation(self):
         with pytest.raises(ValueError, match="lo < hi"):
@@ -341,10 +367,10 @@ class TestCandidateSets:
                     if gcd(a, b) != 1:
                         continue
                     seen.add((a, b))
-                    flags = _pure.pair_flags(a, b, p, q)
-                    assert ((a, b) in best) == bool(flags & 1), (a, b, p, q)
-                    assert ((a, b) in near) == bool(flags & 2), (a, b, p, q)
-                    assert ((a, b) in witness) == bool(flags & 4), (a, b, p, q)
+                    assert ((a, b) in best) == _pure.best_flag(a, b, p, q), (a, b, p, q)
+                    assert ((a, b) in near) == _pure.near_flag(a, b, p, q), (a, b, p, q)
+                    assert ((a, b) in witness) == _pure.witness_flag(a, b, p, q), \
+                        (a, b, p, q)
             # every member of the sets was among the pairs checked above
             assert best | near | witness <= seen
 
@@ -361,10 +387,10 @@ class TestCandidateSets:
         ((9, 4), (F(-(1 << 31) - 1, 2), F(-(1 << 31) + 1, 2))),
     ])
     def test_engines_agree(self, caps, window):
-        pure = verify_sweep(*caps, window, backend="pure")
-        default = verify_sweep(*caps, window)
-        assert pure["totalChecked"] == default["totalChecked"] > 0
-        assert pure["inconsistencies"] == default["inconsistencies"] == []
+        per_pair = per_pair_sweep(*caps, window)
+        report = verify_sweep(*caps, window)
+        assert per_pair["totalChecked"] == report["totalChecked"] > 0
+        assert per_pair["inconsistencies"] == report["inconsistencies"] == []
 
     def test_engines_report_the_same_inconsistencies(self, monkeypatch):
         # flip statement (v) on three candidate pairs, two true and one false
@@ -375,22 +401,18 @@ class TestCandidateSets:
             return reference(a, b, p, q) != ((a, b, p, q) in flipped)
 
         monkeypatch.setattr(_pure, "witness_flag", witness_flag)
-        pure = verify_sweep(8, 8, (F(0), F(1)), backend="pure")
-        default = verify_sweep(8, 8, (F(0), F(1)))
+        per_pair = per_pair_sweep(8, 8, (F(0), F(1)))
+        report = verify_sweep(8, 8, (F(0), F(1)))
 
         def entry(x, alpha, stmts):
             names = ("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv", "stmt_v")
             return {"x": x, "alpha": alpha, **dict(zip(names, stmts))}
 
-        assert pure["inconsistencies"] == default["inconsistencies"] == [
+        assert per_pair["inconsistencies"] == report["inconsistencies"] == [
             entry("1/3", "1/4", (False, False, False, False, True)),
             entry("1/2", "3/5", (True, True, True, True, False)),
             entry("2/3", "3/5", (False, False, False, False, True)),
         ]
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            verify_sweep(3, 3, (F(0), F(1)), backend="compiled")
 
 
 class TestPenultimatePair:
