@@ -16,6 +16,7 @@ from .real import (
     RealNumber,
     as_real,
     compare_real,
+    convergent_pairs,
 )
 
 
@@ -77,10 +78,6 @@ class ContinuedFraction:
         """Number of coefficients for a finite expansion, None for a stream."""
         return len(self._coeffs) if self._coeffs is not None else None
 
-    @property
-    def stream(self) -> CFStream | None:
-        return self._stream
-
     def coefficients(self, limit: int | None = None) -> Iterator[int]:
         source: Iterator[int] | tuple[int, ...]
         if self._coeffs is not None:
@@ -133,27 +130,15 @@ def cf_of_real(alpha: RealNumber | RationalLike) -> ContinuedFraction:
 
 
 def convergents(cf: ContinuedFraction, count: int) -> list[Convergent]:
-    """The first `count` convergents A_n/B_n of the expansion.
-
-    A_n = b_n*A_{n-1} + A_{n-2}, B_n = b_n*B_{n-1} + B_{n-2}, seeded by
-    A_0/B_0 = b_0/1.  Successive convergents satisfy
-    A_n*B_{n-1} - A_{n-1}*B_n = (-1)^(n+1), so each is already reduced.
+    """The first `count` convergents A_n/B_n of the expansion, each reduced
+    (the recurrence and its determinant identity are in real.convergent_pairs).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if cf.finite and count > cf.length:
         raise ValueError("expansion exhausted")
-    out: list[Convergent] = []
-    num_prev, den_prev = 1, 0
-    num = den = 0
-    for n, b in enumerate(cf.coefficients(limit=count)):
-        if n == 0:
-            num, den = b, 1
-        else:
-            num, num_prev = b * num + num_prev, num
-            den, den_prev = b * den + den_prev, den
-        out.append(Convergent(n, num, den))
-    return out
+    pairs = convergent_pairs(cf.coefficients(limit=count))
+    return [Convergent(n, num, den) for n, (num, den) in enumerate(pairs)]
 
 
 def value(cf: ContinuedFraction) -> Fraction:

@@ -13,7 +13,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .cf import cf_of_real, convergents
+from .cf import ContinuedFraction, cf_of_real, convergents, value
 from .real import CFStream, ExactReal, PeriodicCoefficients, RealNumber, golden_ratio, sqrt_real
 from .render import RenderSpec, render_chain, render_ford_field, render_statement_v
 from .verify import theorem_u_check, verify_sweep
@@ -44,27 +44,17 @@ def _parse_cf_spec(text: str) -> RealNumber:
     if not sep or not tail.strip():
         return ExactReal(b0)
     plain, paren, block = tail.partition("(")
-    period: list[int] = []
-    if paren:
-        if not block.rstrip().endswith(")"):
-            raise ValueError("unterminated periodic block")
-        block = block.rstrip()[:-1]
-        period = [int(p) for p in block.split(",")]
-        plain = plain.rstrip()
-        if plain and not plain.endswith(","):
-            raise ValueError("periodic block must follow a comma")
-        plain = plain[:-1] if plain else plain
-    initial = [int(p) for p in plain.split(",")] if plain.strip() else []
-    for b in initial + period:
-        if b < 1:
-            raise ValueError("coefficients after the first must be >= 1")
-    if period:
-        return CFStream(b0, PeriodicCoefficients(period, initial), label=text)
-    # finite expansion: a rational value
-    value = Fraction(initial[-1])
-    for b in reversed(initial[:-1]):
-        value = b + 1 / value
-    return ExactReal(b0 + 1 / value)
+    if not paren:  # finite expansion: a rational value
+        initial = [int(p) for p in plain.split(",")]
+        return ExactReal(value(ContinuedFraction.from_coefficients([b0, *initial])))
+    if not block.rstrip().endswith(")"):
+        raise ValueError("unterminated periodic block")
+    period = [int(p) for p in block.rstrip()[:-1].split(",")]
+    plain, comma, rest = plain.rstrip().rpartition(",")
+    if rest:
+        raise ValueError("periodic block must follow a comma")
+    initial = [int(p) for p in plain.split(",")] if comma else []
+    return CFStream(b0, PeriodicCoefficients(period, initial), label=text)
 
 
 def parse_real_spec(text: str) -> RealNumber:

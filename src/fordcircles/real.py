@@ -109,22 +109,9 @@ class CFStream(RealNumber):
                 raise ValueError(f"continued fraction coefficient {p} at index {i} is < 1")
             yield p
 
-    def convergent_pairs(self, max_pulls: int = DEFAULT_MAX_PULLS) -> Iterator[tuple[int, int]]:
-        """(numerator, denominator) of each convergent, in index order."""
-        num_prev, den_prev = 1, 0
-        num = den = 0
-        for n, coeff in enumerate(self.coefficients()):
-            if n > max_pulls:
-                raise RefinementExhausted(
-                    f"no decision after {max_pulls} coefficient pulls; "
-                    "a finite value must be constructed as an exact rational"
-                )
-            if n == 0:
-                num, den = coeff, 1
-            else:
-                num, num_prev = coeff * num + num_prev, num
-                den, den_prev = coeff * den + den_prev, den
-            yield num, den
+    def convergent_pairs(self) -> Iterator[tuple[int, int]]:
+        """(A_n, B_n) of each convergent, unbounded: the consumer stops it."""
+        return convergent_pairs(self.coefficients())
 
     def brackets(self, max_pulls: int = DEFAULT_MAX_PULLS) -> Iterator[tuple[Fraction, Fraction]]:
         """Nested open intervals (lo, hi) that strictly contain the value.
@@ -132,9 +119,16 @@ class CFStream(RealNumber):
         Consecutive convergents straddle the value (even-indexed below,
         odd-indexed above) and their gap 1/(B_n * B_{n-1}) shrinks to zero,
         so any question decidable from a rational neighbourhood terminates.
+        A question that is not decided after max_pulls coefficients raises
+        RefinementExhausted.
         """
         prev: Fraction | None = None
-        for n, (num, den) in enumerate(self.convergent_pairs(max_pulls)):
+        for n, (num, den) in enumerate(self.convergent_pairs()):
+            if n > max_pulls:
+                raise RefinementExhausted(
+                    f"no decision after {max_pulls} coefficient pulls; "
+                    "a finite value must be constructed as an exact rational"
+                )
             cur = Fraction(num, den)
             if prev is not None:
                 yield (prev, cur) if n % 2 else (cur, prev)
@@ -142,6 +136,21 @@ class CFStream(RealNumber):
         raise ValueError(
             "coefficient stream ended; finite expansions must be ExactReal"
         )
+
+
+def convergent_pairs(coeffs: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(A_n, B_n) for each coefficient b_n of [b_0; b_1, b_2, ...], in order.
+
+    A_n = b_n*A_{n-1} + A_{n-2} and B_n = b_n*B_{n-1} + B_{n-2}, seeded by
+    A_{-1}/B_{-1} = 1/0 and A_{-2}/B_{-2} = 0/1, so A_0/B_0 = b_0/1.
+    Successive convergents satisfy A_n*B_{n-1} - A_{n-1}*B_n = (-1)^(n+1),
+    so each is already reduced.  This is the only place the recurrence lives.
+    """
+    num, num_prev, den, den_prev = 1, 0, 0, 1
+    for b in coeffs:
+        num, num_prev = b * num + num_prev, num
+        den, den_prev = b * den + den_prev, den
+        yield num, den
 
 
 def as_real(x: RealNumber | RationalLike) -> RealNumber:

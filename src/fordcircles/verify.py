@@ -21,28 +21,28 @@ a meaningful cross-check rather than a tautology.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil, floor, gcd
 from typing import Iterator
 
 from ._kernel import _pure
-from .cf import Convergent, cf_of_rational, convergents
+from .cf import Convergent, cf_of_rational, cf_of_real, convergents
 from .geometry import FordCircle, compare_radii, ford_circle, tangent_horocircle_radius
 from .rational import reduced_fractions_in
 from .real import (
     EQ,
     GT,
     LT,
-    CFStream,
     ExactReal,
     RationalLike,
     RealNumber,
     as_real,
     compare_linear_forms,
     compare_real,
+    convergent_pairs,
     floor_scaled,
 )
 
@@ -85,15 +85,9 @@ class TheoremUReport:
 
 
 def _chain_iter(alpha: RealNumber | RationalLike) -> Iterator[ChainEntry]:
-    alpha = as_real(alpha)
-    if isinstance(alpha, ExactReal):
-        cf = cf_of_rational(alpha.value)
-        for conv in convergents(cf, cf.length):
-            yield ChainEntry(conv.index, conv, ford_circle(conv.value))
-        return
-    assert isinstance(alpha, CFStream)
-    # the consumer bounds the walk (a count or a radius), not a pull cap
-    for n, (num, den) in enumerate(alpha.convergent_pairs(max_pulls=sys.maxsize)):
+    # unbounded for a stream: the consumer stops the walk (a count or a radius)
+    pairs = convergent_pairs(cf_of_real(alpha).coefficients())
+    for n, (num, den) in enumerate(pairs):
         conv = Convergent(n, num, den)
         yield ChainEntry(n, conv, ford_circle(conv.value))
 
@@ -106,26 +100,21 @@ def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[ChainEntry]:
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    out: list[ChainEntry] = []
-    for entry in _chain_iter(alpha):
-        out.append(entry)
-        if len(out) == count:
-            return out
-    raise ValueError("expansion exhausted")
+    out = list(islice(_chain_iter(alpha), count))
+    if len(out) < count:
+        raise ValueError("expansion exhausted")
+    return out
 
 
 def _is_convergent(x: Fraction, alpha: RealNumber) -> bool:
     a, b = x.numerator, x.denominator
-    if isinstance(alpha, ExactReal):
-        cf = cf_of_rational(alpha.value)
-        return any(c.num == a and c.den == b for c in convergents(cf, cf.length))
-    assert isinstance(alpha, CFStream)
-    for num, den in alpha.convergent_pairs():
+    for num, den in convergent_pairs(cf_of_real(alpha).coefficients()):
+        # denominators never decrease, so once past b stop
         if den > b:
             return False
         if num == a and den == b:
             return True
-    raise AssertionError("unreachable: convergent denominators grow without bound")
+    return False
 
 
 def _is_chain_member(x: Fraction, alpha: RealNumber) -> bool:
@@ -332,8 +321,7 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     inconsistencies: list[dict] = []
     for alpha in alphas:
         p, q = alpha.numerator, alpha.denominator
-        cf = cf_of_rational(alpha)
-        conv_set = {(c.num, c.den) for c in convergents(cf, cf.length)}
+        conv_set = set(convergent_pairs(cf_of_rational(alpha).coefficients()))
         chain_set = {
             (e.circle.base.numerator, e.circle.base.denominator)
             for e in _chain_iter(alpha)

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fordcircles import (
+    CFStream,
     ContinuedFraction,
     Convergent,
     ExactReal,
+    PeriodicCoefficients,
+    cf_chain,
     cf_of_rational,
     cf_of_real,
     convergent_ordering_check,
@@ -109,6 +112,23 @@ class TestConvergents:
             assert dens[i] < dens[i + 1]
         if len(dens) >= 2:
             assert dens[0] <= dens[1]
+
+    @given(st.integers(-50, 50),
+           st.lists(st.integers(1, 60), min_size=1, max_size=4),
+           st.lists(st.integers(1, 60), max_size=4),
+           st.integers(1, 30))
+    def test_stream_determinant_and_growth(self, b0, period, initial, n):
+        stream = CFStream(b0, PeriodicCoefficients(period, initial))
+        convs = convergents(cf_of_real(stream), n)
+        for k in range(1, n):
+            prev, cur = convs[k - 1], convs[k]
+            assert cur.num * prev.den - prev.num * cur.den == (-1) ** (k + 1)
+        dens = [c.den for c in convs]
+        assert dens[0] == 1
+        # B_{n+1} = b_{n+1}*B_n + B_{n-1} > B_n once B_{n-1} >= 1, i.e. from index 1
+        for i in range(1, n - 1):
+            assert dens[i] < dens[i + 1]
+        assert [e.circle.base for e in cf_chain(stream, n)] == [c.value for c in convs]
 
     def test_sqrt3_convergents(self):
         convs = convergents(cf_of_real(sqrt_real(3)), 10)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fordcircles.cli import UsageError, main, parse_real_spec, parse_window
 from fordcircles.real import CFStream, ExactReal
@@ -84,6 +87,61 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "3/2", "cf:1;(1)")
         assert code == 0
         assert json.loads(out)["stmt_i"] is True
+
+
+def check_text(x, alpha, integer, stmts, witness):
+    flag = {True: "true", False: "false"}
+    lines = [f'  "x": "{x}"', f'  "alpha": "{alpha}"', f'  "isInteger": {flag[integer]}']
+    lines += [f'  "stmt_{k}": {flag[v]}' for k, v in zip(("i", "ii", "iii", "iv", "v"), stmts)]
+    lines += [f'  "witness": ' + ("null" if witness is None else f'"{witness}"'),
+              '  "consistent": true']
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+class TestFrozenStdout:
+    """Full stdout of pairs whose text is frozen (machine interface)."""
+
+    @pytest.mark.parametrize("argv,want", [
+        (["check", "1/2", "3/5"], check_text("1/2", "3/5", False, [True] * 5, "2/3")),
+        (["check", "8/5", "golden"],
+         check_text("8/5", "golden", False, [True] * 5, "13/8")),
+        (["check", "7/5", "golden"],
+         check_text("7/5", "golden", False, [False] * 5, None)),
+        (["check", "1", "1"], check_text("1/1", "1", True, [True] * 5, "3/2")),
+        (["convergents", "sqrt:2", "-n", "5"], "1/1\n3/2\n7/5\n17/12\n41/29\n"),
+    ])
+    def test_stdout(self, capsys, argv, want):
+        assert run(capsys, *argv) == (0, want, "")
+
+
+SPEC_TEXT = st.builds(
+    str.__add__,
+    st.sampled_from(["", "cf:", "sqrt:", "golden"]),
+    st.text(alphabet="0123456789-/;,() ", max_size=10),
+)
+SPEC = st.one_of(
+    SPEC_TEXT,
+    st.text(alphabet="0123456789-;,() ", max_size=12).map("cf:".__add__),
+    st.integers(-3, 400).map("sqrt:{}".format),
+    st.builds("{}/{}".format, st.integers(-60, 60), st.integers(-3, 60)),
+)
+ARGV = st.one_of(
+    st.builds(lambda spec: ["cf", spec], SPEC),
+    st.builds(lambda spec, k: ["convergents", spec, "-n", str(k)],
+              SPEC, st.integers(-2, 15)),
+    st.builds(lambda spec, a, b: ["check", f"{a}/{b}", spec],
+              SPEC, st.integers(-80, 80), st.integers(1, 40)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARGV)
+def test_real_spec_grammar_never_crashes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
 
 
 class TestVerify:
@@ -220,6 +278,7 @@ class TestRealSpecParsing:
 
     @pytest.mark.parametrize("text", [
         "cf:1;(2", "cf:1;0,2", "cf:1;2(3)", "sqrt:4", "sqrt:-1", "2/3/4", "",
+        "cf:1;,(2)", "cf:1; ,(2)",
     ])
     def test_rejects(self, text):
         with pytest.raises(UsageError):
