@@ -2,7 +2,8 @@
 second kind, with a mechanically checked five-way equivalence between them.
 
 Everything is exact: rationals are fractions, irrationals are continued
-fraction coefficient streams compared through lazy bracket refinement, and no
+fraction coefficient streams, decided by integer sign tests on the surd of an
+eventually periodic stream and by lazy bracket refinement otherwise, and no
 floating-point number is ever consulted for a mathematical decision.
 """
 

@@ -3,7 +3,9 @@
 All geometry here is exact.  Radii of circles based at rational points are
 ``Fraction`` values; radii of horocircles based at a coefficient stream are
 ``QuadraticRadius`` objects, quadratics in the stream value that are compared
-lazily through sign refinement rather than ever being evaluated numerically.
+through the exact sign of a quadratic at the stream value (an integer test on
+a periodic stream's surd, bracket refinement otherwise) rather than ever
+being evaluated numerically.
 """
 
 from __future__ import annotations
@@ -75,8 +77,9 @@ class QuadraticRadius:
         return sign_of_quadratic(q2, q1, q0, self.alpha)
 
     def is_zero(self) -> bool:
-        # A nonzero quadratic never vanishes at the stream value (that would
-        # need the stream to encode its root), so zero means zero coefficients.
+        # The radii built here are positive multiples of (b*t - a)^2 or
+        # (t - point)^2, whose only root is rational; at an irrational stream
+        # value they vanish only when every coefficient is zero.
         return self.q2 == self.q1 == self.q0 == 0
 
     def __lt__(self, other) -> bool:

@@ -2,16 +2,19 @@
 
 A real number is either an exact rational (``ExactReal``) or an irrational
 value given by its infinite continued fraction coefficient stream
-(``CFStream``).  Streams are refined lazily through nested convergent
-brackets, so every comparison against a rational, and every sign query for a
-rational quadratic, is an exact decision that terminates.  No floating-point
-value enters or leaves this module.
+(``CFStream``).  An eventually periodic stream is a quadratic irrational
+(Lagrange), so it carries its surd (P + S*sqrt(D))/Q and every comparison
+against a rational, every sign query for a rational quadratic and every
+floor is one integer sign test.  Any other stream is refined lazily through
+nested convergent brackets, an exact decision that terminates unless the
+quadratic vanishes at the stream value.  No floating-point value enters or
+leaves this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, isqrt
+from math import floor, gcd, isqrt, lcm
 from typing import Iterable, Iterator, Union
 
 LT, EQ, GT = -1, 0, 1
@@ -88,12 +91,13 @@ class CFStream(RealNumber):
     expansions denote rationals and must be built as ``ExactReal`` instead.
     """
 
-    __slots__ = ("b0", "partials", "label")
+    __slots__ = ("b0", "partials", "label", "_surd")
 
     def __init__(self, b0: int, partials: Iterable[int], label: str | None = None):
         self.b0 = int(b0)
         self.partials = partials
         self.label = label
+        self._surd: tuple[int, int, int, int] | None = None
 
     def describe(self) -> str:
         return self.label if self.label is not None else f"cf:{self.b0};..."
@@ -112,6 +116,38 @@ class CFStream(RealNumber):
     def convergent_pairs(self) -> Iterator[tuple[int, int]]:
         """(A_n, B_n) of each convergent, unbounded: the consumer stops it."""
         return convergent_pairs(self.coefficients())
+
+    def surd(self) -> tuple[int, int, int, int] | None:
+        """(P, S, D, Q) with value (P + S*sqrt(D))/Q, S = +-1, Q > 0 and D
+        not a square, when ``partials`` is a ``PeriodicCoefficients``; else
+        None.  Computed on first use and cached.
+
+        With A/B and A'/B' the last two convergents of the period block, the
+        purely periodic tail y = (A*y + A')/(B*y + B') is the root > 1 of
+        B*y^2 + (B' - A)*y - A' = 0, and the last two convergents C/E and
+        C'/E' of [b0; initial...] give the value (C*y + C')/(E*y + E').
+        """
+        partials = self.partials
+        if not isinstance(partials, PeriodicCoefficients):
+            return None
+        if self._surd is None:
+            # the seed 1/0 stands in for the convergent before a 1-term block
+            (a1, b1), (a, b) = [(1, 0), *convergent_pairs(partials.period)][-2:]
+            (c1, e1), (c, e) = [(1, 0), *convergent_pairs((self.b0, *partials.initial))][-2:]
+            # y = (u + r)/v with r = sqrt(disc), so the value is
+            # (n0 + c*r)/(m0 + e*r); multiply through by m0 - e*r
+            u, v, disc = a - b1, 2 * b, (a - b1) ** 2 + 4 * b * a1
+            n0, m0 = c * u + c1 * v, e * u + e1 * v
+            p, s, q = n0 * m0 - c * e * disc, c * m0 - n0 * e, m0 * m0 - e * e * disc
+            if q < 0:
+                p, s, q = -p, -s, -q
+            # fold |s| into the radicand, then cancel g from p, q and sqrt(d)
+            sign, d = (1 if s > 0 else -1), s * s * disc
+            g = gcd(gcd(p, q), d)
+            while d % (g * g):
+                g = gcd(g, d // g)
+            self._surd = (p // g, sign, d // (g * g), q // g)
+        return self._surd
 
     def brackets(self, max_pulls: int = DEFAULT_MAX_PULLS) -> Iterator[tuple[Fraction, Fraction]]:
         """Nested open intervals (lo, hi) that strictly contain the value.
@@ -163,23 +199,21 @@ def as_real(x: RealNumber | RationalLike) -> RealNumber:
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact real")
 
 
-def _sign(v: Fraction) -> int:
+def _sign(v: RationalLike) -> int:
     return GT if v > 0 else LT if v < 0 else EQ
 
 
 def compare_real(alpha: RealNumber | RationalLike, q: RationalLike,
                  *, max_pulls: int = DEFAULT_MAX_PULLS) -> int:
-    """Exact three-way comparison of a real with a rational: LT, EQ or GT."""
+    """Exact three-way comparison of a real with a rational: LT, EQ or GT.
+
+    For a stream, the sign of the linear form den(q)*t - num(q) at t = alpha.
+    """
     q = Fraction(q)
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal):
         return _sign(alpha.value - q)
-    for lo, hi in alpha.brackets(max_pulls):
-        if q <= lo:
-            return GT
-        if q >= hi:
-            return LT
-    raise AssertionError("unreachable: brackets() never returns normally")
+    return sign_of_quadratic(0, q.denominator, -q.numerator, alpha, max_pulls=max_pulls)
 
 
 def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
@@ -187,15 +221,18 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
                       *, max_pulls: int = DEFAULT_MAX_PULLS) -> int:
     """Exact sign of q2*t^2 + q1*t + q0 at t = alpha.
 
-    For a stream this brackets the exact range of the quadratic over each
-    refinement interval (endpoint values, plus the vertex value when the
-    vertex lies inside); the loop terminates whenever the quadratic is
-    nonzero at alpha.  A quadratic vanishing at alpha never decides and hits
-    the pull cap, so callers must not ask about polynomials whose root the
-    stream encodes.
+    For a periodic stream this is one integer sign test on its surd, and a
+    quadratic vanishing at alpha gives EQ.  For any other stream it brackets
+    the exact range of the quadratic over each refinement interval (endpoint
+    values, plus the vertex value when the vertex lies inside); the loop
+    terminates whenever the quadratic is nonzero at alpha.  A quadratic
+    vanishing at such a stream never decides and hits the pull cap.
     """
-    q2, q1, q0 = Fraction(q2), Fraction(q1), Fraction(q0)
     alpha = as_real(alpha)
+    surd = alpha.surd() if isinstance(alpha, CFStream) else None
+    if surd is not None:
+        return _surd_sign(q2, q1, q0, *surd)
+    q2, q1, q0 = Fraction(q2), Fraction(q1), Fraction(q0)
 
     def at(t: Fraction) -> Fraction:
         return (q2 * t + q1) * t + q0
@@ -215,6 +252,24 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
         if max(values) < 0:
             return LT
     raise AssertionError("unreachable: brackets() never returns normally")
+
+
+def _surd_sign(q2: RationalLike, q1: RationalLike, q0: RationalLike,
+               p: int, s: int, d: int, q: int) -> int:
+    """Sign of q2*t^2 + q1*t + q0 at t = (p + s*sqrt(d))/q, in integers.
+
+    Scaled by the common denominator m > 0 of the coefficients and by q^2,
+    the value is r + w*sqrt(d) with integers r and w (s*s == 1).  As d is
+    not a square, r^2 == w^2*d only when both are 0; otherwise the term of
+    larger magnitude sets the sign.
+    """
+    m = lcm(q2.denominator, q1.denominator, q0.denominator)
+    c2 = q2.numerator * (m // q2.denominator)
+    c1 = q1.numerator * (m // q1.denominator)
+    c0 = q0.numerator * (m // q0.denominator)
+    r = c2 * (p * p + d) + (c1 * p + c0 * q) * q
+    w = s * (2 * c2 * p + c1 * q)
+    return _sign(r) if r * r > w * w * d else _sign(w)
 
 
 def compare_linear_forms(d: int, c: int, b: int, a: int,
@@ -244,6 +299,11 @@ def floor_scaled(alpha: RealNumber | RationalLike, k: int,
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal):
         return floor(k * alpha.value)
+    surd = alpha.surd()
+    if surd is not None:
+        # floor(k*s*sqrt(d)) is s*isqrt(k^2*d), less 1 when s < 0 (irrational)
+        p, s, d, q = surd
+        return (k * p + s * isqrt(k * k * d) - (s < 0)) // q
     for lo, hi in alpha.brackets(max_pulls):
         flo, fhi = floor(k * lo), floor(k * hi)
         if flo == fhi:

@@ -109,6 +109,8 @@ class TestFrozenStdout:
          check_text("7/5", "golden", False, [False] * 5, None)),
         (["check", "1", "1"], check_text("1/1", "1", True, [True] * 5, "3/2")),
         (["convergents", "sqrt:2", "-n", "5"], "1/1\n3/2\n7/5\n17/12\n41/29\n"),
+        (["check", "6765/4181", "golden"],
+         check_text("6765/4181", "golden", False, [True] * 5, "10946/6765")),
     ])
     def test_stdout(self, capsys, argv, want):
         assert run(capsys, *argv) == (0, want, "")

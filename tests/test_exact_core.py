@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import islice
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fordcircles import (
     EQ,
@@ -26,6 +27,22 @@ from fordcircles import (
     sign_of_quadratic,
     sqrt_real,
 )
+
+
+class Plain:
+    """A restartable coefficient iterable that is not a PeriodicCoefficients,
+    so a stream built on it is decided by bracket refinement."""
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+
+def bracket_twin(stream: CFStream) -> CFStream:
+    """The same value as a periodic stream, on the bracket engine."""
+    return CFStream(stream.b0, Plain(stream.partials))
 
 
 class TestMakeRational:
@@ -103,13 +120,16 @@ class TestCompareReal:
         assert compare_real(ExactReal(a), b) == want
 
     def test_pull_cap(self):
-        # a rational extremely close to the golden ratio forces deep refinement;
-        # an artificially tiny cap must trip the exhaustion error
-        phi = golden_ratio()
+        # a rational extremely close to the golden ratio forces deep bracket
+        # refinement; an artificially tiny cap must trip the exhaustion error
+        phi = bracket_twin(golden_ratio())
         close = F(832040, 514229)  # a far convergent
         with pytest.raises(RefinementExhausted):
             compare_real(phi, close, max_pulls=5)
         assert compare_real(phi, close) in (LT, GT)
+        # the periodic stream decides on its surd, with no pulls at all;
+        # 832040/514229 is the convergent of index 28, below phi
+        assert compare_real(golden_ratio(), close, max_pulls=5) == GT
 
     def test_float_rejected(self):
         with pytest.raises(TypeError, match="floating-point"):
@@ -223,8 +243,14 @@ class TestSignOfQuadratic:
         assert sign_of_quadratic(1, -3, F(9, 4) + F(1, 100), sqrt_real(2)) == GT
 
     def test_vanishing_quadratic_exhausts(self):
+        # brackets never decide a quadratic that vanishes at the stream value
         with pytest.raises(RefinementExhausted):
-            sign_of_quadratic(1, -1, -1, golden_ratio(), max_pulls=50)
+            sign_of_quadratic(1, -1, -1, bracket_twin(golden_ratio()), max_pulls=50)
+
+    def test_vanishing_quadratic_on_a_surd(self):
+        # phi^2 - phi - 1 = 0 exactly, and the surd says so
+        assert sign_of_quadratic(1, -1, -1, golden_ratio()) == EQ
+        assert sign_of_quadratic(F(1, 3), 0, F(-2, 3), sqrt_real(2)) == EQ
 
 
 class TestCompareLinearForms:
@@ -279,3 +305,111 @@ class TestFloorScaled:
     def test_matches_fraction_floor(self, q, k):
         import math
         assert floor_scaled(ExactReal(q), k) == math.floor(q * k)
+
+
+def minimal_polynomial(b0, period, initial):
+    """Integer (h2, h1, h0) vanishing at [b0; initial, (period)], built from
+    the tail equation B*y^2 + (B' - A)*y - A' = 0 by the inverse Moebius map
+    y = (C' - E'*t)/(E*t - C) of the initial block, without the surd."""
+    def last_two(coeffs):
+        num, num_prev, den, den_prev = 1, 0, 0, 1
+        for b in coeffs:
+            num, num_prev = b * num + num_prev, num
+            den, den_prev = b * den + den_prev, den
+        return (num_prev, den_prev), (num, den)
+
+    (a1, b1), (a, b) = last_two(period)
+    (c1, e1), (c, e) = last_two((b0, *initial))
+    h2 = b * e1 * e1 - (b1 - a) * e1 * e - a1 * e * e
+    h1 = -2 * b * c1 * e1 + (b1 - a) * (c1 * e + e1 * c) + 2 * a1 * e * c
+    h0 = b * c1 * c1 - (b1 - a) * c1 * c - a1 * c * c
+    return h2, h1, h0
+
+
+def surd_above(surd, x: F) -> bool:
+    """(P + S*sqrt(D))/Q > x, by integer squares only."""
+    p, s, d, q = surd
+    # S*m*sqrt(D) > Q*n - P*m for x = n/m
+    t, rhs = s * x.denominator, q * x.numerator - p * x.denominator
+    if t > 0:
+        return rhs < 0 or t * t * d > rhs * rhs
+    return rhs < 0 and t * t * d < rhs * rhs
+
+
+COEFF = st.one_of(st.integers(1, 60), st.integers(1, 10**9))
+PERIODIC = st.tuples(st.integers(-50, 50),
+                     st.lists(COEFF, min_size=1, max_size=4),
+                     st.lists(COEFF, max_size=4))
+
+
+class TestSurd:
+    """The surd engine of periodic streams against the bracket engine on the
+    same coefficients (an unpruned cross-check: brackets never use the surd)."""
+
+    def test_known_surds(self):
+        assert golden_ratio().surd() == (1, 1, 5, 2)
+        assert sqrt_real(2).surd() == (0, 1, 2, 1)
+        assert sqrt_real(94).surd() == (0, 1, 94, 1)
+        assert bracket_twin(golden_ratio()).surd() is None
+
+    def test_floors_of_small_surds(self):
+        # small coefficients give small Q, where a floor off by one for a
+        # negative S (e.g. 2 - sqrt(2) = [0; 1, 1, (2)]) cannot hide
+        negative = 0
+        for b0 in (-2, 0, 1):
+            for initial in ((), (1,), (2,), (1, 1), (3, 1)):
+                for period in ((1,), (2,), (1, 2), (3, 1, 1)):
+                    stream = CFStream(b0, PeriodicCoefficients(period, initial))
+                    twin = bracket_twin(stream)
+                    negative += stream.surd()[1] < 0
+                    assert [floor_scaled(stream, k) for k in range(1, 60)] == \
+                        [floor_scaled(twin, k) for k in range(1, 60)]
+        assert negative > 0
+
+    @given(PERIODIC)
+    def test_surd_is_the_stream_value(self, spec):
+        b0, period, initial = spec
+        stream = CFStream(b0, PeriodicCoefficients(period, initial))
+        p, s, d, q = surd = stream.surd()
+        assert s in (1, -1) and q > 0
+        assert isqrt(d) ** 2 != d
+        for i, (lo, hi) in enumerate(stream.brackets()):
+            assert surd_above(surd, lo) and not surd_above(surd, hi)
+            if i == 20:
+                break
+        # and it is a root of the minimal polynomial found without it
+        assert sign_of_quadratic(*minimal_polynomial(b0, period, initial), stream) == EQ
+
+    @settings(deadline=None)
+    @given(PERIODIC, st.data())
+    def test_engines_agree(self, spec, data):
+        b0, period, initial = spec
+        stream = CFStream(b0, PeriodicCoefficients(period, initial))
+        twin = bracket_twin(stream)
+        # rationals at, just beside and away from a convergent
+        n = data.draw(st.integers(0, 12))
+        num, den = list(islice(twin.convergent_pairs(), n + 1))[-1]
+        q = F(num, den) + data.draw(st.sampled_from(
+            [F(0), F(1, 10**12), F(-1, 10**12), F(1, 3), F(-7, 5)]))
+        assert compare_real(stream, q) == compare_real(twin, q)
+        k = data.draw(st.integers(1, 10**4))
+        assert floor_scaled(stream, k) == floor_scaled(twin, k)
+        coeffs = tuple(data.draw(st.fractions(max_denominator=100))
+                       * data.draw(st.sampled_from([1, 10**6])) for _ in range(3))
+        h = minimal_polynomial(b0, period, initial)
+        proportional = all(coeffs[i] * h[j] == coeffs[j] * h[i]
+                           for i, j in ((0, 1), (0, 2), (1, 2)))
+        if any(coeffs) and not proportional:
+            assert sign_of_quadratic(*coeffs, stream) == sign_of_quadratic(*coeffs, twin)
+        d, b = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 300))
+        c = floor_scaled(twin, d) + data.draw(st.integers(-1, 2))
+        a = floor_scaled(twin, b) + data.draw(st.integers(-1, 2))
+        assert compare_linear_forms(d, c, b, a, stream) == \
+            compare_linear_forms(d, c, b, a, twin)
+
+    @given(PERIODIC, st.fractions().filter(bool))
+    def test_minimal_polynomial_multiples_vanish(self, spec, scale):
+        b0, period, initial = spec
+        stream = CFStream(b0, PeriodicCoefficients(period, initial))
+        h2, h1, h0 = minimal_polynomial(b0, period, initial)
+        assert sign_of_quadratic(scale * h2, scale * h1, scale * h0, stream) == EQ

@@ -156,6 +156,13 @@ class TestGenericTangentRadius:
         swapped = generic_tangent_radius(phi, F(1, 8), F(3, 2))
         assert isinstance(swapped, QuadraticRadius)
 
+    def test_equal_radii_at_a_surd(self):
+        # (sqrt(2) - 0)^2 / (4 * 1/2) == 1: two equal radii, decided exactly
+        r = generic_tangent_radius(F(0), F(1, 2), sqrt_real(2))
+        assert compare_radii(r, 1) == EQ
+        assert compare_radii(1, r) == EQ
+        assert r == 1
+
     def test_two_streams_rejected(self):
         with pytest.raises(ValueError, match="at most one"):
             generic_tangent_radius(golden_ratio(), F(1, 2), sqrt_real(2))
