@@ -19,19 +19,18 @@ from .cf import (
 from .geometry import (
     FordCircle,
     GapRelation,
-    Horocircle,
     QuadraticRadius,
     are_tangent,
     compare_radii,
     ford_circle,
+    ford_radius,
     gap_relation,
     generic_tangent_radius,
     lemma_q_check,
     lemma_x_check,
-    tangent_horocircle,
     tangent_horocircle_radius,
 )
-from .rational import Rational, is_integer, make_rational, reduced_fractions_in
+from .rational import reduced_fractions_in
 from .real import (
     EQ,
     GT,
@@ -57,7 +56,6 @@ from .render import (
     render_statement_v,
 )
 from .verify import (
-    ChainEntry,
     TheoremUReport,
     cf_chain,
     is_best_approx_2nd,
@@ -73,18 +71,18 @@ __version__ = "0.1.0"
 __all__ = [
     "ContinuedFraction", "Convergent", "cf_of_rational", "cf_of_real",
     "convergent_ordering_check", "convergents", "value",
-    "FordCircle", "GapRelation", "Horocircle", "QuadraticRadius",
-    "are_tangent", "compare_radii", "ford_circle", "gap_relation",
+    "FordCircle", "GapRelation", "QuadraticRadius",
+    "are_tangent", "compare_radii", "ford_circle", "ford_radius", "gap_relation",
     "generic_tangent_radius", "lemma_q_check", "lemma_x_check",
-    "tangent_horocircle", "tangent_horocircle_radius",
-    "Rational", "is_integer", "make_rational", "reduced_fractions_in",
+    "tangent_horocircle_radius",
+    "reduced_fractions_in",
     "EQ", "GT", "LT", "CFStream", "ExactReal", "PeriodicCoefficients",
     "RealNumber", "RefinementExhausted", "as_real", "compare_linear_forms",
     "compare_real", "floor_scaled", "golden_ratio", "sign_of_quadratic",
     "sqrt_real",
     "RenderSpec", "fmt6", "render_chain", "render_ford_field",
     "render_statement_v",
-    "ChainEntry", "TheoremUReport", "cf_chain", "is_best_approx_2nd",
+    "TheoremUReport", "cf_chain", "is_best_approx_2nd",
     "is_nearby", "penultimate_pair", "statement_v_witness", "theorem_u_check",
     "verify_sweep",
     "__version__",

@@ -1,11 +1,13 @@
-"""Ford circles, horocircles, tangency and the radius comparison lemmas.
+"""Ford circles, horocircle radii, tangency and the radius comparison lemmas.
 
-All geometry here is exact.  Radii of circles based at rational points are
-``Fraction`` values; radii of horocircles based at a coefficient stream are
-``QuadraticRadius`` objects, quadratics in the stream value that are compared
-through the exact sign of a quadratic at the stream value (an integer test on
-a periodic stream's surd, bracket refinement otherwise) rather than ever
-being evaluated numerically.
+All geometry here is exact.  A Ford circle is fixed by its base point a/b:
+its radius 1/(2*b^2) is derived by ``ford_radius``, the one place that
+formula lives, and never stored.  Radii of horocircles based at a rational
+point are ``Fraction`` values; radii of horocircles based at a coefficient
+stream are ``QuadraticRadius`` objects, quadratics in the stream value that
+are compared through the exact sign of a quadratic at the stream value (an
+integer test on a periodic stream's surd, bracket refinement otherwise)
+rather than ever being evaluated numerically.
 """
 
 from __future__ import annotations
@@ -28,27 +30,25 @@ from .real import (
 )
 
 
+def ford_radius(x: RationalLike) -> Fraction:
+    """1/(2*b^2), the radius of the Ford circle at the reduced x = a/b."""
+    b = x.denominator
+    return Fraction(1, 2 * b * b)
+
+
 @dataclass(frozen=True)
 class FordCircle:
-    """The circle tangent to the real axis at `base` with radius 1/(2*den^2)."""
+    """The circle tangent to the real axis at `base`, of radius ford_radius(base)."""
 
     base: Fraction
-    radius: Fraction
-
-    def __post_init__(self):
-        b = self.base.denominator
-        if self.radius != Fraction(1, 2 * b * b):
-            raise ValueError("ford circle radius must be 1/(2*den^2) of its base point")
 
     @property
-    def center(self) -> tuple[Fraction, Fraction]:
-        return (self.base, self.radius)
+    def radius(self) -> Fraction:
+        return ford_radius(self.base)
 
 
 def ford_circle(x: RationalLike) -> FordCircle:
-    x = Fraction(x)
-    b = x.denominator
-    return FordCircle(x, Fraction(1, 2 * b * b))
+    return FordCircle(Fraction(x))
 
 
 @dataclass(frozen=True)
@@ -76,18 +76,6 @@ class QuadraticRadius:
         q2, q1, q0 = self._coeffs_against(other)
         return sign_of_quadratic(q2, q1, q0, self.alpha)
 
-    def is_zero(self) -> bool:
-        # The radii built here are positive multiples of (b*t - a)^2 or
-        # (t - point)^2, whose only root is rational; at an irrational stream
-        # value they vanish only when every coefficient is zero.
-        return self.q2 == self.q1 == self.q0 == 0
-
-    def __lt__(self, other) -> bool:
-        return self.compare(other) == LT
-
-    def __gt__(self, other) -> bool:
-        return self.compare(other) == GT
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (QuadraticRadius, int, Fraction)):
             return self.compare(other) == EQ
@@ -107,18 +95,6 @@ def compare_radii(r: Radius, s: Radius) -> int:
     if isinstance(s, QuadraticRadius):
         return -s.compare(r)
     return GT if r > s else LT if r < s else EQ
-
-
-@dataclass(frozen=True)
-class Horocircle:
-    """A circle tangent to the real axis at `base`, or a point when radius 0."""
-
-    base: RealNumber
-    radius: Radius
-
-    def __post_init__(self):
-        if isinstance(self.radius, Fraction) and self.radius < 0:
-            raise ValueError("horocircle radius must be >= 0")
 
 
 class GapRelation(Enum):
@@ -143,10 +119,10 @@ def gap_relation(x: RationalLike, y: RationalLike) -> GapRelation:
     value would mean overlapping interiors, impossible for Ford circles at
     distinct reduced points, so that branch raises.
     """
-    cx, cy = ford_circle(x), ford_circle(y)
-    if cx.base == cy.base:
+    x, y = Fraction(x), Fraction(y)
+    if x == y:
         raise ValueError("identical circles")
-    gap = (cx.base - cy.base) ** 2 - 4 * cx.radius * cy.radius
+    gap = (x - y) ** 2 - 4 * ford_radius(x) * ford_radius(y)
     if gap == 0:
         return GapRelation.TANGENT_EQUALITY
     if gap > 0:
@@ -167,11 +143,6 @@ def tangent_horocircle_radius(alpha: RealNumber | RationalLike, x: RationalLike)
         t = alpha.value
         return (b * t - a) ** 2 / 2
     return QuadraticRadius(alpha, Fraction(b * b, 2), Fraction(-a * b), Fraction(a * a, 2))
-
-
-def tangent_horocircle(alpha: RealNumber | RationalLike, x: RationalLike) -> Horocircle:
-    alpha = as_real(alpha)
-    return Horocircle(alpha, tangent_horocircle_radius(alpha, x))
 
 
 def generic_tangent_radius(base: RealNumber | RationalLike, radius: Fraction,
@@ -212,8 +183,8 @@ def lemma_x_check(x: RationalLike, y: RationalLike, z: RationalLike) -> bool:
         raise ValueError("not a between-tangent configuration")
     if not (min(x, y) < z < max(x, y)):
         raise ValueError("not a between-tangent configuration")
-    rz = ford_circle(z).radius
-    return rz < ford_circle(x).radius and rz < ford_circle(y).radius
+    rz = ford_radius(z)
+    return rz < ford_radius(x) and rz < ford_radius(y)
 
 
 def lemma_q_check(x: RationalLike, y: RationalLike,
@@ -230,7 +201,7 @@ def lemma_q_check(x: RationalLike, y: RationalLike,
     x, y, z = Fraction(x), Fraction(y), Fraction(z)
     if x == y or not are_tangent(x, y):
         raise ValueError("configuration mismatch")
-    if not ford_circle(x).radius > ford_circle(y).radius:
+    if not ford_radius(x) > ford_radius(y):
         raise ValueError("configuration mismatch")
     lo, hi = min(x, y), max(x, y)
     alpha = as_real(alpha)

@@ -12,19 +12,6 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Iterator
 
-Rational = Fraction
-
-
-def make_rational(num: int, den: int) -> Fraction:
-    """Reduced fraction num/den, sign carried by the numerator."""
-    if den == 0:
-        raise ValueError("zero denominator")
-    return Fraction(num, den)
-
-
-def is_integer(x: Fraction) -> bool:
-    return x.denominator == 1
-
 
 def reduced_fractions_in(
     lo: Fraction,

@@ -19,10 +19,12 @@ from typing import Iterable, Iterator, Union
 
 LT, EQ, GT = -1, 0, 1
 
-#: Hard cap on coefficient pulls during bracket refinement.  A query that
-#: needs this many pulls almost certainly means a rational value was smuggled
-#: in as a stream; genuine irrational streams separate from any fixed
-#: rational after a handful of convergents.
+#: Hard cap on coefficient pulls during bracket refinement, read by
+#: ``CFStream.brackets`` at each call.  A query that needs this many pulls
+#: almost certainly means a rational value was smuggled in as a stream, or a
+#: quadratic vanishing at a stream without a surd; genuine irrational streams
+#: separate from any fixed rational after a handful of convergents, and
+#: queries on a surd never refine brackets at all.
 DEFAULT_MAX_PULLS = 10_000
 
 RationalLike = Union[int, Fraction]
@@ -119,8 +121,9 @@ class CFStream(RealNumber):
 
     def surd(self) -> tuple[int, int, int, int] | None:
         """(P, S, D, Q) with value (P + S*sqrt(D))/Q, S = +-1, Q > 0 and D
-        not a square, when ``partials`` is a ``PeriodicCoefficients``; else
-        None.  Computed on first use and cached.
+        not a square, or None.  A surd set at construction (``sqrt_real``) is
+        returned as is; otherwise it is computed on first use, and cached,
+        when ``partials`` is a ``PeriodicCoefficients``.
 
         With A/B and A'/B' the last two convergents of the period block, the
         purely periodic tail y = (A*y + A')/(B*y + B') is the root > 1 of
@@ -128,9 +131,7 @@ class CFStream(RealNumber):
         C'/E' of [b0; initial...] give the value (C*y + C')/(E*y + E').
         """
         partials = self.partials
-        if not isinstance(partials, PeriodicCoefficients):
-            return None
-        if self._surd is None:
+        if self._surd is None and isinstance(partials, PeriodicCoefficients):
             # the seed 1/0 stands in for the convergent before a 1-term block
             (a1, b1), (a, b) = [(1, 0), *convergent_pairs(partials.period)][-2:]
             (c1, e1), (c, e) = [(1, 0), *convergent_pairs((self.b0, *partials.initial))][-2:]
@@ -149,20 +150,20 @@ class CFStream(RealNumber):
             self._surd = (p // g, sign, d // (g * g), q // g)
         return self._surd
 
-    def brackets(self, max_pulls: int = DEFAULT_MAX_PULLS) -> Iterator[tuple[Fraction, Fraction]]:
+    def brackets(self) -> Iterator[tuple[Fraction, Fraction]]:
         """Nested open intervals (lo, hi) that strictly contain the value.
 
         Consecutive convergents straddle the value (even-indexed below,
         odd-indexed above) and their gap 1/(B_n * B_{n-1}) shrinks to zero,
         so any question decidable from a rational neighbourhood terminates.
-        A question that is not decided after max_pulls coefficients raises
-        RefinementExhausted.
+        A question that is not decided after DEFAULT_MAX_PULLS coefficients
+        raises RefinementExhausted.
         """
         prev: Fraction | None = None
         for n, (num, den) in enumerate(self.convergent_pairs()):
-            if n > max_pulls:
+            if n > DEFAULT_MAX_PULLS:
                 raise RefinementExhausted(
-                    f"no decision after {max_pulls} coefficient pulls; "
+                    f"no decision after {DEFAULT_MAX_PULLS} coefficient pulls; "
                     "a finite value must be constructed as an exact rational"
                 )
             cur = Fraction(num, den)
@@ -203,8 +204,7 @@ def _sign(v: RationalLike) -> int:
     return GT if v > 0 else LT if v < 0 else EQ
 
 
-def compare_real(alpha: RealNumber | RationalLike, q: RationalLike,
-                 *, max_pulls: int = DEFAULT_MAX_PULLS) -> int:
+def compare_real(alpha: RealNumber | RationalLike, q: RationalLike) -> int:
     """Exact three-way comparison of a real with a rational: LT, EQ or GT.
 
     For a stream, the sign of the linear form den(q)*t - num(q) at t = alpha.
@@ -213,12 +213,11 @@ def compare_real(alpha: RealNumber | RationalLike, q: RationalLike,
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal):
         return _sign(alpha.value - q)
-    return sign_of_quadratic(0, q.denominator, -q.numerator, alpha, max_pulls=max_pulls)
+    return sign_of_quadratic(0, q.denominator, -q.numerator, alpha)
 
 
 def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
-                      alpha: RealNumber | RationalLike,
-                      *, max_pulls: int = DEFAULT_MAX_PULLS) -> int:
+                      alpha: RealNumber | RationalLike) -> int:
     """Exact sign of q2*t^2 + q1*t + q0 at t = alpha.
 
     For a periodic stream this is one integer sign test on its surd, and a
@@ -226,7 +225,8 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
     the exact range of the quadratic over each refinement interval (endpoint
     values, plus the vertex value when the vertex lies inside); the loop
     terminates whenever the quadratic is nonzero at alpha.  A quadratic
-    vanishing at such a stream never decides and hits the pull cap.
+    vanishing at such a stream never decides and raises RefinementExhausted
+    after DEFAULT_MAX_PULLS coefficient pulls.
     """
     alpha = as_real(alpha)
     surd = alpha.surd() if isinstance(alpha, CFStream) else None
@@ -241,7 +241,7 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
         return _sign(at(alpha.value))
     if q2 == q1 == q0 == 0:
         return EQ
-    for lo, hi in alpha.brackets(max_pulls):
+    for lo, hi in alpha.brackets():
         values = [at(lo), at(hi)]
         if q2 != 0:
             vertex = -q1 / (2 * q2)
@@ -273,8 +273,7 @@ def _surd_sign(q2: RationalLike, q1: RationalLike, q0: RationalLike,
 
 
 def compare_linear_forms(d: int, c: int, b: int, a: int,
-                         alpha: RealNumber | RationalLike,
-                         *, max_pulls: int = DEFAULT_MAX_PULLS) -> int:
+                         alpha: RealNumber | RationalLike) -> int:
     """Compare |d*alpha - c| against |b*alpha - a| exactly.
 
     Returns GT when the first form is strictly larger, LT when strictly
@@ -287,12 +286,10 @@ def compare_linear_forms(d: int, c: int, b: int, a: int,
         raise ValueError("denominators of linear forms must be >= 1")
     if d == b and c == a:
         return EQ
-    return sign_of_quadratic(d * d - b * b, -2 * (d * c - b * a), c * c - a * a,
-                             alpha, max_pulls=max_pulls)
+    return sign_of_quadratic(d * d - b * b, -2 * (d * c - b * a), c * c - a * a, alpha)
 
 
-def floor_scaled(alpha: RealNumber | RationalLike, k: int,
-                 *, max_pulls: int = DEFAULT_MAX_PULLS) -> int:
+def floor_scaled(alpha: RealNumber | RationalLike, k: int) -> int:
     """floor(k * alpha) for integer k >= 1, exactly."""
     if k < 1:
         raise ValueError("scale factor must be >= 1")
@@ -304,35 +301,49 @@ def floor_scaled(alpha: RealNumber | RationalLike, k: int,
         # floor(k*s*sqrt(d)) is s*isqrt(k^2*d), less 1 when s < 0 (irrational)
         p, s, d, q = surd
         return (k * p + s * isqrt(k * k * d) - (s < 0)) // q
-    for lo, hi in alpha.brackets(max_pulls):
+    for lo, hi in alpha.brackets():
         flo, fhi = floor(k * lo), floor(k * hi)
         if flo == fhi:
             return flo
     raise AssertionError("unreachable: brackets() never returns normally")
 
 
-def sqrt_real(n: int) -> CFStream:
-    """The square root of a nonsquare integer n >= 2 as a coefficient stream.
+class _SqrtPartials:
+    """Restartable partial quotients a_1, a_2, ... of sqrt(n), made lazily.
 
     Uses the integer recurrence on states (m, d): m' = d*a - m,
     d' = (n - m'^2)/d, a' = floor((a0 + m')/d'), which stays in integers and
-    cycles; the period of such an expansion always closes with the
-    coefficient 2*a0, so the loop collects exactly one period.
+    cycles.  The period can grow roughly like sqrt(n), so it is never
+    collected: each ``iter()`` restarts the recurrence and yields on demand.
+    """
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __iter__(self) -> Iterator[int]:
+        n, a0 = self.n, isqrt(self.n)
+        m, d, a = 0, 1, a0
+        while True:
+            m = d * a - m
+            d = (n - m * m) // d
+            a = (a0 + m) // d
+            yield a
+
+
+def sqrt_real(n: int) -> CFStream:
+    """The square root of a nonsquare integer n >= 2 as a coefficient stream.
+
+    Its coefficients come lazily from ``_SqrtPartials``, and its surd
+    (0, 1, n, 1) is known up front, so no query walks a period.
     """
     n = int(n)
     if n < 2 or isqrt(n) ** 2 == n:
         raise ValueError("not a quadratic irrational")
-    a0 = isqrt(n)
-    period: list[int] = []
-    m, d, a = 0, 1, a0
-    while True:
-        m = d * a - m
-        d = (n - m * m) // d
-        a = (a0 + m) // d
-        period.append(a)
-        if a == 2 * a0:
-            break
-    return CFStream(a0, PeriodicCoefficients(period), label=f"sqrt:{n}")
+    stream = CFStream(isqrt(n), _SqrtPartials(n), label=f"sqrt:{n}")
+    stream._surd = (0, 1, n, 1)
+    return stream
 
 
 def golden_ratio() -> CFStream:

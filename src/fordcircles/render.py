@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 from xml.sax.saxutils import escape
 
+from .geometry import ford_radius
 from .rational import reduced_fractions_in
 from .real import CFStream, ExactReal, RationalLike, RealNumber, as_real
 from .verify import cf_chain, statement_v_witness
@@ -128,7 +129,7 @@ def _field(spec: RenderSpec) -> list[tuple[Fraction, Fraction]]:
     """(base, radius) for the Ford field, ordered by denominator then numerator."""
     lo, hi = spec.window
     return [
-        (x, Fraction(1, 2 * x.denominator * x.denominator))
+        (x, ford_radius(x))
         for x in reduced_fractions_in(lo, hi, spec.max_den)
     ]
 
@@ -156,20 +157,20 @@ def render_chain(alpha: RealNumber | RationalLike, depth: int, spec: RenderSpec)
     alpha = as_real(alpha)
     chain = cf_chain(alpha, depth)
     field = _field(spec)
-    radii = [r for _, r in field] + [e.circle.radius for e in chain]
+    radii = [r for _, r in field] + [c.radius for c in chain]
     canvas = _Canvas(spec, radii)
     canvas.add_axis()
     for base, radius in field:
         canvas.add_circle(base, radius, FIELD_STROKE)
-    for entry in chain:
-        canvas.add_circle(entry.circle.base, entry.circle.radius, HIGHLIGHT_STROKE)
+    for circle in chain:
+        canvas.add_circle(circle.base, circle.radius, HIGHLIGHT_STROKE)
     canvas.add_marker(_approx_for_pixels(alpha))
     lo, hi = spec.window
     return canvas.document({
         "kind": "chain",
         "alpha": alpha.describe(),
         "depth": depth,
-        "chain": [_frac_str(e.circle.base) for e in chain],
+        "chain": [_frac_str(c.base) for c in chain],
         "window": [_frac_str(lo), _frac_str(hi)],
         "maxDen": spec.max_den,
         "widthPx": spec.width_px,
@@ -186,8 +187,7 @@ def render_statement_v(x: RationalLike, alpha: RealNumber | RationalLike,
     if witness is None:
         raise ValueError("statement (v) fails for this pair")
     field = _field(spec)
-    cx = Fraction(1, 2 * x.denominator * x.denominator)
-    cy = Fraction(1, 2 * witness.denominator * witness.denominator)
+    cx, cy = ford_radius(x), ford_radius(witness)
     canvas = _Canvas(spec, [r for _, r in field] + [cx, cy])
     canvas.add_axis()
     for base, radius in field:

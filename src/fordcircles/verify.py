@@ -48,13 +48,6 @@ from .real import (
 
 
 @dataclass(frozen=True)
-class ChainEntry:
-    index: int
-    convergent: Convergent
-    circle: FordCircle
-
-
-@dataclass(frozen=True)
 class TheoremUReport:
     x: Fraction
     alpha: str
@@ -84,15 +77,13 @@ class TheoremUReport:
         }
 
 
-def _chain_iter(alpha: RealNumber | RationalLike) -> Iterator[ChainEntry]:
+def _chain_iter(alpha: RealNumber | RationalLike) -> Iterator[FordCircle]:
     # unbounded for a stream: the consumer stops the walk (a count or a radius)
-    pairs = convergent_pairs(cf_of_real(alpha).coefficients())
-    for n, (num, den) in enumerate(pairs):
-        conv = Convergent(n, num, den)
-        yield ChainEntry(n, conv, ford_circle(conv.value))
+    for num, den in convergent_pairs(cf_of_real(alpha).coefficients()):
+        yield FordCircle(Fraction(num, den))
 
 
-def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[ChainEntry]:
+def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[FordCircle]:
     """The first count circles of the continued fraction chain of alpha.
 
     Consecutive circles are tangent because consecutive convergents are
@@ -119,11 +110,11 @@ def _is_convergent(x: Fraction, alpha: RealNumber) -> bool:
 
 def _is_chain_member(x: Fraction, alpha: RealNumber) -> bool:
     target = ford_circle(x)
-    for entry in _chain_iter(alpha):
-        if entry.circle == target:
+    for n, circle in enumerate(_chain_iter(alpha)):
+        if circle == target:
             return True
         # radii decrease (strictly from index 1), so once below rad(C_x) stop
-        if entry.index >= 1 and entry.circle.radius < target.radius:
+        if n >= 1 and circle.radius < target.radius:
             return False
     return False
 
@@ -322,10 +313,7 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     for alpha in alphas:
         p, q = alpha.numerator, alpha.denominator
         conv_set = set(convergent_pairs(cf_of_rational(alpha).coefficients()))
-        chain_set = {
-            (e.circle.base.numerator, e.circle.base.denominator)
-            for e in _chain_iter(alpha)
-        }
+        chain_set = {(c.base.numerator, c.base.denominator) for c in _chain_iter(alpha)}
         best_set = _pure.best_set(p, q, den_max_x)
         near_set = _pure.near_set(p, q, den_max_x)
         witness_set = _pure.witness_set(p, q, den_max_x)

@@ -128,7 +128,7 @@ class TestConvergents:
         # B_{n+1} = b_{n+1}*B_n + B_{n-1} > B_n once B_{n-1} >= 1, i.e. from index 1
         for i in range(1, n - 1):
             assert dens[i] < dens[i + 1]
-        assert [e.circle.base for e in cf_chain(stream, n)] == [c.value for c in convs]
+        assert [c.base for c in cf_chain(stream, n)] == [c.value for c in convs]
 
     def test_sqrt3_convergents(self):
         convs = convergents(cf_of_real(sqrt_real(3)), 10)

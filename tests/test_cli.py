@@ -83,6 +83,18 @@ class TestCheck:
         assert all(report[k] for k in
                    ("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv", "stmt_v"))
 
+    def test_huge_sqrt_radicand(self, capsys):
+        # sqrt(10**23 - 1) has a period far too long to collect up front;
+        # its stream must be lazy for these to finish
+        spec = "sqrt:99999999999999999999999"
+        code, out, _ = run(capsys, "cf", spec)
+        assert (code, out) == (0, "[316227766016;1,5,5,1,6,1,4,1,...]\n")
+        code, out, _ = run(capsys, "check", "1897366596101/6", spec)
+        assert code == 0
+        report = json.loads(out)
+        assert all(report[k] for k in
+                   ("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv", "stmt_v"))
+
     def test_cf_spec_alpha(self, capsys):
         code, out, _ = run(capsys, "check", "3/2", "cf:1;(1)")
         assert code == 0

@@ -1,10 +1,10 @@
-"""Rational construction, enumeration, and the exact-real comparison layer."""
+"""Rational enumeration and the exact-real comparison layer."""
 
 from __future__ import annotations
 
 from fractions import Fraction as F
 from itertools import islice
-from math import gcd, isqrt
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,11 +22,11 @@ from fordcircles import (
     compare_real,
     floor_scaled,
     golden_ratio,
-    make_rational,
     reduced_fractions_in,
     sign_of_quadratic,
     sqrt_real,
 )
+from fordcircles import real
 
 
 class Plain:
@@ -43,27 +43,6 @@ class Plain:
 def bracket_twin(stream: CFStream) -> CFStream:
     """The same value as a periodic stream, on the bracket engine."""
     return CFStream(stream.b0, Plain(stream.partials))
-
-
-class TestMakeRational:
-    def test_reduces(self):
-        assert make_rational(6, -4) == F(-3, 2)
-        assert make_rational(6, -4).denominator == 2
-
-    def test_zero_numerator(self):
-        x = make_rational(0, 7)
-        assert (x.numerator, x.denominator) == (0, 1)
-
-    def test_zero_denominator(self):
-        with pytest.raises(ValueError, match="zero denominator"):
-            make_rational(1, 0)
-
-    @given(st.integers(-500, 500), st.integers(-500, 500).filter(bool))
-    def test_invariants(self, n, d):
-        x = make_rational(n, d)
-        assert x.denominator >= 1
-        assert gcd(abs(x.numerator), x.denominator) == 1
-        assert x * d == n
 
 
 class TestReducedFractionsIn:
@@ -119,17 +98,18 @@ class TestCompareReal:
         want = GT if a > b else LT if a < b else EQ
         assert compare_real(ExactReal(a), b) == want
 
-    def test_pull_cap(self):
+    def test_pull_cap(self, monkeypatch):
         # a rational extremely close to the golden ratio forces deep bracket
         # refinement; an artificially tiny cap must trip the exhaustion error
         phi = bracket_twin(golden_ratio())
         close = F(832040, 514229)  # a far convergent
-        with pytest.raises(RefinementExhausted):
-            compare_real(phi, close, max_pulls=5)
         assert compare_real(phi, close) in (LT, GT)
+        monkeypatch.setattr(real, "DEFAULT_MAX_PULLS", 5)
+        with pytest.raises(RefinementExhausted):
+            compare_real(phi, close)
         # the periodic stream decides on its surd, with no pulls at all;
         # 832040/514229 is the convergent of index 28, below phi
-        assert compare_real(golden_ratio(), close, max_pulls=5) == GT
+        assert compare_real(golden_ratio(), close) == GT
 
     def test_float_rejected(self):
         with pytest.raises(TypeError, match="floating-point"):
@@ -181,6 +161,16 @@ class TestStreams:
         assert ExactReal(7).describe() == "7"
 
 
+def sqrt_period(stream: CFStream) -> tuple[int, ...]:
+    """The period of a square root read off its coefficients: it is every
+    coefficient after b0 up to and including the first 2*b0."""
+    period = []
+    for a in islice(stream.coefficients(), 1, None):
+        period.append(a)
+        if a == 2 * stream.b0:
+            return tuple(period)
+
+
 class TestSqrtReal:
     # frozen periods of the surd recurrence
     CASES = {
@@ -197,8 +187,9 @@ class TestSqrtReal:
         b0, period = self.CASES[n]
         stream = sqrt_real(n)
         assert stream.b0 == b0
-        assert stream.partials.period == period
-        assert stream.partials.initial == ()
+        assert sqrt_period(stream) == period
+        # no initial block: the period repeats from the first partial on
+        assert tuple(islice(stream.coefficients(), 1, 1 + 2 * len(period))) == period * 2
 
     @pytest.mark.parametrize("n", [0, 1, 4, 9, 144, -3])
     def test_rejects_non_surds(self, n):
@@ -217,10 +208,18 @@ class TestSqrtReal:
         # the classical shape: period = palindrome + (2*a0,)
         for n in (2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14, 19, 21, 22, 23, 29, 31, 94):
             stream = sqrt_real(n)
-            period = stream.partials.period
+            period = sqrt_period(stream)
             assert period[-1] == 2 * stream.b0
             body = period[:-1]
             assert body == body[::-1]
+
+    def test_preset_surd_matches_the_period(self):
+        # the surd sqrt_real sets up front is the one its period determines
+        for n in range(2, 301):
+            if isqrt(n) ** 2 != n:
+                stream = sqrt_real(n)
+                periodic = CFStream(stream.b0, PeriodicCoefficients(sqrt_period(stream)))
+                assert stream.surd() == periodic.surd() == (0, 1, n, 1)
 
 
 class TestSignOfQuadratic:
@@ -242,10 +241,11 @@ class TestSignOfQuadratic:
         # minimum of (t - 3/2)^2 + 1/100 is interior; sign must still resolve
         assert sign_of_quadratic(1, -3, F(9, 4) + F(1, 100), sqrt_real(2)) == GT
 
-    def test_vanishing_quadratic_exhausts(self):
+    def test_vanishing_quadratic_exhausts(self, monkeypatch):
         # brackets never decide a quadratic that vanishes at the stream value
+        monkeypatch.setattr(real, "DEFAULT_MAX_PULLS", 50)
         with pytest.raises(RefinementExhausted):
-            sign_of_quadratic(1, -1, -1, bracket_twin(golden_ratio()), max_pulls=50)
+            sign_of_quadratic(1, -1, -1, bracket_twin(golden_ratio()))
 
     def test_vanishing_quadratic_on_a_surd(self):
         # phi^2 - phi - 1 = 0 exactly, and the surd says so

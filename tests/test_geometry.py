@@ -13,7 +13,6 @@ from fordcircles import (
     LT,
     FordCircle,
     GapRelation,
-    Horocircle,
     QuadraticRadius,
     are_tangent,
     compare_radii,
@@ -25,7 +24,6 @@ from fordcircles import (
     lemma_x_check,
     reduced_fractions_in,
     sqrt_real,
-    tangent_horocircle,
     tangent_horocircle_radius,
 )
 
@@ -41,11 +39,13 @@ class TestFordCircle:
     def test_radius(self, x, r):
         circle = ford_circle(x)
         assert circle.radius == r
-        assert circle.center == (x, r)
+        assert circle.base == x
 
     def test_invariant_enforced(self):
-        with pytest.raises(ValueError, match="radius"):
+        # the radius is derived from the base, so it cannot be passed at all
+        with pytest.raises(TypeError):
             FordCircle(F(1, 2), F(1, 4))
+        assert FordCircle(F(1, 2)) == ford_circle(F(1, 2))
 
 
 class TestTangency:
@@ -116,20 +116,12 @@ class TestTangentHorocircleRadius:
         assert compare_radii(r_at_32, r_at_2) == LT
         assert compare_radii(r_at_1, r_at_1) == EQ
         assert compare_radii(r_at_1, F(1, 2)) == LT
-        assert not r_at_1.is_zero()
 
     def test_radii_on_different_streams_not_comparable(self):
         a = tangent_horocircle_radius(golden_ratio(), F(1))
         b = tangent_horocircle_radius(sqrt_real(2), F(1))
         with pytest.raises(ValueError, match="not comparable"):
             compare_radii(a, b)
-
-    def test_horocircle_wrapper(self):
-        h = tangent_horocircle(F(1, 3), F(1, 2))
-        assert isinstance(h, Horocircle)
-        assert h.radius == F(1, 18)
-        with pytest.raises(ValueError, match=">= 0"):
-            Horocircle(h.base, F(-1, 4))
 
 
 class TestGenericTangentRadius:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
@@ -207,3 +208,23 @@ class TestStatementV:
         spec = RenderSpec()
         assert render_statement_v(F(1, 2), F(3, 5), spec) == \
             render_statement_v(F(1, 2), F(3, 5), spec)
+
+
+class TestPinnedDigests:
+    """sha256 of four documents, recorded from the CLI commands
+    `render field --max-den 30`, `render chain sqrt:2 --depth 6 --window 1..2`,
+    `render chain 355/113 --depth 3` and `render witness 8/5 golden --window
+    1..2`; any change to the exact geometry or the formatting shows here."""
+
+    @pytest.mark.parametrize("figure,digest", [
+        (lambda: render_ford_field(RenderSpec(max_den=30)),
+         "f6109d58d92f957bd7ba82e3b14a08c9a7b86dc47f3d0a8898c85e5d3737819a"),
+        (lambda: render_chain(sqrt_real(2), 6, RenderSpec(window=(F(1), F(2)))),
+         "8794588c8cd631dc20e957450ae7a196529f65ebc9562cce20d41d8ce54b7d8d"),
+        (lambda: render_chain(F(355, 113), 3, RenderSpec()),
+         "b708cda610ac09aba3b7c1eb894533ccb39a6209af1ec2d14b7bfa7fb5bbbeda"),
+        (lambda: render_statement_v(F(8, 5), golden_ratio(), RenderSpec(window=(F(1), F(2)))),
+         "e965b53fdc575d7456d6a530b114634b19c8a5442150996a88211ddbeee058c2"),
+    ], ids=["field", "chain-sqrt2", "chain-355_113", "witness-golden"])
+    def test_digest(self, figure, digest):
+        assert hashlib.sha256(figure().encode()).hexdigest() == digest

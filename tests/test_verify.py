@@ -59,18 +59,17 @@ def per_pair_sweep(den_max_x, den_max_alpha, window):
 class TestCfChain:
     def test_rational_chain(self):
         chain = cf_chain(F(3, 5), 4)
-        assert [e.circle.base for e in chain] == [F(0), F(1), F(1, 2), F(3, 5)]
-        assert [e.circle.radius for e in chain] == [F(1, 2), F(1, 2), F(1, 8), F(1, 50)]
-        assert [e.index for e in chain] == [0, 1, 2, 3]
+        assert [c.base for c in chain] == [F(0), F(1), F(1, 2), F(3, 5)]
+        assert [c.radius for c in chain] == [F(1, 2), F(1, 2), F(1, 8), F(1, 50)]
 
     def test_golden_chain(self):
         chain = cf_chain(golden_ratio(), 3)
-        assert [e.circle.base for e in chain] == [F(1), F(2), F(3, 2)]
+        assert [c.base for c in chain] == [F(1), F(2), F(3, 2)]
 
     def test_integer_chain(self):
         chain = cf_chain(F(7), 1)
         assert len(chain) == 1
-        assert chain[0].circle == ford_circle(F(7))
+        assert chain[0] == ford_circle(F(7))
 
     def test_exhaustion(self):
         with pytest.raises(ValueError, match="expansion exhausted"):
@@ -81,17 +80,18 @@ class TestCfChain:
     ])
     def test_consecutive_tangency_and_radii(self, alpha, count):
         chain = cf_chain(alpha, count)
-        for prev, cur in zip(chain, chain[1:]):
-            assert are_tangent(prev.circle.base, cur.circle.base)
-            assert cur.circle.radius <= prev.circle.radius
-            if cur.index >= 2:
-                assert cur.circle.radius < prev.circle.radius
-        assert all(e.convergent.value == e.circle.base for e in chain)
+        for index, (prev, cur) in enumerate(zip(chain, chain[1:]), start=1):
+            assert are_tangent(prev.base, cur.base)
+            assert cur.radius <= prev.radius
+            if index >= 2:
+                assert cur.radius < prev.radius
+        convs = convergents(cf_of_rational(alpha), count)
+        assert [c.base for c in chain] == [conv.value for conv in convs]
 
     def test_stream_chain_tangency(self):
         chain = cf_chain(sqrt_real(2), 8)
         for prev, cur in zip(chain, chain[1:]):
-            assert are_tangent(prev.circle.base, cur.circle.base)
+            assert are_tangent(prev.base, cur.base)
 
 
 class TestBestApprox:
