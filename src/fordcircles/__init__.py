@@ -2,9 +2,10 @@
 second kind, with a mechanically checked five-way equivalence between them.
 
 Everything is exact: rationals are fractions, irrationals are continued
-fraction coefficient streams, decided by integer sign tests on the surd of an
-eventually periodic stream and by lazy bracket refinement otherwise, and no
-floating-point number is ever consulted for a mathematical decision.
+fraction coefficient streams, decided by integer sign tests on the surd of a
+rational or an eventually periodic stream and on integer convergent pairs
+otherwise, and no floating-point number is ever consulted for a mathematical
+decision.
 """
 
 from .cf import (

@@ -47,9 +47,12 @@ def _parse_cf_spec(text: str) -> RealNumber:
     if not paren:  # finite expansion: a rational value
         initial = [int(p) for p in plain.split(",")]
         return ExactReal(value(ContinuedFraction.from_coefficients([b0, *initial])))
-    if not block.rstrip().endswith(")"):
+    block, close, after = block.partition(")")
+    if not close:
         raise ValueError("unterminated periodic block")
-    period = [int(p) for p in block.rstrip()[:-1].split(",")]
+    if after.strip():
+        raise ValueError("periodic block must end the spec")
+    period = [int(p) for p in block.split(",")]
     plain, comma, rest = plain.rstrip().rpartition(",")
     if rest:
         raise ValueError("periodic block must follow a comma")

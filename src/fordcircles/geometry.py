@@ -6,8 +6,8 @@ formula lives, and never stored.  Radii of horocircles based at a rational
 point are ``Fraction`` values; radii of horocircles based at a coefficient
 stream are ``QuadraticRadius`` objects, quadratics in the stream value that
 are compared through the exact sign of a quadratic at the stream value (an
-integer test on a periodic stream's surd, bracket refinement otherwise)
-rather than ever being evaluated numerically.
+integer test on a periodic stream's surd, otherwise on integer convergent
+pairs) rather than ever being evaluated numerically.
 """
 
 from __future__ import annotations
@@ -51,13 +51,15 @@ def ford_circle(x: RationalLike) -> FordCircle:
     return FordCircle(Fraction(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticRadius:
     """Lazily compared value q2*t^2 + q1*t + q0 at the stream value t.
 
     Instances are only comparable with rationals or with other radii built on
     the same stream object; the comparison reduces to the exact sign of a
-    rational quadratic at the stream value.
+    rational quadratic at the stream value.  They are unhashable: equal
+    values can have different coefficients (at the golden ratio t^2 equals
+    t + 1), so no hash can agree with ``==``.
     """
 
     alpha: RealNumber
@@ -80,9 +82,6 @@ class QuadraticRadius:
         if isinstance(other, (QuadraticRadius, int, Fraction)):
             return self.compare(other) == EQ
         return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.alpha), self.q2, self.q1, self.q0))
 
 
 Radius = Union[Fraction, QuadraticRadius]

@@ -2,19 +2,20 @@
 
 A real number is either an exact rational (``ExactReal``) or an irrational
 value given by its infinite continued fraction coefficient stream
-(``CFStream``).  An eventually periodic stream is a quadratic irrational
-(Lagrange), so it carries its surd (P + S*sqrt(D))/Q and every comparison
-against a rational, every sign query for a rational quadratic and every
-floor is one integer sign test.  Any other stream is refined lazily through
-nested convergent brackets, an exact decision that terminates unless the
-quadratic vanishes at the stream value.  No floating-point value enters or
-leaves this module.
+(``CFStream``).  Every query is decided in integers.  A rational p/q is the
+surd (p, 0, 0, q), and an eventually periodic stream is a quadratic
+irrational (Lagrange) with surd (P + S*sqrt(D))/Q, S = +-1, so a comparison
+against a rational, the sign of a rational quadratic or a floor is one
+integer sign test.  Any other stream walks its integer convergent pairs,
+which strictly straddle the value, until they decide; that terminates unless
+the quadratic vanishes at the stream value.  No floating-point value enters
+or leaves this module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, gcd, isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Union
 
 LT, EQ, GT = -1, 0, 1
@@ -28,6 +29,9 @@ LT, EQ, GT = -1, 0, 1
 DEFAULT_MAX_PULLS = 10_000
 
 RationalLike = Union[int, Fraction]
+
+#: (P, S, D, Q) stands for (P + S*sqrt(D))/Q.
+Surd = tuple[int, int, int, int]
 
 
 class RefinementExhausted(RuntimeError):
@@ -49,7 +53,12 @@ class ExactReal(RealNumber):
     __slots__ = ("value",)
 
     def __init__(self, value: RationalLike):
+        _reject_floats(value)
         self.value = Fraction(value)
+
+    def surd(self) -> Surd:
+        """(p, 0, 0, q) for the value p/q: the point with S = 0 exactly."""
+        return (self.value.numerator, 0, 0, self.value.denominator)
 
     def describe(self) -> str:
         v = self.value
@@ -99,7 +108,7 @@ class CFStream(RealNumber):
         self.b0 = int(b0)
         self.partials = partials
         self.label = label
-        self._surd: tuple[int, int, int, int] | None = None
+        self._surd: Surd | None = None
 
     def describe(self) -> str:
         return self.label if self.label is not None else f"cf:{self.b0};..."
@@ -119,9 +128,10 @@ class CFStream(RealNumber):
         """(A_n, B_n) of each convergent, unbounded: the consumer stops it."""
         return convergent_pairs(self.coefficients())
 
-    def surd(self) -> tuple[int, int, int, int] | None:
+    def surd(self) -> Surd | None:
         """(P, S, D, Q) with value (P + S*sqrt(D))/Q, S = +-1, Q > 0 and D
-        not a square, or None.  A surd set at construction (``sqrt_real``) is
+        not a square, or None when the stream has no known surd and queries
+        walk its ``brackets``.  A surd set at construction (``sqrt_real``) is
         returned as is; otherwise it is computed on first use, and cached,
         when ``partials`` is a ``PeriodicCoefficients``.
 
@@ -150,25 +160,25 @@ class CFStream(RealNumber):
             self._surd = (p // g, sign, d // (g * g), q // g)
         return self._surd
 
-    def brackets(self) -> Iterator[tuple[Fraction, Fraction]]:
-        """Nested open intervals (lo, hi) that strictly contain the value.
+    def brackets(self) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
+        """Consecutive convergent pairs ((A_{n-1}, B_{n-1}), (A_n, B_n)), n >= 1.
 
-        Consecutive convergents straddle the value (even-indexed below,
-        odd-indexed above) and their gap 1/(B_n * B_{n-1}) shrinks to zero,
-        so any question decidable from a rational neighbourhood terminates.
-        A question that is not decided after DEFAULT_MAX_PULLS coefficients
-        raises RefinementExhausted.
+        The two convergents strictly straddle the value (even-indexed below,
+        odd-indexed above), and A_n*B_{n-1} - A_{n-1}*B_n = +-1 makes the
+        open bracket between them 1/(B_{n-1}*B_n) wide, shrinking to zero, so
+        any question decidable from a rational neighbourhood terminates.  A
+        question that is not decided after DEFAULT_MAX_PULLS coefficients
+        raises RefinementExhausted; this is the only loop that holds the cap.
         """
-        prev: Fraction | None = None
-        for n, (num, den) in enumerate(self.convergent_pairs()):
+        pairs = self.convergent_pairs()
+        prev = next(pairs)
+        for n, cur in enumerate(pairs, start=1):
             if n > DEFAULT_MAX_PULLS:
                 raise RefinementExhausted(
                     f"no decision after {DEFAULT_MAX_PULLS} coefficient pulls; "
                     "a finite value must be constructed as an exact rational"
                 )
-            cur = Fraction(num, den)
-            if prev is not None:
-                yield (prev, cur) if n % 2 else (cur, prev)
+            yield prev, cur
             prev = cur
         raise ValueError(
             "coefficient stream ended; finite expansions must be ExactReal"
@@ -190,86 +200,65 @@ def convergent_pairs(coeffs: Iterable[int]) -> Iterator[tuple[int, int]]:
         yield num, den
 
 
+def _reject_floats(*values: object) -> None:
+    for v in values:
+        if isinstance(v, float):
+            raise TypeError("floating-point values are not accepted; construct an exact rational")
+
+
 def as_real(x: RealNumber | RationalLike) -> RealNumber:
     if isinstance(x, RealNumber):
         return x
-    if isinstance(x, float):
-        raise TypeError("floating-point values are not accepted; construct an exact rational")
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, float, Fraction)):
         return ExactReal(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as an exact real")
 
 
-def _sign(v: RationalLike) -> int:
+def _sign(v: int) -> int:
     return GT if v > 0 else LT if v < 0 else EQ
 
 
 def compare_real(alpha: RealNumber | RationalLike, q: RationalLike) -> int:
-    """Exact three-way comparison of a real with a rational: LT, EQ or GT.
-
-    For a stream, the sign of the linear form den(q)*t - num(q) at t = alpha.
-    """
-    q = Fraction(q)
-    alpha = as_real(alpha)
-    if isinstance(alpha, ExactReal):
-        return _sign(alpha.value - q)
+    """Exact three-way comparison of a real with a rational: LT, EQ or GT,
+    the sign of the linear form den(q)*t - num(q) at t = alpha."""
+    _reject_floats(q)
     return sign_of_quadratic(0, q.denominator, -q.numerator, alpha)
 
 
 def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
                       alpha: RealNumber | RationalLike) -> int:
-    """Exact sign of q2*t^2 + q1*t + q0 at t = alpha.
+    """Exact sign of q2*t^2 + q1*t + q0 at t = alpha, in integers.
 
-    For a periodic stream this is one integer sign test on its surd, and a
-    quadratic vanishing at alpha gives EQ.  For any other stream it brackets
-    the exact range of the quadratic over each refinement interval (endpoint
-    values, plus the vertex value when the vertex lies inside); the loop
-    terminates whenever the quadratic is nonzero at alpha.  A quadratic
-    vanishing at such a stream never decides and raises RefinementExhausted
-    after DEFAULT_MAX_PULLS coefficient pulls.
+    The coefficients are scaled to integers c2, c1, c0.  At a surd
+    t = (p + s*sqrt(d))/q, q^2 times the value is r + w*sqrt(d) with integers
+    r and w; as s = d = 0 or d is not a square, r^2 == w^2*d only when both
+    are 0, and otherwise the larger term sets the sign.  On a stream without
+    a surd, f(a, b) = c2*a^2 + c1*a*b + c0*b^2 decides at a convergent pair
+    once it has one strict sign at both ends and the derivative 2*c2*a + c1*b
+    does not change sign strictly inside, so f is monotone on the bracket.
+    That terminates unless the quadratic vanishes at alpha, which raises
+    RefinementExhausted after DEFAULT_MAX_PULLS coefficient pulls.
     """
+    _reject_floats(q2, q1, q0)
     alpha = as_real(alpha)
-    surd = alpha.surd() if isinstance(alpha, CFStream) else None
-    if surd is not None:
-        return _surd_sign(q2, q1, q0, *surd)
-    q2, q1, q0 = Fraction(q2), Fraction(q1), Fraction(q0)
-
-    def at(t: Fraction) -> Fraction:
-        return (q2 * t + q1) * t + q0
-
-    if isinstance(alpha, ExactReal):
-        return _sign(at(alpha.value))
-    if q2 == q1 == q0 == 0:
-        return EQ
-    for lo, hi in alpha.brackets():
-        values = [at(lo), at(hi)]
-        if q2 != 0:
-            vertex = -q1 / (2 * q2)
-            if lo < vertex < hi:
-                values.append(at(vertex))
-        if min(values) > 0:
-            return GT
-        if max(values) < 0:
-            return LT
-    raise AssertionError("unreachable: brackets() never returns normally")
-
-
-def _surd_sign(q2: RationalLike, q1: RationalLike, q0: RationalLike,
-               p: int, s: int, d: int, q: int) -> int:
-    """Sign of q2*t^2 + q1*t + q0 at t = (p + s*sqrt(d))/q, in integers.
-
-    Scaled by the common denominator m > 0 of the coefficients and by q^2,
-    the value is r + w*sqrt(d) with integers r and w (s*s == 1).  As d is
-    not a square, r^2 == w^2*d only when both are 0; otherwise the term of
-    larger magnitude sets the sign.
-    """
     m = lcm(q2.denominator, q1.denominator, q0.denominator)
     c2 = q2.numerator * (m // q2.denominator)
     c1 = q1.numerator * (m // q1.denominator)
     c0 = q0.numerator * (m // q0.denominator)
-    r = c2 * (p * p + d) + (c1 * p + c0 * q) * q
-    w = s * (2 * c2 * p + c1 * q)
-    return _sign(r) if r * r > w * w * d else _sign(w)
+    if c2 == c1 == c0 == 0:
+        return EQ
+    surd = alpha.surd()
+    if surd is not None:
+        p, s, d, q = surd
+        r = c2 * (p * p + d) + (c1 * p + c0 * q) * q
+        w = s * (2 * c2 * p + c1 * q)
+        return _sign(r) if r * r > w * w * d else _sign(w)
+    for (a0, b0), (a1, b1) in alpha.brackets():
+        f0 = (c2 * a0 + c1 * b0) * a0 + c0 * b0 * b0
+        f1 = (c2 * a1 + c1 * b1) * a1 + c0 * b1 * b1
+        if f0 * f1 > 0 and (2 * c2 * a0 + c1 * b0) * (2 * c2 * a1 + c1 * b1) >= 0:
+            return _sign(f0)
+    raise AssertionError("unreachable: brackets() never returns normally")
 
 
 def compare_linear_forms(d: int, c: int, b: int, a: int,
@@ -290,21 +279,21 @@ def compare_linear_forms(d: int, c: int, b: int, a: int,
 
 
 def floor_scaled(alpha: RealNumber | RationalLike, k: int) -> int:
-    """floor(k * alpha) for integer k >= 1, exactly."""
+    """floor(k * alpha) for integer k >= 1, exactly: k*p // q for a rational
+    p/q, the surd formula below for a periodic stream, and otherwise
+    k*a0 // b0 once it equals k*a1 // b1 at a convergent pair."""
     if k < 1:
         raise ValueError("scale factor must be >= 1")
     alpha = as_real(alpha)
-    if isinstance(alpha, ExactReal):
-        return floor(k * alpha.value)
     surd = alpha.surd()
     if surd is not None:
         # floor(k*s*sqrt(d)) is s*isqrt(k^2*d), less 1 when s < 0 (irrational)
         p, s, d, q = surd
         return (k * p + s * isqrt(k * k * d) - (s < 0)) // q
-    for lo, hi in alpha.brackets():
-        flo, fhi = floor(k * lo), floor(k * hi)
-        if flo == fhi:
-            return flo
+    for (a0, b0), (a1, b1) in alpha.brackets():
+        lo = k * a0 // b0
+        if lo == k * a1 // b1:
+            return lo
     raise AssertionError("unreachable: brackets() never returns normally")
 
 

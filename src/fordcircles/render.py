@@ -26,8 +26,8 @@ HIGHLIGHT_STROKE = "#000000"
 AXIS_STROKE = "#888888"
 MARKER_STROKE = "#c03030"
 
-#: Refinement tolerance for placing stream-valued markers, in math units.
-MARKER_EPS = Fraction(1, 10**9)
+#: Stream-valued markers are placed within 1/MARKER_DEN of the value, in math units.
+MARKER_DEN = 10**9
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,15 @@ def fmt6(x: RationalLike) -> str:
 
 
 def _approx_for_pixels(alpha: RealNumber) -> Fraction:
-    """A rational stand-in for alpha, exact or within MARKER_EPS."""
+    """A rational stand-in for alpha, exact or within 1/MARKER_DEN: the
+    midpoint of the first convergent bracket narrower than that, as the
+    bracket (a0/b0, a1/b1) is 1/(b0*b1) wide."""
     if isinstance(alpha, ExactReal):
         return alpha.value
     assert isinstance(alpha, CFStream)
-    for lo, hi in alpha.brackets():
-        if hi - lo < MARKER_EPS:
-            return (lo + hi) / 2
+    for (a0, b0), (a1, b1) in alpha.brackets():
+        if b0 * b1 > MARKER_DEN:
+            return Fraction(a0 * b1 + a1 * b0, 2 * b0 * b1)
     raise AssertionError("unreachable: brackets() never returns normally")
 
 

@@ -292,10 +292,11 @@ class TestRealSpecParsing:
 
     @pytest.mark.parametrize("text", [
         "cf:1;(2", "cf:1;0,2", "cf:1;2(3)", "sqrt:4", "sqrt:-1", "2/3/4", "",
-        "cf:1;,(2)", "cf:1; ,(2)",
+        "cf:1;,(2)", "cf:1; ,(2)", "cf:1;(2),3", "cf:1;(2)x",
     ])
     def test_rejects(self, text):
-        with pytest.raises(UsageError):
+        closed_early = text in ("cf:1;(2),3", "cf:1;(2)x")
+        with pytest.raises(UsageError, match="must end the spec" if closed_early else None):
             parse_real_spec(text)
 
     def test_window_parse(self):

@@ -45,6 +45,12 @@ def bracket_twin(stream: CFStream) -> CFStream:
     return CFStream(stream.b0, Plain(stream.partials))
 
 
+def bracket_bounds(stream: CFStream):
+    """(lo, hi) of each bracket, read from its integer convergent pair."""
+    for pair in stream.brackets():
+        yield tuple(sorted(F(a, b) for a, b in pair))
+
+
 class TestReducedFractionsIn:
     def test_farey_5(self):
         f5 = list(reduced_fractions_in(F(0), F(1), 5))
@@ -114,6 +120,10 @@ class TestCompareReal:
     def test_float_rejected(self):
         with pytest.raises(TypeError, match="floating-point"):
             as_real(0.5)
+        with pytest.raises(TypeError, match="floating-point"):
+            compare_real(golden_ratio(), 1.5)
+        with pytest.raises(TypeError, match="floating-point"):
+            sign_of_quadratic(0.5, 0, -1, golden_ratio())
 
     def test_finite_stream_rejected(self):
         class Finite:
@@ -144,7 +154,7 @@ class TestStreams:
         phi = golden_ratio()
         widths = []
         last = None
-        for i, (lo, hi) in enumerate(phi.brackets()):
+        for i, (lo, hi) in enumerate(bracket_bounds(phi)):
             assert lo < hi
             if last is not None:
                 assert last[0] <= lo and hi <= last[1]
@@ -199,7 +209,7 @@ class TestSqrtReal:
     @pytest.mark.parametrize("n", [k for k in range(2, 80) if isqrt(k) ** 2 != k])
     def test_brackets_contain_sqrt(self, n):
         # lo^2 < n < hi^2 for every bracket: the stream really is sqrt(n)
-        for i, (lo, hi) in enumerate(sqrt_real(n).brackets()):
+        for i, (lo, hi) in enumerate(bracket_bounds(sqrt_real(n))):
             assert lo * lo < n < hi * hi
             if i == 6:
                 break
@@ -238,8 +248,13 @@ class TestSignOfQuadratic:
         assert sign_of_quadratic(1, -1, F(-7, 8), golden_ratio()) == GT
 
     def test_vertex_inside_bracket(self):
-        # minimum of (t - 3/2)^2 + 1/100 is interior; sign must still resolve
-        assert sign_of_quadratic(1, -3, F(9, 4) + F(1, 100), sqrt_real(2)) == GT
+        # on the surd and on the brackets of the same coefficients
+        for r2 in (sqrt_real(2), bracket_twin(sqrt_real(2))):
+            # minimum of (t - 3/2)^2 + 1/100 is interior; sign must still resolve
+            assert sign_of_quadratic(1, -3, F(9, 4) + F(1, 100), r2) == GT
+            # (t - 7/5)^2 - 1/2500 has both roots inside the first bracket
+            # (1, 3/2), positive at both ends yet negative at sqrt(2)
+            assert sign_of_quadratic(1, F(-14, 5), F(49, 25) - F(1, 2500), r2) == LT
 
     def test_vanishing_quadratic_exhausts(self, monkeypatch):
         # brackets never decide a quadratic that vanishes at the stream value
@@ -373,7 +388,7 @@ class TestSurd:
         p, s, d, q = surd = stream.surd()
         assert s in (1, -1) and q > 0
         assert isqrt(d) ** 2 != d
-        for i, (lo, hi) in enumerate(stream.brackets()):
+        for i, (lo, hi) in enumerate(bracket_bounds(stream)):
             assert surd_above(surd, lo) and not surd_above(surd, hi)
             if i == 20:
                 break

@@ -155,6 +155,15 @@ class TestGenericTangentRadius:
         assert compare_radii(1, r) == EQ
         assert r == 1
 
+    def test_stream_radius_unhashable(self):
+        # equal values with different coefficients: no hash agrees with ==
+        r = QuadraticRadius(sqrt_real(2), F(1), F(0), F(0))
+        assert r == 2
+        phi = golden_ratio()
+        assert QuadraticRadius(phi, F(1), F(0), F(0)) == QuadraticRadius(phi, F(0), F(1), F(1))
+        with pytest.raises(TypeError):
+            hash(r)
+
     def test_two_streams_rejected(self):
         with pytest.raises(ValueError, match="at most one"):
             generic_tangent_radius(golden_ratio(), F(1, 2), sqrt_real(2))
