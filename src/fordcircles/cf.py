@@ -14,6 +14,7 @@ from .real import (
     ExactReal,
     RationalLike,
     RealNumber,
+    _as_fraction,
     as_real,
     compare_real,
     convergent_pairs,
@@ -109,7 +110,7 @@ def cf_of_rational(x: RationalLike) -> ContinuedFraction:
     remainder, so all later coefficients are >= 1 and the final one is >= 2
     whenever there is more than one.
     """
-    x = Fraction(x)
+    x = _as_fraction(x)
     p, q = x.numerator, x.denominator
     coeffs: list[int] = []
     while True:

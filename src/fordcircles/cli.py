@@ -8,6 +8,7 @@ inconsistency is found, 1 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -98,6 +99,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fordcircles", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -156,19 +158,11 @@ def _emit(text: str, output: str | None) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "cf":
-        alpha = parse_real_spec(args.real)
-        print(cf_of_real(alpha))
+        print(cf_of_real(parse_real_spec(args.real)))
         return 0
 
     if args.command == "convergents":
-        if args.count < 1:
-            raise UsageError("count must be >= 1")
-        alpha = parse_real_spec(args.real)
-        try:
-            convs = convergents(cf_of_real(alpha), args.count)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        for conv in convs:
+        for conv in convergents(cf_of_real(parse_real_spec(args.real)), args.count):
             print(conv)
         return 0
 
@@ -178,8 +172,6 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if report.consistent else 2
 
     if args.command == "verify":
-        if args.max_den_x < 1 or args.max_den_alpha < 1:
-            raise UsageError("denominator caps must be >= 1")
         report = verify_sweep(args.max_den_x, args.max_den_alpha,
                               parse_window(args.window))
         print(json.dumps(report, indent=2))
@@ -188,26 +180,22 @@ def _run(args: argparse.Namespace) -> int:
     assert args.command == "render"
     spec = RenderSpec(window=parse_window(args.window), max_den=args.max_den,
                       width_px=args.width)
-    try:
-        if args.figure == "field":
-            svg = render_ford_field(spec)
-        elif args.figure == "chain":
-            svg = render_chain(parse_real_spec(args.real), args.depth, spec)
-        else:
-            svg = render_statement_v(parse_rational(args.x),
-                                     parse_real_spec(args.real), spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.figure == "field":
+        svg = render_ford_field(spec)
+    elif args.figure == "chain":
+        svg = render_chain(parse_real_spec(args.real), args.depth, spec)
+    else:
+        svg = render_statement_v(parse_rational(args.x), parse_real_spec(args.real), spec)
     _emit(svg, args.output)
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command; a usage error or a library ValueError is reported
+    here, and only here, as ``error: ...`` on stderr with exit code 1."""
     try:
-        args = parser.parse_args(argv)
-        return _run(args)
-    except UsageError as exc:
+        return _run(_build_parser().parse_args(argv))
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -24,6 +24,8 @@ from .real import (
     ExactReal,
     RationalLike,
     RealNumber,
+    _as_fraction,
+    _reject_floats,
     as_real,
     compare_real,
     sign_of_quadratic,
@@ -48,7 +50,7 @@ class FordCircle:
 
 
 def ford_circle(x: RationalLike) -> FordCircle:
-    return FordCircle(Fraction(x))
+    return FordCircle(_as_fraction(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +74,7 @@ class QuadraticRadius:
             if other.alpha is not self.alpha:
                 raise ValueError("radii built on different stream objects are not comparable")
             return (self.q2 - other.q2, self.q1 - other.q1, self.q0 - other.q0)
-        return (self.q2, self.q1, self.q0 - Fraction(other))
+        return (self.q2, self.q1, self.q0 - _as_fraction(other))
 
     def compare(self, other: "QuadraticRadius | RationalLike") -> int:
         q2, q1, q0 = self._coeffs_against(other)
@@ -93,6 +95,7 @@ def compare_radii(r: Radius, s: Radius) -> int:
         return r.compare(s)
     if isinstance(s, QuadraticRadius):
         return -s.compare(r)
+    _reject_floats(r, s)
     return GT if r > s else LT if r < s else EQ
 
 
@@ -103,7 +106,7 @@ class GapRelation(Enum):
 
 def are_tangent(x: RationalLike, y: RationalLike) -> bool:
     """Whether the Ford circles at x = a/b and y = c/d touch: |a*d - b*c| == 1."""
-    x, y = Fraction(x), Fraction(y)
+    x, y = _as_fraction(x), _as_fraction(y)
     if x == y:
         raise ValueError("identical circles")
     a, b = x.numerator, x.denominator
@@ -118,7 +121,7 @@ def gap_relation(x: RationalLike, y: RationalLike) -> GapRelation:
     value would mean overlapping interiors, impossible for Ford circles at
     distinct reduced points, so that branch raises.
     """
-    x, y = Fraction(x), Fraction(y)
+    x, y = _as_fraction(x), _as_fraction(y)
     if x == y:
         raise ValueError("identical circles")
     gap = (x - y) ** 2 - 4 * ford_radius(x) * ford_radius(y)
@@ -135,7 +138,7 @@ def tangent_horocircle_radius(alpha: RealNumber | RationalLike, x: RationalLike)
     For x = a/b the radius is (b*alpha - a)^2 / 2; it degenerates to 0 (a
     point circle) exactly when alpha == x.
     """
-    x = Fraction(x)
+    x = _as_fraction(x)
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal):
@@ -152,7 +155,7 @@ def generic_tangent_radius(base: RealNumber | RationalLike, radius: Fraction,
     radius |x - z|^2 / (4*r); coincident base points give the point circle of
     radius 0.  At most one of base and z may be a stream.
     """
-    radius = Fraction(radius)
+    radius = _as_fraction(radius)
     if radius <= 0:
         raise ValueError("radius must be > 0")
     base, z = as_real(base), as_real(z)
@@ -177,7 +180,7 @@ def lemma_x_check(x: RationalLike, y: RationalLike, z: RationalLike) -> bool:
     z lies strictly between x and y.  The check computes the three radii and
     compares them exactly.
     """
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = _as_fraction(x), _as_fraction(y), _as_fraction(z)
     if x == y or not are_tangent(x, y):
         raise ValueError("not a between-tangent configuration")
     if not (min(x, y) < z < max(x, y)):
@@ -197,7 +200,7 @@ def lemma_q_check(x: RationalLike, y: RationalLike,
     tangent to the circle at x is strictly smaller than the one tangent to
     the circle at z.
     """
-    x, y, z = Fraction(x), Fraction(y), Fraction(z)
+    x, y, z = _as_fraction(x), _as_fraction(y), _as_fraction(z)
     if x == y or not are_tangent(x, y):
         raise ValueError("configuration mismatch")
     if not ford_radius(x) > ford_radius(y):

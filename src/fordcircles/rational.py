@@ -12,6 +12,8 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Iterator
 
+from .real import _as_fraction
+
 
 def reduced_fractions_in(
     lo: Fraction,
@@ -28,7 +30,7 @@ def reduced_fractions_in(
     """
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = _as_fraction(lo), _as_fraction(hi)
     for b in range(1, max_den + 1):
         a_min = ceil(lo * b)
         a_max = floor(hi * b)

@@ -53,8 +53,7 @@ class ExactReal(RealNumber):
     __slots__ = ("value",)
 
     def __init__(self, value: RationalLike):
-        _reject_floats(value)
-        self.value = Fraction(value)
+        self.value = _as_fraction(value)
 
     def surd(self) -> Surd:
         """(p, 0, 0, q) for the value p/q: the point with S = 0 exactly."""
@@ -204,6 +203,13 @@ def _reject_floats(*values: object) -> None:
     for v in values:
         if isinstance(v, float):
             raise TypeError("floating-point values are not accepted; construct an exact rational")
+
+
+def _as_fraction(x: RationalLike) -> Fraction:
+    """Fraction(x) for a rational argument; a float raises TypeError rather
+    than being expanded to its binary value."""
+    _reject_floats(x)
+    return Fraction(x)
 
 
 def as_real(x: RealNumber | RationalLike) -> RealNumber:

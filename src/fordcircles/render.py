@@ -12,12 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Sequence
 from xml.sax.saxutils import escape
 
 from .geometry import ford_radius
 from .rational import reduced_fractions_in
-from .real import CFStream, ExactReal, RationalLike, RealNumber, as_real
+from .real import CFStream, ExactReal, RationalLike, RealNumber, _as_fraction, as_real
 from .verify import cf_chain, statement_v_witness
 
 #: Stroke colors: muted background field, highlighted foreground, axis, marker.
@@ -48,7 +48,7 @@ class RenderSpec:
 
 def fmt6(x: RationalLike) -> str:
     """Exact fixed 6-decimal rendering of a rational, ties to even."""
-    scaled = round(Fraction(x) * 10**6)
+    scaled = round(_as_fraction(x) * 10**6)
     digits = f"{abs(scaled):07d}"
     sign = "-" if scaled < 0 else ""
     return f"{sign}{digits[:-6]}.{digits[-6:]}"
@@ -67,144 +67,82 @@ def _approx_for_pixels(alpha: RealNumber) -> Fraction:
     raise AssertionError("unreachable: brackets() never returns normally")
 
 
-class _Canvas:
-    """Pixel mapping and element accumulation for one SVG document."""
-
-    def __init__(self, spec: RenderSpec, radii: Iterable[Fraction]):
-        lo, hi = spec.window
-        self.lo = lo
-        self.scale = Fraction(spec.width_px) / (hi - lo)
-        r_max = max(radii, default=Fraction(1, 2))
-        self.height = 2 * r_max * self.scale
-        self.width = Fraction(spec.width_px)
-        self.parts: list[str] = []
-
-    def x_px(self, x: Fraction) -> Fraction:
-        return (x - self.lo) * self.scale
-
-    def add_circle(self, base: Fraction, radius: Fraction, stroke: str) -> None:
-        r = radius * self.scale
-        self.parts.append(
-            f'<circle cx="{fmt6(self.x_px(base))}" cy="{fmt6(self.height - r)}" '
-            f'r="{fmt6(r)}" fill="none" stroke="{stroke}" stroke-width="1"/>'
-        )
-
-    def add_axis(self) -> None:
-        y = fmt6(self.height)
-        self.parts.append(
-            f'<line x1="0.000000" y1="{y}" x2="{fmt6(self.width)}" y2="{y}" '
-            f'stroke="{AXIS_STROKE}" stroke-width="1"/>'
-        )
-
-    def add_segment(self, x1: Fraction, x2: Fraction, stroke: str) -> None:
-        y = fmt6(self.height)
-        self.parts.append(
-            f'<line x1="{fmt6(self.x_px(x1))}" y1="{y}" x2="{fmt6(self.x_px(x2))}" '
-            f'y2="{y}" stroke="{stroke}" stroke-width="3"/>'
-        )
-
-    def add_marker(self, x: Fraction) -> None:
-        px = fmt6(self.x_px(x))
-        y0 = fmt6(self.height - self.height / 30)
-        y1 = fmt6(self.height)
-        self.parts.append(
-            f'<line x1="{px}" y1="{y0}" x2="{px}" y2="{y1}" '
-            f'stroke="{MARKER_STROKE}" stroke-width="2"/>'
-        )
-
-    def document(self, metadata: dict) -> str:
-        meta = escape(json.dumps(metadata, sort_keys=True, separators=(",", ":")))
-        body = "\n".join(self.parts)
-        return (
-            f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'viewBox="0 0 {fmt6(self.width)} {fmt6(self.height)}" '
-            f'width="{fmt6(self.width)}" height="{fmt6(self.height)}">\n'
-            f"<metadata>{meta}</metadata>\n{body}\n</svg>\n"
-        )
-
-
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _field(spec: RenderSpec) -> list[tuple[Fraction, Fraction]]:
-    """(base, radius) for the Ford field, ordered by denominator then numerator."""
+def _line(x1: Fraction, y1: Fraction, x2: Fraction, y2: Fraction,
+          stroke: str, width: int) -> str:
+    return (f'<line x1="{fmt6(x1)}" y1="{fmt6(y1)}" x2="{fmt6(x2)}" y2="{fmt6(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _figure(spec: RenderSpec, field_stroke: str, highlights: Sequence[Fraction] = (),
+            segment: tuple[Fraction, Fraction] | None = None,
+            marker: RealNumber | None = None, **meta) -> str:
+    """One SVG document: the axis, the Ford field of the spec in field_stroke,
+    the optional segment on the axis, the highlighted circles, the optional
+    marker at a real, and meta plus the window, maxDen and widthPx as
+    metadata.  The height fits the largest circle drawn."""
     lo, hi = spec.window
-    return [
-        (x, ford_radius(x))
-        for x in reduced_fractions_in(lo, hi, spec.max_den)
-    ]
+    field = list(reduced_fractions_in(lo, hi, spec.max_den))
+    width = _as_fraction(spec.width_px)
+    scale = width / (hi - lo)
+    # the field is ordered by denominator, so its first circle is its largest
+    r_max = max(map(ford_radius, [*field[:1], *highlights]), default=Fraction(1, 2))
+    height = 2 * r_max * scale
+
+    def x_px(x: Fraction) -> Fraction:
+        return (x - lo) * scale
+
+    def circle(base: Fraction, stroke: str) -> str:
+        r = ford_radius(base) * scale
+        return (f'<circle cx="{fmt6(x_px(base))}" cy="{fmt6(height - r)}" '
+                f'r="{fmt6(r)}" fill="none" stroke="{stroke}" stroke-width="1"/>')
+
+    parts = [_line(Fraction(0), height, width, height, AXIS_STROKE, 1)]
+    parts += [circle(x, field_stroke) for x in field]
+    if segment is not None:
+        parts.append(_line(x_px(segment[0]), height, x_px(segment[1]), height,
+                           MARKER_STROKE, 3))
+    parts += [circle(x, HIGHLIGHT_STROKE) for x in highlights]
+    if marker is not None:
+        px = x_px(_approx_for_pixels(marker))
+        parts.append(_line(px, height - height / 30, px, height, MARKER_STROKE, 2))
+    meta.update(window=[_frac_str(lo), _frac_str(hi)], maxDen=spec.max_den,
+                widthPx=spec.width_px)
+    text = escape(json.dumps(meta, sort_keys=True, separators=(",", ":")))
+    w, h = fmt6(width), fmt6(height)
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
+            f'width="{w}" height="{h}">\n<metadata>{text}</metadata>\n'
+            + "\n".join(parts) + "\n</svg>\n")
 
 
 def render_ford_field(spec: RenderSpec) -> str:
     """One circle per reduced fraction in the window up to the denominator cap."""
     spec.validate()
-    field = _field(spec)
-    canvas = _Canvas(spec, (r for _, r in field))
-    canvas.add_axis()
-    for base, radius in field:
-        canvas.add_circle(base, radius, HIGHLIGHT_STROKE)
-    lo, hi = spec.window
-    return canvas.document({
-        "kind": "field",
-        "window": [_frac_str(lo), _frac_str(hi)],
-        "maxDen": spec.max_den,
-        "widthPx": spec.width_px,
-    })
+    return _figure(spec, HIGHLIGHT_STROKE, kind="field")
 
 
 def render_chain(alpha: RealNumber | RationalLike, depth: int, spec: RenderSpec) -> str:
     """Muted Ford field plus the first depth chain circles in black."""
     spec.validate()
     alpha = as_real(alpha)
-    chain = cf_chain(alpha, depth)
-    field = _field(spec)
-    radii = [r for _, r in field] + [c.radius for c in chain]
-    canvas = _Canvas(spec, radii)
-    canvas.add_axis()
-    for base, radius in field:
-        canvas.add_circle(base, radius, FIELD_STROKE)
-    for circle in chain:
-        canvas.add_circle(circle.base, circle.radius, HIGHLIGHT_STROKE)
-    canvas.add_marker(_approx_for_pixels(alpha))
-    lo, hi = spec.window
-    return canvas.document({
-        "kind": "chain",
-        "alpha": alpha.describe(),
-        "depth": depth,
-        "chain": [_frac_str(c.base) for c in chain],
-        "window": [_frac_str(lo), _frac_str(hi)],
-        "maxDen": spec.max_den,
-        "widthPx": spec.width_px,
-    })
+    chain = [c.base for c in cf_chain(alpha, depth)]
+    return _figure(spec, FIELD_STROKE, chain, marker=alpha, kind="chain",
+                   alpha=alpha.describe(), depth=depth,
+                   chain=[_frac_str(x) for x in chain])
 
 
 def render_statement_v(x: RationalLike, alpha: RealNumber | RationalLike,
                        spec: RenderSpec) -> str:
     """The tangent-witness picture: C_x, C_y, the interval (x, y), the marker."""
     spec.validate()
-    x = Fraction(x)
+    x = _as_fraction(x)
     alpha = as_real(alpha)
     witness = statement_v_witness(x, alpha)
     if witness is None:
         raise ValueError("statement (v) fails for this pair")
-    field = _field(spec)
-    cx, cy = ford_radius(x), ford_radius(witness)
-    canvas = _Canvas(spec, [r for _, r in field] + [cx, cy])
-    canvas.add_axis()
-    for base, radius in field:
-        canvas.add_circle(base, radius, FIELD_STROKE)
-    canvas.add_segment(x, witness, MARKER_STROKE)
-    canvas.add_circle(x, cx, HIGHLIGHT_STROKE)
-    canvas.add_circle(witness, cy, HIGHLIGHT_STROKE)
-    canvas.add_marker(_approx_for_pixels(alpha))
-    lo, hi = spec.window
-    return canvas.document({
-        "kind": "witness",
-        "x": _frac_str(x),
-        "alpha": alpha.describe(),
-        "witness": _frac_str(witness),
-        "window": [_frac_str(lo), _frac_str(hi)],
-        "maxDen": spec.max_den,
-        "widthPx": spec.width_px,
-    })
+    return _figure(spec, FIELD_STROKE, [x, witness], segment=(x, witness), marker=alpha,
+                   kind="witness", x=_frac_str(x), alpha=alpha.describe(),
+                   witness=_frac_str(witness))

@@ -39,6 +39,7 @@ from .real import (
     ExactReal,
     RationalLike,
     RealNumber,
+    _as_fraction,
     as_real,
     compare_linear_forms,
     compare_real,
@@ -156,7 +157,7 @@ def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike,
     (rational alpha only) the per-denominator candidate pruning is replaced
     by a full scan, as a self-check of the pruning.
     """
-    x = Fraction(x)
+    x = _as_fraction(x)
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal) and not exhaustive:
@@ -177,7 +178,7 @@ def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike,
     d*alpha; circles farther out have strictly larger radii (the pruning is
     validated by the exhaustive mode, rational alpha only).
     """
-    x = Fraction(x)
+    x = _as_fraction(x)
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal) and not exhaustive:
@@ -214,7 +215,7 @@ def statement_v_witness(x: RationalLike, alpha: RealNumber | RationalLike) -> Fr
     tangent point of its family from x, so a witness exists iff alpha lies
     strictly inside (x, y), and then y itself is returned.
     """
-    x = Fraction(x)
+    x = _as_fraction(x)
     alpha = as_real(alpha)
     cmp = compare_real(alpha, x)
     if cmp == EQ:
@@ -233,7 +234,7 @@ def theorem_u_check(x: RationalLike, alpha: RealNumber | RationalLike) -> Theore
     For non-integer x, consistent means all five agree; integer x is flagged
     and only the definitional identity between (i) and (ii) is asserted.
     """
-    x = Fraction(x)
+    x = _as_fraction(x)
     alpha = as_real(alpha)
     stmt_i = _is_convergent(x, alpha)
     stmt_ii = _is_chain_member(x, alpha)
@@ -293,7 +294,7 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     predicates in _kernel/_pure.py are the reference the tests hold this
     against.
     """
-    lo, hi = Fraction(window[0]), Fraction(window[1])
+    lo, hi = _as_fraction(window[0]), _as_fraction(window[1])
     if lo >= hi:
         raise ValueError("window must satisfy lo < hi")
     if den_max_x < 1 or den_max_alpha < 1:

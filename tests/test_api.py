@@ -2,7 +2,34 @@
 
 from __future__ import annotations
 
+from fractions import Fraction as F
+
+import pytest
+
 import fordcircles
+from fordcircles import (
+    RenderSpec,
+    are_tangent,
+    cf_of_rational,
+    compare_radii,
+    fmt6,
+    ford_circle,
+    gap_relation,
+    generic_tangent_radius,
+    golden_ratio,
+    is_best_approx_2nd,
+    is_nearby,
+    lemma_q_check,
+    lemma_x_check,
+    penultimate_pair,
+    reduced_fractions_in,
+    render_ford_field,
+    render_statement_v,
+    statement_v_witness,
+    tangent_horocircle_radius,
+    theorem_u_check,
+    verify_sweep,
+)
 
 
 def test_every_exported_name_resolves_once():
@@ -20,3 +47,37 @@ def test_removed_names_are_gone():
                  "make_rational", "Rational", "is_integer"):
         assert name not in fordcircles.__all__
         assert not hasattr(fordcircles, name)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_best_approx_2nd(1.5, golden_ratio()),
+    lambda: is_nearby(1.5, golden_ratio()),
+    lambda: statement_v_witness(1.5, golden_ratio()),
+    lambda: theorem_u_check(1.5, golden_ratio()),
+    lambda: penultimate_pair(0.6),
+    lambda: verify_sweep(3, 3, (0.0, 1.0)),
+    lambda: cf_of_rational(0.6),
+    lambda: compare_radii(F(1, 2), 0.5),
+    lambda: compare_radii(tangent_horocircle_radius(golden_ratio(), F(1)), 0.5),
+    lambda: tangent_horocircle_radius(golden_ratio(), 1.5),
+    lambda: ford_circle(0.5),
+    lambda: are_tangent(0.5, F(1)),
+    lambda: gap_relation(0.5, F(1)),
+    lambda: generic_tangent_radius(F(0), 0.25, F(1)),
+    lambda: lemma_x_check(0.0, F(1), F(1, 2)),
+    lambda: lemma_q_check(F(0), F(1), F(1, 2), 2.0),
+    lambda: list(reduced_fractions_in(0.0, 1.0, 3)),
+    lambda: render_ford_field(RenderSpec(window=(0.0, 1.0))),
+    lambda: render_ford_field(RenderSpec(width_px=800.0)),
+    lambda: render_statement_v(1.5, golden_ratio(), RenderSpec(window=(F(1), F(2)))),
+    lambda: fmt6(0.5),
+], ids=["is_best_approx_2nd", "is_nearby", "statement_v_witness",
+        "theorem_u_check", "penultimate_pair", "verify_sweep", "cf_of_rational",
+        "compare_radii", "compare_radii-stream", "tangent_horocircle_radius",
+        "ford_circle", "are_tangent", "gap_relation", "generic_tangent_radius",
+        "lemma_x_check", "lemma_q_check", "reduced_fractions_in",
+        "render-window", "render-width", "render_statement_v", "fmt6"])
+def test_float_arguments_rejected(call):
+    # a float would be expanded to its binary value and decide exactly on it
+    with pytest.raises(TypeError, match="floating-point"):
+        call()

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,16 +143,30 @@ SPEC = st.one_of(
     st.integers(-3, 400).map("sqrt:{}".format),
     st.builds("{}/{}".format, st.integers(-60, 60), st.integers(-3, 60)),
 )
+SMALL = st.builds("{}/{}".format, st.integers(-3, 3), st.integers(1, 4))
+# inverted and empty windows included
+WINDOW = st.builds("{}..{}".format, SMALL, SMALL)
+RENDER_SPEC_ARGS = st.builds(
+    lambda window, n, px: ["--window", window, "--max-den", str(n), "--width", str(px)],
+    WINDOW, st.integers(-1, 12), st.sampled_from([10, 64, 200]))
 ARGV = st.one_of(
     st.builds(lambda spec: ["cf", spec], SPEC),
     st.builds(lambda spec, k: ["convergents", spec, "-n", str(k)],
               SPEC, st.integers(-2, 15)),
     st.builds(lambda spec, a, b: ["check", f"{a}/{b}", spec],
               SPEC, st.integers(-80, 80), st.integers(1, 40)),
+    st.builds(lambda x, y, window: ["verify", "--max-den-x", str(x),
+                                    "--max-den-alpha", str(y), "--window", window],
+              st.integers(-1, 8), st.integers(-1, 8), WINDOW),
+    st.builds(lambda rest: ["render", "field", *rest], RENDER_SPEC_ARGS),
+    st.builds(lambda spec, k, rest: ["render", "chain", spec, "--depth", str(k), *rest],
+              SPEC, st.integers(-1, 8), RENDER_SPEC_ARGS),
+    st.builds(lambda x, spec, rest: ["render", "witness", x, spec, *rest],
+              SMALL, SPEC, RENDER_SPEC_ARGS),
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(ARGV)
 def test_real_spec_grammar_never_crashes(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -304,3 +322,41 @@ class TestRealSpecParsing:
         assert parse_window("-1/2..3/2") == (F(-1, 2), F(3, 2))
         with pytest.raises(UsageError, match="LO..HI"):
             parse_window("0-1")
+
+
+class TestReusedParser:
+    """The parser is built once per process, so no call may leave state
+    behind for the next one."""
+
+    def test_output_does_not_stick(self, capsys, tmp_path):
+        target = tmp_path / "field.svg"
+        code, out, _ = run(capsys, "render", "field", "--max-den", "3", "-o", str(target))
+        assert (code, out) == (0, "")
+        code, out, _ = run(capsys, "render", "field", "--max-den", "3")
+        assert code == 0 and out == target.read_text(encoding="utf-8")
+
+    def test_usage_error_then_check(self, capsys):
+        code, out, err = run(capsys, "check", "1/2", "--max-den", "3")
+        assert (code, out) == (1, "") and err.startswith("error:")
+        want = check_text("1/2", "3/5", False, [True] * 5, "2/3")
+        assert run(capsys, "check", "1/2", "3/5") == (0, want, "")
+
+
+class TestEntryPoint:
+    """`python -m fordcircles.cli` in a fresh process."""
+
+    def run_module(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        return subprocess.run([sys.executable, "-m", "fordcircles.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def test_check(self):
+        done = self.run_module("check", "1/2", "3/5")
+        want = check_text("1/2", "3/5", False, [True] * 5, "2/3")
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+    def test_usage_error(self):
+        done = self.run_module("check", "1/0", "3/5")
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: zero denominator\n")

@@ -211,10 +211,12 @@ class TestStatementV:
 
 
 class TestPinnedDigests:
-    """sha256 of four documents, recorded from the CLI commands
+    """sha256 of six documents, recorded from the CLI commands
     `render field --max-den 30`, `render chain sqrt:2 --depth 6 --window 1..2`,
-    `render chain 355/113 --depth 3` and `render witness 8/5 golden --window
-    1..2`; any change to the exact geometry or the formatting shows here."""
+    `render chain 355/113 --depth 3`, `render witness 8/5 golden --window
+    1..2`, `render witness 1/2 3/5` (a rational marker) and `render witness
+    2/3 2/3` (alpha == x); any change to the exact geometry or the
+    formatting shows here."""
 
     @pytest.mark.parametrize("figure,digest", [
         (lambda: render_ford_field(RenderSpec(max_den=30)),
@@ -225,6 +227,11 @@ class TestPinnedDigests:
          "b708cda610ac09aba3b7c1eb894533ccb39a6209af1ec2d14b7bfa7fb5bbbeda"),
         (lambda: render_statement_v(F(8, 5), golden_ratio(), RenderSpec(window=(F(1), F(2)))),
          "e965b53fdc575d7456d6a530b114634b19c8a5442150996a88211ddbeee058c2"),
-    ], ids=["field", "chain-sqrt2", "chain-355_113", "witness-golden"])
+        (lambda: render_statement_v(F(1, 2), F(3, 5), RenderSpec()),
+         "bb1269564e6a86818713eab520b98a75fa5f8e160b285fe2f05b5342665261b7"),
+        (lambda: render_statement_v(F(2, 3), F(2, 3), RenderSpec()),
+         "cb50f21634562fc22f9795405ae68d00eccc74df71f85d2c5f4633f0446d1fe8"),
+    ], ids=["field", "chain-sqrt2", "chain-355_113", "witness-golden",
+            "witness-rational", "witness-alpha-is-x"])
     def test_digest(self, figure, digest):
         assert hashlib.sha256(figure().encode()).hexdigest() == digest
