@@ -5,17 +5,18 @@ alpha = p/q, written in plain integer arithmetic (everything is scaled by q,
 or by 2*q*q for the radius route, so no fractions appear), and the per-alpha
 candidate sets that decide a predicate for every x with b <= X in one scan
 of O(X) integer work.  The per-pair predicates are the reference the sets
-are tested against.
+are tested against; the unpruned reference lives in the tests.
 
-Candidate pruning (used by the best-approximation and nearby routes): for a
-fixed denominator d, the form |d*alpha - c| and the tangent-horocircle radius
-(d*alpha - c)^2 / (2*q*q) are both strictly increasing in the distance from c
-to d*alpha, so only the two integers nearest d*alpha can violate either
-predicate.  A violating fraction that is not reduced re-reduces to a smaller
-denominator whose own nearest candidates violate as well, and a violator
-farther than 1 from d*alpha forces the target form above 1, in which case the
-nearest candidate at d = 1 already violates.  Hence scanning floor(d*alpha)
-and floor(d*alpha) + 1 for every d up to b decides the predicates exactly.
+Candidate pruning (used by the best-approximation and nearby routes): at a
+fixed d the form t(c, d) = |d*p - c*q| and the radius t(c, d)^2 / (2*q*q)
+grow strictly with the distance from c to d*p/q, so only c0 = floor(d*p/q)
+and c0 + 1 (forms in [0, q]) can hold or violate either predicate; any
+other c has t >= q and loses to the nearer candidate at d = 1 (t <= q/2).
+Reducedness never decides: a candidate with g = gcd(c, d) >= 2 has
+t(c, d) = g*t(c/g, d/g), so t(c/g, d/g) <= q/2 and the reduced c/g over d/g
+is a candidate at d/g < d with a form no larger.  A non-reduced candidate
+is therefore never the first violator, never holds and never lowers a
+running minimum, and the kernels scan both candidates at each d, no gcd.
 """
 
 from __future__ import annotations
@@ -33,11 +34,7 @@ def best_flag(a: int, b: int, p: int, q: int) -> bool:
     for d in range(1, b + 1):
         c0 = d * p // q
         for c in (c0, c0 + 1):
-            if c == a and d == b:
-                continue
-            if gcd(c, d) != 1:
-                continue
-            if abs(d * p - c * q) <= target:
+            if abs(d * p - c * q) <= target and (c != a or d != b):
                 return False
     return True
 
@@ -55,12 +52,8 @@ def near_flag(a: int, b: int, p: int, q: int) -> bool:
     for d in range(1, b + 1):
         c0 = d * p // q
         for c in (c0, c0 + 1):
-            if c == a and d == b:
-                continue
-            if gcd(c, d) != 1:
-                continue
             t = d * p - c * q
-            if t * t <= rx:
+            if t * t <= rx and (c != a or d != b):
                 return False
     return True
 
@@ -87,27 +80,21 @@ def best_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     """Statement (iii) at once: every reduced (a, b) with b <= max_den for
     which best_flag(a, b, p, q) holds.
 
-    By the pruning lemma only the two candidates floor(d*p/q) and
-    floor(d*p/q) + 1 at each d can satisfy or violate (iii): any other a/b has
-    form |b*p - a*q| >= q, above the nearer candidate at d = 1 (form <= q/2).
-    A reduced candidate therefore holds iff its form is strictly below every
-    form of a reduced candidate with smaller d (the running minimum) and
-    strictly below the form of the other reduced candidate at its own d.
+    By the pruning lemma only the nearer of floor(d*p/q) and floor(d*p/q) + 1
+    can hold at each d, and it does iff its form is strictly below the
+    other's and strictly below the running minimum of the forms at smaller
+    d.  No non-reduced candidate passes, so every pair found is reduced.
     """
     found: set[tuple[int, int]] = set()
     record = q + 1  # above every form: both candidate forms lie in [0, q]
     for d in range(1, max_den + 1):
         c0, t0 = divmod(d * p, q)  # t0 = |d*p - c0*q|
         t1 = q - t0  # |d*p - (c0 + 1)*q|
-        r0, r1 = gcd(c0, d) == 1, gcd(c0 + 1, d) == 1
-        if r0 and t0 < record and not (r1 and t1 <= t0):
-            found.add((c0, d))
-        if r1 and t1 < record and not (r0 and t0 <= t1):
-            found.add((c0 + 1, d))
-        if r0 and t0 < record:
-            record = t0
-        if r1 and t1 < record:
-            record = t1
+        c, t = (c0, t0) if t0 < t1 else (c0 + 1, t1)
+        if t < record:
+            if t0 != t1:
+                found.add((c, d))
+            record = t
     return found
 
 
@@ -117,10 +104,9 @@ def near_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
 
     The radii route of best_set's scan: tangent-horocircle radii at base
     alpha, cleared of the common factor 2*q*q to the squares
-    (d*p - c*q)^2.  Only the two candidates nearest d*p/q at each d can hold
-    or violate (iv), by the pruning lemma; a reduced candidate holds iff its
-    radius is strictly below every radius of a reduced candidate with smaller
-    d and strictly below that of the other reduced candidate at its own d.
+    (d*p - c*q)^2.  By the pruning lemma only the nearer candidate at each
+    d can hold, iff its radius is strictly below the other's and below every
+    radius at smaller d; no non-reduced candidate passes.
     """
     found: set[tuple[int, int]] = set()
     least = q * q + 1  # above every radius: both candidate squares are <= q*q
@@ -128,15 +114,11 @@ def near_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
         c0 = d * p // q
         e = d * p - c0 * q
         s0, s1 = e * e, (e - q) * (e - q)  # radii of c0 and c0 + 1
-        r0, r1 = gcd(c0, d) == 1, gcd(c0 + 1, d) == 1
-        if r0 and s0 < least and not (r1 and s1 <= s0):
-            found.add((c0, d))
-        if r1 and s1 < least and not (r0 and s0 <= s1):
-            found.add((c0 + 1, d))
-        if r0 and s0 < least:
-            least = s0
-        if r1 and s1 < least:
-            least = s1
+        c, r = (c0, s0) if s0 < s1 else (c0 + 1, s1)
+        if r < least:
+            if s0 != s1:
+                found.add((c, d))
+            least = r
     return found
 
 

@@ -15,6 +15,7 @@ from .real import (
     RationalLike,
     RealNumber,
     _as_fraction,
+    _as_int,
     as_real,
     compare_real,
     convergent_pairs,
@@ -55,7 +56,7 @@ class ContinuedFraction:
 
     @classmethod
     def from_coefficients(cls, coeffs: Sequence[int]) -> "ContinuedFraction":
-        terms = [int(b) for b in coeffs]
+        terms = [_as_int(b) for b in coeffs]
         if not terms:
             raise ValueError("a finite expansion needs at least one coefficient")
         for b in terms[1:]:
@@ -134,6 +135,7 @@ def convergents(cf: ContinuedFraction, count: int) -> list[Convergent]:
     """The first `count` convergents A_n/B_n of the expansion, each reduced
     (the recurrence and its determinant identity are in real.convergent_pairs).
     """
+    count = _as_int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     if cf.finite and count > cf.length:

@@ -14,6 +14,7 @@ or leaves this module.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Union
@@ -78,8 +79,8 @@ class PeriodicCoefficients:
     __slots__ = ("initial", "period")
 
     def __init__(self, period: Iterable[int], initial: Iterable[int] = ()):
-        self.initial = tuple(int(p) for p in initial)
-        self.period = tuple(int(p) for p in period)
+        self.initial = tuple(map(_as_int, initial))
+        self.period = tuple(map(_as_int, period))
         if not self.period:
             raise ValueError("empty period")
         for p in self.initial + self.period:
@@ -104,7 +105,7 @@ class CFStream(RealNumber):
     __slots__ = ("b0", "partials", "label", "_surd")
 
     def __init__(self, b0: int, partials: Iterable[int], label: str | None = None):
-        self.b0 = int(b0)
+        self.b0 = _as_int(b0)
         self.partials = partials
         self.label = label
         self._surd: Surd | None = None
@@ -207,9 +208,18 @@ def _reject_floats(*values: object) -> None:
 
 def _as_fraction(x: RationalLike) -> Fraction:
     """Fraction(x) for a rational argument; a float raises TypeError rather
-    than being expanded to its binary value."""
+    than being expanded to its binary value.  A Fraction is immutable, so it
+    is returned as is."""
+    if type(x) is Fraction:
+        return x
     _reject_floats(x)
     return Fraction(x)
+
+
+def _as_int(n: int) -> int:
+    """operator.index(n): a float raises TypeError rather than truncating."""
+    _reject_floats(n)
+    return operator.index(n)
 
 
 def as_real(x: RealNumber | RationalLike) -> RealNumber:
@@ -333,7 +343,7 @@ def sqrt_real(n: int) -> CFStream:
     Its coefficients come lazily from ``_SqrtPartials``, and its surd
     (0, 1, n, 1) is known up front, so no query walks a period.
     """
-    n = int(n)
+    n = _as_int(n)
     if n < 2 or isqrt(n) ** 2 == n:
         raise ValueError("not a quadratic irrational")
     stream = CFStream(isqrt(n), _SqrtPartials(n), label=f"sqrt:{n}")

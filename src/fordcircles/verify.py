@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import ceil, floor, gcd
+from math import gcd
 from typing import Iterator
 
 from ._kernel import _pure
@@ -35,11 +35,11 @@ from .rational import reduced_fractions_in
 from .real import (
     EQ,
     GT,
-    LT,
     ExactReal,
     RationalLike,
     RealNumber,
     _as_fraction,
+    _as_int,
     as_real,
     compare_linear_forms,
     compare_real,
@@ -90,6 +90,7 @@ def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[FordCircle]:
     Consecutive circles are tangent because consecutive convergents are
     unimodular; radii never increase and decrease strictly from index 1 on.
     """
+    count = _as_int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
     out = list(islice(_chain_iter(alpha), count))
@@ -120,72 +121,60 @@ def _is_chain_member(x: Fraction, alpha: RealNumber) -> bool:
     return False
 
 
-def _rivals(x: Fraction, alpha: RealNumber, exhaustive: bool) -> Iterator[tuple[int, int]]:
+def _rivals(x: Fraction, alpha: RealNumber) -> Iterator[tuple[int, int]]:
     """The reduced rivals (c, d) of x = a/b at alpha: every c/d != x with
     d <= b that could match or beat x.
 
     By the pruning lemma in _kernel/_pure.py only the two integers nearest
-    d*alpha matter at each d.  With exhaustive=True (rational alpha only)
-    every c with |d*alpha - c| within |b*alpha - a| + 1 is yielded instead,
-    as a self-check of the pruning.
+    d*alpha matter at each d; the tests check the lemma, on rational alphas
+    through the kernels, against an unpruned reference.
     """
     a, b = x.numerator, x.denominator
-    if exhaustive:
-        if not isinstance(alpha, ExactReal):
-            raise ValueError("exhaustive candidate mode requires a rational alpha")
-        span = abs(b * alpha.value - a) + 1
     for d in range(1, b + 1):
-        if exhaustive:
-            t = d * alpha.value
-            candidates: tuple[int, int] | range = range(ceil(t - span) - 1,
-                                                         floor(t + span) + 2)
-        else:
-            m = floor_scaled(alpha, d)
-            candidates = (m, m + 1)
-        for c in candidates:
+        m = floor_scaled(alpha, d)
+        for c in (m, m + 1):
+            # the gcd only skips work (see the lemma): a comparison costs more
             if (c != a or d != b) and gcd(c, d) == 1:
                 yield c, d
 
 
-def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike,
-                       *, exhaustive: bool = False) -> bool:
+def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
     """Whether x = a/b is a best approximation of the second kind to alpha.
 
     Requires |b*alpha - a| < |d*alpha - c| for every reduced c/d != a/b with
     d <= b; any tie is a violation.  The linear-form route: comparisons go
-    through the forms themselves, never through radii.  With exhaustive=True
-    (rational alpha only) the per-denominator candidate pruning is replaced
-    by a full scan, as a self-check of the pruning.
+    through the forms themselves, never through radii.  A rational alpha
+    goes to the integer kernel; any other alpha compares against the pruned
+    rivals of _rivals.
     """
     x = _as_fraction(x)
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
-    if isinstance(alpha, ExactReal) and not exhaustive:
+    if isinstance(alpha, ExactReal):
         return _pure.best_flag(a, b, alpha.value.numerator, alpha.value.denominator)
     return all(compare_linear_forms(d, c, b, a, alpha) == GT
-               for c, d in _rivals(x, alpha, exhaustive))
+               for c, d in _rivals(x, alpha))
 
 
-def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike,
-              *, exhaustive: bool = False) -> bool:
+def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
     """Whether the Ford circle at x = a/b is nearby to alpha.
 
     Requires every other Ford circle with radius >= rad(C_x), equivalently
     with denominator d <= b, to carry a strictly larger tangent-horocircle
     radius at base point alpha.  The radii route: comparisons go through
     horocircle radii (squared forms), independently of the linear-form route
-    above.  Candidates per denominator are pruned to the integers nearest
-    d*alpha; circles farther out have strictly larger radii (the pruning is
-    validated by the exhaustive mode, rational alpha only).
+    above.  A rational alpha goes to the integer kernel; any other alpha
+    compares against the pruned rivals of _rivals, since circles farther
+    from d*alpha have strictly larger radii.
     """
     x = _as_fraction(x)
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
-    if isinstance(alpha, ExactReal) and not exhaustive:
+    if isinstance(alpha, ExactReal):
         return _pure.near_flag(a, b, alpha.value.numerator, alpha.value.denominator)
     rx = tangent_horocircle_radius(alpha, x)
     return all(compare_radii(tangent_horocircle_radius(alpha, Fraction(c, d)), rx) == GT
-               for c, d in _rivals(x, alpha, exhaustive))
+               for c, d in _rivals(x, alpha))
 
 
 def _min_den_tangent_neighbor(x: Fraction, side: int) -> Fraction:
@@ -222,10 +211,7 @@ def statement_v_witness(x: RationalLike, alpha: RealNumber | RationalLike) -> Fr
         return _min_den_tangent_neighbor(x, +1)
     side = 1 if cmp == GT else -1
     y = _min_den_tangent_neighbor(x, side)
-    lo, hi = (x, y) if side > 0 else (y, x)
-    if compare_real(alpha, lo) == GT and compare_real(alpha, hi) == LT:
-        return y
-    return None
+    return y if compare_real(alpha, y) == -side else None
 
 
 def theorem_u_check(x: RationalLike, alpha: RealNumber | RationalLike) -> TheoremUReport:

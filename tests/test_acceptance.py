@@ -16,6 +16,7 @@ from fractions import Fraction as F
 from itertools import combinations
 from math import gcd
 
+import reference
 from fordcircles import (
     GapRelation,
     RenderSpec,
@@ -142,12 +143,13 @@ def test_criterion_3_dual_route_agreement(capsys):
                 mismatches += 1
             stream_count += 1
 
-    # unpruned fraction-arithmetic routes on a dense subgrid
+    # each route against its unpruned fraction-arithmetic reference, and the
+    # two references against each other, on a dense subgrid
     sub_count = 0
     for alpha in reduced_fractions_in(F(0), F(1), 8, include_hi=False):
         for x in reduced_fractions_in(F(-1, 2), F(3, 2), 8):
-            if is_best_approx_2nd(x, alpha, exhaustive=True) != \
-                    is_nearby(x, alpha, exhaustive=True):
+            best, near = reference.best_approx(x, alpha), reference.nearby(x, alpha)
+            if not is_best_approx_2nd(x, alpha) == best == near == is_nearby(x, alpha):
                 mismatches += 1
             sub_count += 1
 

@@ -8,10 +8,15 @@ import pytest
 
 import fordcircles
 from fordcircles import (
+    CFStream,
+    ContinuedFraction,
+    PeriodicCoefficients,
     RenderSpec,
     are_tangent,
+    cf_chain,
     cf_of_rational,
     compare_radii,
+    convergents,
     fmt6,
     ford_circle,
     gap_relation,
@@ -25,6 +30,7 @@ from fordcircles import (
     reduced_fractions_in,
     render_ford_field,
     render_statement_v,
+    sqrt_real,
     statement_v_witness,
     tangent_horocircle_radius,
     theorem_u_check,
@@ -71,13 +77,22 @@ def test_removed_names_are_gone():
     lambda: render_ford_field(RenderSpec(width_px=800.0)),
     lambda: render_statement_v(1.5, golden_ratio(), RenderSpec(window=(F(1), F(2)))),
     lambda: fmt6(0.5),
+    lambda: PeriodicCoefficients([1.5]),
+    lambda: sqrt_real(2.9),
+    lambda: ContinuedFraction.from_coefficients([0, 2.7]),
+    lambda: CFStream(1.5, PeriodicCoefficients([1])),
+    lambda: convergents(cf_of_rational(F(3, 5)), 2.5),
+    lambda: cf_chain(golden_ratio(), 2.5),
 ], ids=["is_best_approx_2nd", "is_nearby", "statement_v_witness",
         "theorem_u_check", "penultimate_pair", "verify_sweep", "cf_of_rational",
         "compare_radii", "compare_radii-stream", "tangent_horocircle_radius",
         "ford_circle", "are_tangent", "gap_relation", "generic_tangent_radius",
         "lemma_x_check", "lemma_q_check", "reduced_fractions_in",
-        "render-window", "render-width", "render_statement_v", "fmt6"])
+        "render-window", "render-width", "render_statement_v", "fmt6",
+        "PeriodicCoefficients", "sqrt_real", "from_coefficients", "CFStream",
+        "convergents", "cf_chain"])
 def test_float_arguments_rejected(call):
-    # a float would be expanded to its binary value and decide exactly on it
+    # a float would be expanded to its binary value and decide exactly on it,
+    # or truncated where an integer is expected
     with pytest.raises(TypeError, match="floating-point"):
         call()

@@ -10,6 +10,7 @@ from math import gcd
 
 import pytest
 
+import reference
 from fordcircles import (
     are_tangent,
     cf_chain,
@@ -122,11 +123,7 @@ class TestBestApprox:
         for alpha in alphas:
             for x in xs:
                 assert is_best_approx_2nd(x, alpha) == \
-                    is_best_approx_2nd(x, alpha, exhaustive=True), (x, alpha)
-
-    def test_exhaustive_requires_rational(self):
-        with pytest.raises(ValueError, match="rational"):
-            is_best_approx_2nd(F(1, 2), golden_ratio(), exhaustive=True)
+                    reference.best_approx(x, alpha), (x, alpha)
 
 
 class TestNearby:
@@ -148,8 +145,7 @@ class TestNearby:
         xs = list(reduced_fractions_in(F(-1, 2), F(3, 2), 7))
         for alpha in alphas:
             for x in xs:
-                assert is_nearby(x, alpha) == \
-                    is_nearby(x, alpha, exhaustive=True), (x, alpha)
+                assert is_nearby(x, alpha) == reference.nearby(x, alpha), (x, alpha)
 
     def test_agrees_with_best_approx(self):
         # the independent routes agree pointwise
