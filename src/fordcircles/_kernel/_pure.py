@@ -1,61 +1,99 @@
 """Pure-Python kernels for the rational sweeps.
 
-These are the per-pair predicates for x = a/b against a rational
-alpha = p/q, written in plain integer arithmetic (everything is scaled by q,
-or by 2*q*q for the radius route, so no fractions appear), and the per-alpha
-candidate sets that decide a predicate for every x with b <= X in one scan
-of O(X) integer work.  The per-pair predicates are the reference the sets
-are tested against; the unpruned reference lives in the tests.
+Statements (iii), (iv) and (v) for x = a/b against a rational alpha = p/q,
+in integers (scaled by q, or by 2*q*q for radii), per pair (the flags) and
+per alpha for every b <= X in O(X) work (the sets).  Each of (iii) and (iv)
+has one record scan over d: its set collects the records, its flag stops at
+the first record that reaches x.  The tests hold the kernels against the
+unpruned references in tests/reference.py.
 
 Candidate pruning (used by the best-approximation and nearby routes): at a
 fixed d the form t(c, d) = |d*p - c*q| and the radius t(c, d)^2 / (2*q*q)
 grow strictly with the distance from c to d*p/q, so only c0 = floor(d*p/q)
-and c0 + 1 (forms in [0, q]) can hold or violate either predicate; any
-other c has t >= q and loses to the nearer candidate at d = 1 (t <= q/2).
-Reducedness never decides: a candidate with g = gcd(c, d) >= 2 has
-t(c, d) = g*t(c/g, d/g), so t(c/g, d/g) <= q/2 and the reduced c/g over d/g
-is a candidate at d/g < d with a form no larger.  A non-reduced candidate
-is therefore never the first violator, never holds and never lowers a
-running minimum, and the kernels scan both candidates at each d, no gcd.
+and c0 + 1 (forms r = d*p mod q and q - r) can hold or violate either
+predicate; any other c has t >= q and loses to the nearer candidate at
+d = 1 (t <= q/2).  Reducedness never decides: a candidate with
+g = gcd(c, d) >= 2 has t(c, d) = g*t(c/g, d/g), so t(c/g, d/g) <= q/2 and
+the reduced c/g over d/g is a candidate at d/g < d with a form no larger.
+A non-reduced candidate is therefore never the first violator, never holds
+and never lowers a running minimum, so the scans need no gcd.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from typing import Iterator
+
+
+def _best_records(p: int, q: int, max_den: int) -> Iterator[tuple[int, int, int]]:
+    """(c, d, t) for each d <= max_den whose nearer candidate c has a form t
+    strictly below the other candidate's and every form at smaller d.  The
+    residue r = d*p mod q is walked and c computed only at a record; a tie
+    (r == q - r) lowers the record but yields nothing."""
+    step = p % q
+    r = 0
+    record = q + 1  # above every form: both candidate forms lie in [0, q]
+    for d in range(1, max_den + 1):
+        r += step
+        if r >= q:
+            r -= q
+        s = q - r
+        t = r if r < s else s
+        if t < record:
+            record = t
+            if r != s:
+                yield (d * p - r) // q + (r > s), d, t
+
+
+def _near_records(p: int, q: int, max_den: int) -> Iterator[tuple[int, int, int]]:
+    """(c, d, rad) as in _best_records, but on the tangent-horocircle radii
+    at alpha cleared of 2*q*q, the squares r*r and (q - r)^2, not on forms."""
+    step = p % q
+    r = 0
+    least = q * q + 1  # above every radius: both candidate squares are <= q*q
+    for d in range(1, max_den + 1):
+        r += step
+        if r >= q:
+            r -= q
+        lower, upper = r * r, (q - r) * (q - r)  # radii of c0 and c0 + 1
+        rad = lower if lower < upper else upper
+        if rad < least:
+            least = rad
+            if lower != upper:
+                yield (d * p - r) // q + (lower > upper), d, rad
+
+
+def _tangent_neighbor_den(a: int, b: int, side: int) -> int:
+    """The least denominator above b of a tangent neighbor of a/b on the given
+    side (+1 right, -1 left): those form one residue class mod b, so it lies
+    in (b, 2b]; for b = 1 it is 2 (pow(a, -1, 1) is 0)."""
+    return 2 if b == 1 else (-side * pow(a, -1, b)) % b + b
 
 
 def best_flag(a: int, b: int, p: int, q: int) -> bool:
     """Statement (iii): is a/b a best approximation of the second kind to p/q.
 
-    Works with the scaled linear forms t(c, d) = |d*p - c*q|; the requirement
-    is t(c, d) > t(a, b) for every reduced c/d != a/b with d <= b.
-    """
+    Requires t(c, d) = |d*p - c*q| > t(a, b) for every reduced c/d != a/b
+    with d <= b: x holds iff the first record of best_set's scan with
+    t <= t(a, b) is x itself, so a far x exits at d = 1."""
     target = abs(b * p - a * q)
-    for d in range(1, b + 1):
-        c0 = d * p // q
-        for c in (c0, c0 + 1):
-            if abs(d * p - c * q) <= target and (c != a or d != b):
-                return False
-    return True
+    for c, d, t in _best_records(p, q, b):
+        if t <= target:
+            return c == a and d == b
+    return False
 
 
 def near_flag(a: int, b: int, p: int, q: int) -> bool:
     """Statement (iv): is the Ford circle at a/b nearby to p/q.
 
-    Works with tangent-horocircle radii: the radius for base z = c/d is
-    (d*p - c*q)^2 / (2*q*q), so after clearing the common factor the
-    comparison is between squared integers.  Every circle with radius >= that
-    of C_x (denominator d <= b) other than C_x itself must give a strictly
-    larger radius.
-    """
+    Every circle C_{c/d} != C_x with d <= b (radius >= that of C_x) needs a
+    larger tangent-horocircle radius (d*p - c*q)^2 / (2*q*q) at alpha: x holds
+    iff the first record of near_set's scan at or below x's is x itself."""
     rx = (b * p - a * q) ** 2
-    for d in range(1, b + 1):
-        c0 = d * p // q
-        for c in (c0, c0 + 1):
-            t = d * p - c * q
-            if t * t <= rx and (c != a or d != b):
-                return False
-    return True
+    for c, d, rad in _near_records(p, q, b):
+        if rad <= rx:
+            return c == a and d == b
+    return False
 
 
 def witness_flag(a: int, b: int, p: int, q: int) -> bool:
@@ -68,58 +106,19 @@ def witness_flag(a: int, b: int, p: int, q: int) -> bool:
     lhs = p * b - a * q
     if lhs == 0:
         return True
-    side = 1 if lhs > 0 else -1
-    if b == 1:
-        d = 2
-    else:
-        d = (-side * pow(a, -1, b)) % b + b
-    return abs(lhs) * d < q
+    return abs(lhs) * _tangent_neighbor_den(a, b, 1 if lhs > 0 else -1) < q
 
 
 def best_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     """Statement (iii) at once: every reduced (a, b) with b <= max_den for
-    which best_flag(a, b, p, q) holds.
-
-    By the pruning lemma only the nearer of floor(d*p/q) and floor(d*p/q) + 1
-    can hold at each d, and it does iff its form is strictly below the
-    other's and strictly below the running minimum of the forms at smaller
-    d.  No non-reduced candidate passes, so every pair found is reduced.
-    """
-    found: set[tuple[int, int]] = set()
-    record = q + 1  # above every form: both candidate forms lie in [0, q]
-    for d in range(1, max_den + 1):
-        c0, t0 = divmod(d * p, q)  # t0 = |d*p - c0*q|
-        t1 = q - t0  # |d*p - (c0 + 1)*q|
-        c, t = (c0, t0) if t0 < t1 else (c0 + 1, t1)
-        if t < record:
-            if t0 != t1:
-                found.add((c, d))
-            record = t
-    return found
+    which best_flag(a, b, p, q) holds, i.e. every record of the scan."""
+    return {(c, d) for c, d, _ in _best_records(p, q, max_den)}
 
 
 def near_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     """Statement (iv) at once: every reduced (a, b) with b <= max_den for
-    which near_flag(a, b, p, q) holds.
-
-    The radii route of best_set's scan: tangent-horocircle radii at base
-    alpha, cleared of the common factor 2*q*q to the squares
-    (d*p - c*q)^2.  By the pruning lemma only the nearer candidate at each
-    d can hold, iff its radius is strictly below the other's and below every
-    radius at smaller d; no non-reduced candidate passes.
-    """
-    found: set[tuple[int, int]] = set()
-    least = q * q + 1  # above every radius: both candidate squares are <= q*q
-    for d in range(1, max_den + 1):
-        c0 = d * p // q
-        e = d * p - c0 * q
-        s0, s1 = e * e, (e - q) * (e - q)  # radii of c0 and c0 + 1
-        c, r = (c0, s0) if s0 < s1 else (c0 + 1, s1)
-        if r < least:
-            if s0 != s1:
-                found.add((c, d))
-            least = r
-    return found
+    which near_flag(a, b, p, q) holds, i.e. every record of the radii scan."""
+    return {(c, d) for c, d, _ in _near_records(p, q, max_den)}
 
 
 def witness_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:

@@ -35,6 +35,7 @@ from .rational import reduced_fractions_in
 from .real import (
     EQ,
     GT,
+    LT,
     ExactReal,
     RationalLike,
     RealNumber,
@@ -177,24 +178,6 @@ def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
                for c, d in _rivals(x, alpha))
 
 
-def _min_den_tangent_neighbor(x: Fraction, side: int) -> Fraction:
-    """The tangent neighbor of x = a/b on the given side (+1 right, -1 left)
-    with the smallest denominator exceeding b.
-
-    Neighbors on one side are (c0 + k*a)/(d0 + k*b) with c*b - d*a = side;
-    denominators on that side form one residue class mod b, so the minimal
-    one above b lies in (b, 2b].  For b = 1 every denominator works and the
-    minimal one above 1 is 2.
-    """
-    a, b = x.numerator, x.denominator
-    if b == 1:
-        d = 2
-    else:
-        d = (-side * pow(a, -1, b)) % b + b
-    c = (side + d * a) // b
-    return Fraction(c, d)
-
-
 def statement_v_witness(x: RationalLike, alpha: RealNumber | RationalLike) -> Fraction | None:
     """The deterministic statement-(v) witness, or None when none exists.
 
@@ -207,11 +190,11 @@ def statement_v_witness(x: RationalLike, alpha: RealNumber | RationalLike) -> Fr
     x = _as_fraction(x)
     alpha = as_real(alpha)
     cmp = compare_real(alpha, x)
-    if cmp == EQ:
-        return _min_den_tangent_neighbor(x, +1)
-    side = 1 if cmp == GT else -1
-    y = _min_den_tangent_neighbor(x, side)
-    return y if compare_real(alpha, y) == -side else None
+    side = -1 if cmp == LT else 1
+    a, b = x.numerator, x.denominator
+    d = _pure._tangent_neighbor_den(a, b, side)
+    y = Fraction((side + d * a) // b, d)  # the neighbor with c*b - d*a = side
+    return y if cmp == EQ or compare_real(alpha, y) == -side else None
 
 
 def theorem_u_check(x: RationalLike, alpha: RealNumber | RationalLike) -> TheoremUReport:
@@ -276,9 +259,8 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     candidate sets, O(den_max_x) integer work each.  A pair outside all five
     statement sets is false on all five, hence consistent, so it is counted
     without being visited; the pairs inside are visited in the order of the
-    x enumeration.  Cost: O(|alphas| * den_max_x + |xs|).  The per-pair
-    predicates in _kernel/_pure.py are the reference the tests hold this
-    against.
+    x enumeration.  Cost: O(|alphas| * den_max_x + |xs|).  The tests hold
+    the candidate sets against the unpruned references in tests/reference.py.
     """
     lo, hi = _as_fraction(window[0]), _as_fraction(window[1])
     if lo >= hi:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 from math import gcd
 
@@ -72,11 +73,58 @@ class TestNonReducedCandidates:
                 assert _pure.near_set(p, q, max_den) == near, (p, q)
 
 
+class TestCheckRationalScale:
+    """Alphas with q in [10^6, 10^7], the scale of check-rational, against the
+    unpruned references: at every convergent with b <= 300, a semiconvergent
+    and a far fraction, and the sets on every pair checked."""
+
+    @staticmethod
+    def alphas(seed: int, count: int):
+        # p/q from seeded coefficients, so the convergents come for free
+        rng = random.Random(seed)
+        while count:
+            pairs = [(1, 0), (rng.randint(-5, 5), 1)]
+            while pairs[-1][1] < 10**6:
+                k = rng.choice((1, 1, 2, 3, 5, 9, 40))
+                (h0, k0), (h1, k1) = pairs[-2:]
+                pairs.append((k * h1 + h0, k * k1 + k0))
+            if pairs[-1][1] <= 10**7:
+                count -= 1
+                yield pairs[-1], pairs[1:]
+
+    def test_flags_and_sets_match_references(self):
+        max_den = 300
+        for (p, q), convs in self.alphas(seed=7, count=24):
+            alpha = F(p, q)
+            head = [x for x in convs if x[1] <= max_den]
+            (h0, k0), (h1, k1) = head[-2:]
+            mediant = (h0 + h1, k0 + k1)  # a semiconvergent or the next convergent
+            # |k1*alpha - a| > 1/2, so the nearer candidate at d = 1 beats it
+            far = next((h1 + t, k1) for t in range(1, k1 + 2) if gcd(h1 + t, k1) == 1)
+            best = _pure.best_set(p, q, max_den)
+            near = _pure.near_set(p, q, max_den)
+            for a, b in set(head) | {mediant, far} | best | near:
+                x = F(a, b)
+                best_ok = reference.best_approx(x, alpha)
+                near_ok = reference.nearby(x, alpha)
+                assert _pure.best_flag(a, b, p, q) == best_ok, (x, alpha)
+                assert _pure.near_flag(a, b, p, q) == near_ok, (x, alpha)
+                if b <= max_den:
+                    assert ((a, b) in best) == best_ok, (x, alpha)
+                    assert ((a, b) in near) == near_ok, (x, alpha)
+
+
 class TestSizes:
     def test_pure_has_no_size_limit(self):
         big = 1 << 40
         assert isinstance(_pure.best_flag(1, 2, big + 1, 2 * big), bool)
         assert isinstance(_pure.near_flag(big - 1, big, 1, 3), bool)
+
+    def test_far_x_exits_at_once(self):
+        # the nearer candidate at d = 1 already beats x, so the flags return
+        # there; a scan that ran on to d = b would not end
+        assert _pure.best_flag(1, 10**12, 1, 10**9 + 7) is False
+        assert _pure.near_flag(1, 10**12, 1, 10**9 + 7) is False
 
     def test_backend_name(self):
         assert _kernel.backend_name() == "pure"

@@ -32,8 +32,9 @@ from fordcircles._kernel import _pure
 
 
 def per_pair_sweep(den_max_x, den_max_alpha, window):
-    """The per-pair reference for verify_sweep: every pair of the same grid,
-    (i) and (ii) from the convergents, (iii)-(v) from the per-pair kernels."""
+    """The per-pair engine verify_sweep is held against: every pair of the
+    same grid visited, (i) and (ii) from the convergents, (iii)-(v) from the
+    per-pair kernels."""
     lo, hi = window
     xs = [x for x in reduced_fractions_in(lo - 1, hi + 1, den_max_x,
                                           include_lo=False, include_hi=False)
@@ -334,7 +335,8 @@ class TestVerifySweep:
 
 
 class TestCandidateSets:
-    """The per-alpha candidate sets against the per-pair reference kernels."""
+    """The per-alpha candidate sets against the per-pair kernels: a flag's
+    early exit against its set's full scan, and (v) against its own set."""
 
     @staticmethod
     def random_alphas(seed: int, count: int):
