@@ -2,7 +2,8 @@
 second kind, with a mechanically checked five-way equivalence between them.
 
 Everything is exact: rationals are fractions, irrationals are continued
-fraction coefficient streams, decided by integer sign tests on the surd of a
+fraction coefficient streams, and every real walks its own coefficients and
+convergents.  Queries are decided by integer sign tests on the surd of a
 rational or an eventually periodic stream and on integer convergent pairs
 otherwise, and no floating-point number is ever consulted for a mathematical
 decision.
@@ -12,7 +13,6 @@ from .cf import (
     ContinuedFraction,
     Convergent,
     cf_of_rational,
-    cf_of_real,
     convergent_ordering_check,
     convergents,
     value,
@@ -70,7 +70,7 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContinuedFraction", "Convergent", "cf_of_rational", "cf_of_real",
+    "ContinuedFraction", "Convergent", "cf_of_rational",
     "convergent_ordering_check", "convergents", "value",
     "FordCircle", "GapRelation", "QuadraticRadius",
     "are_tangent", "compare_radii", "ford_circle", "ford_radius", "gap_relation",

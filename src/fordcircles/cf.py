@@ -1,20 +1,20 @@
-"""Continued fractions: expansion, normalization, convergents, exact value."""
+"""Continued fractions: the finite expansion of a rational, its normalization
+and exact value, and the convergents of any finite expansion or real."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .real import (
     EQ,
     GT,
     LT,
-    CFStream,
     ExactReal,
     RationalLike,
     RealNumber,
-    _as_fraction,
     _as_int,
     as_real,
     compare_real,
@@ -39,20 +39,18 @@ class Convergent:
 
 
 class ContinuedFraction:
-    """A coefficient sequence [b0; b1, b2, ...], finite or infinite.
+    """The finite coefficient sequence [b0; b1, ..., bn] of a rational.
 
-    Coefficients after the first must be >= 1.  Finite sequences of length
-    two or more are normalized so the final coefficient is >= 2 (a trailing 1
-    is merged into its predecessor), which makes the finite representation of
-    every rational unique.  Infinite sequences wrap a coefficient stream and
-    denote its irrational value.
+    Coefficients after the first must be >= 1.  Sequences of length two or
+    more are normalized so the final coefficient is >= 2 (a trailing 1 is
+    merged into its predecessor), which makes the expansion of every rational
+    unique.  An irrational is a ``RealNumber`` and walks its own coefficients.
     """
 
-    __slots__ = ("_coeffs", "_stream")
+    __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...] | None, stream: CFStream | None):
+    def __init__(self, coeffs: tuple[int, ...]):
         self._coeffs = coeffs
-        self._stream = stream
 
     @classmethod
     def from_coefficients(cls, coeffs: Sequence[int]) -> "ContinuedFraction":
@@ -65,91 +63,47 @@ class ContinuedFraction:
         if len(terms) >= 2 and terms[-1] == 1:
             terms.pop()
             terms[-1] += 1
-        return cls(tuple(terms), None)
-
-    @classmethod
-    def from_stream(cls, stream: CFStream) -> "ContinuedFraction":
-        return cls(None, stream)
+        return cls(tuple(terms))
 
     @property
-    def finite(self) -> bool:
-        return self._coeffs is not None
+    def length(self) -> int:
+        return len(self._coeffs)
 
-    @property
-    def length(self) -> int | None:
-        """Number of coefficients for a finite expansion, None for a stream."""
-        return len(self._coeffs) if self._coeffs is not None else None
-
-    def coefficients(self, limit: int | None = None) -> Iterator[int]:
-        source: Iterator[int] | tuple[int, ...]
-        if self._coeffs is not None:
-            source = self._coeffs
-        else:
-            assert self._stream is not None
-            source = self._stream.coefficients()
-        for i, b in enumerate(source):
-            if limit is not None and i >= limit:
-                return
-            yield b
+    def coefficients(self) -> Iterator[int]:
+        return iter(self._coeffs)
 
     def __str__(self) -> str:
-        if self._coeffs is not None:
-            head, *tail = self._coeffs
-            return f"[{head};{','.join(map(str, tail))}]" if tail else f"[{head}]"
-        shown = list(self.coefficients(limit=9))
-        head, tail = shown[0], shown[1:]
-        return f"[{head};{','.join(map(str, tail))},...]"
+        head, *tail = self._coeffs
+        return f"[{head};{','.join(map(str, tail))}]" if tail else f"[{head}]"
 
     def __repr__(self) -> str:
         return f"ContinuedFraction({str(self)})"
 
 
 def cf_of_rational(x: RationalLike) -> ContinuedFraction:
-    """Euclidean expansion of a rational; the result never ends in 1.
-
-    b0 = floor(x) and each subsequent step expands the reciprocal of the
-    remainder, so all later coefficients are >= 1 and the final one is >= 2
-    whenever there is more than one.
-    """
-    x = _as_fraction(x)
-    p, q = x.numerator, x.denominator
-    coeffs: list[int] = []
-    while True:
-        b, r = divmod(p, q)
-        coeffs.append(b)
-        if r == 0:
-            break
-        p, q = q, r
-    return ContinuedFraction.from_coefficients(coeffs)
+    """The Euclidean expansion of a rational (``ExactReal.coefficients``),
+    which never ends in 1."""
+    return ContinuedFraction(tuple(ExactReal(x).coefficients()))
 
 
-def cf_of_real(alpha: RealNumber | RationalLike) -> ContinuedFraction:
-    alpha = as_real(alpha)
-    if isinstance(alpha, ExactReal):
-        return cf_of_rational(alpha.value)
-    assert isinstance(alpha, CFStream)
-    return ContinuedFraction.from_stream(alpha)
-
-
-def convergents(cf: ContinuedFraction, count: int) -> list[Convergent]:
-    """The first `count` convergents A_n/B_n of the expansion, each reduced
-    (the recurrence and its determinant identity are in real.convergent_pairs).
+def convergents(expansion: ContinuedFraction | RealNumber, count: int) -> list[Convergent]:
+    """The first `count` convergents A_n/B_n of a finite expansion or of a
+    real, each reduced (the recurrence and its determinant identity are in
+    real.convergent_pairs).
     """
     count = _as_int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    if cf.finite and count > cf.length:
+    pairs = islice(convergent_pairs(expansion.coefficients()), count)
+    convs = [Convergent(n, num, den) for n, (num, den) in enumerate(pairs)]
+    if len(convs) < count:
         raise ValueError("expansion exhausted")
-    pairs = convergent_pairs(cf.coefficients(limit=count))
-    return [Convergent(n, num, den) for n, (num, den) in enumerate(pairs)]
+    return convs
 
 
 def value(cf: ContinuedFraction) -> Fraction:
     """Exact value of a finite expansion."""
-    if not cf.finite:
-        raise ValueError("no finite value")
-    last = convergents(cf, cf.length)[-1]
-    return last.value
+    return convergents(cf, cf.length)[-1].value
 
 
 def convergent_ordering_check(convs: Sequence[Convergent],

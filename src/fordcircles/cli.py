@@ -13,8 +13,9 @@ import json
 import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
-from .cf import ContinuedFraction, cf_of_real, convergents, value
+from .cf import ContinuedFraction, cf_of_rational, convergents, value
 from .real import CFStream, ExactReal, PeriodicCoefficients, RealNumber, golden_ratio, sqrt_real
 from .render import RenderSpec, render_chain, render_ford_field, render_statement_v
 from .verify import theorem_u_check, verify_sweep
@@ -158,11 +159,16 @@ def _emit(text: str, output: str | None) -> None:
 
 def _run(args: argparse.Namespace) -> int:
     if args.command == "cf":
-        print(cf_of_real(parse_real_spec(args.real)))
+        alpha = parse_real_spec(args.real)
+        if isinstance(alpha, ExactReal):
+            print(cf_of_rational(alpha.value))
+        else:
+            head, *tail = islice(alpha.coefficients(), 9)
+            print(f"[{head};{','.join(map(str, tail))},...]")
         return 0
 
     if args.command == "convergents":
-        for conv in convergents(cf_of_real(parse_real_spec(args.real)), args.count):
+        for conv in convergents(parse_real_spec(args.real), args.count):
             print(conv)
         return 0
 

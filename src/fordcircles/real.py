@@ -2,14 +2,15 @@
 
 A real number is either an exact rational (``ExactReal``) or an irrational
 value given by its infinite continued fraction coefficient stream
-(``CFStream``).  Every query is decided in integers.  A rational p/q is the
-surd (p, 0, 0, q), and an eventually periodic stream is a quadratic
-irrational (Lagrange) with surd (P + S*sqrt(D))/Q, S = +-1, so a comparison
-against a rational, the sign of a rational quadratic or a floor is one
-integer sign test.  Any other stream walks its integer convergent pairs,
-which strictly straddle the value, until they decide; that terminates unless
-the quadratic vanishes at the stream value.  No floating-point value enters
-or leaves this module.
+(``CFStream``), and walks its own ``coefficients()`` (the Euclidean expansion
+of a rational) and ``convergent_pairs()``.  Every query is decided in
+integers.  A rational p/q is the surd (p, 0, 0, q), and an eventually
+periodic stream is a quadratic irrational (Lagrange) with surd
+(P + S*sqrt(D))/Q, S = +-1, so a comparison against a rational, the sign of
+a rational quadratic or a floor is one integer sign test.  Any other stream
+walks its integer convergent pairs, which strictly straddle the value, until
+they decide; that terminates unless the quadratic vanishes at the stream
+value.  No floating-point value enters or leaves this module.
 """
 
 from __future__ import annotations
@@ -47,6 +48,15 @@ class RealNumber:
     def describe(self) -> str:
         raise NotImplementedError
 
+    def coefficients(self) -> Iterator[int]:
+        """The continued fraction coefficients b0, b1, ... of the value."""
+        raise NotImplementedError
+
+    def convergent_pairs(self) -> Iterator[tuple[int, int]]:
+        """(A_n, B_n) of each convergent; a stream's walk never ends, so the
+        consumer stops it."""
+        return convergent_pairs(self.coefficients())
+
 
 class ExactReal(RealNumber):
     """A real number known exactly as a reduced rational."""
@@ -59,6 +69,14 @@ class ExactReal(RealNumber):
     def surd(self) -> Surd:
         """(p, 0, 0, q) for the value p/q: the point with S = 0 exactly."""
         return (self.value.numerator, 0, 0, self.value.denominator)
+
+    def coefficients(self) -> Iterator[int]:
+        """The Euclidean expansion; it never ends in 1 after b0."""
+        p, q = self.value.numerator, self.value.denominator
+        while q:
+            b, r = divmod(p, q)
+            yield b
+            p, q = q, r
 
     def describe(self) -> str:
         v = self.value
@@ -119,14 +137,11 @@ class CFStream(RealNumber):
     def coefficients(self) -> Iterator[int]:
         yield self.b0
         for i, p in enumerate(iter(self.partials), start=1):
-            p = int(p)
+            if type(p) is not int:
+                p = _as_int(p)
             if p < 1:
                 raise ValueError(f"continued fraction coefficient {p} at index {i} is < 1")
             yield p
-
-    def convergent_pairs(self) -> Iterator[tuple[int, int]]:
-        """(A_n, B_n) of each convergent, unbounded: the consumer stops it."""
-        return convergent_pairs(self.coefficients())
 
     def surd(self) -> Surd | None:
         """(P, S, D, Q) with value (P + S*sqrt(D))/Q, S = +-1, Q > 0 and D

@@ -29,7 +29,7 @@ from math import gcd
 from typing import Iterator
 
 from ._kernel import _pure
-from .cf import Convergent, cf_of_rational, cf_of_real, convergents
+from .cf import Convergent, cf_of_rational, convergents
 from .geometry import FordCircle, compare_radii, ford_circle, tangent_horocircle_radius
 from .rational import reduced_fractions_in
 from .real import (
@@ -44,7 +44,6 @@ from .real import (
     as_real,
     compare_linear_forms,
     compare_real,
-    convergent_pairs,
     floor_scaled,
 )
 
@@ -81,7 +80,7 @@ class TheoremUReport:
 
 def _chain_iter(alpha: RealNumber | RationalLike) -> Iterator[FordCircle]:
     # unbounded for a stream: the consumer stops the walk (a count or a radius)
-    for num, den in convergent_pairs(cf_of_real(alpha).coefficients()):
+    for num, den in as_real(alpha).convergent_pairs():
         yield FordCircle(Fraction(num, den))
 
 
@@ -102,7 +101,7 @@ def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[FordCircle]:
 
 def _is_convergent(x: Fraction, alpha: RealNumber) -> bool:
     a, b = x.numerator, x.denominator
-    for num, den in convergent_pairs(cf_of_real(alpha).coefficients()):
+    for num, den in alpha.convergent_pairs():
         # denominators never decrease, so once past b stop
         if den > b:
             return False
@@ -281,7 +280,7 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     inconsistencies: list[dict] = []
     for alpha in alphas:
         p, q = alpha.numerator, alpha.denominator
-        conv_set = set(convergent_pairs(cf_of_rational(alpha).coefficients()))
+        conv_set = set(ExactReal(alpha).convergent_pairs())
         chain_set = {(c.base.numerator, c.base.denominator) for c in _chain_iter(alpha)}
         best_set = _pure.best_set(p, q, den_max_x)
         near_set = _pure.near_set(p, q, den_max_x)

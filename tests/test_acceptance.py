@@ -21,7 +21,6 @@ from fordcircles import (
     GapRelation,
     RenderSpec,
     cf_of_rational,
-    cf_of_real,
     convergent_ordering_check,
     convergents,
     floor_scaled,
@@ -102,7 +101,7 @@ def test_criterion_2_irrational_equivalence(capsys):
     failures = []
     checked_true = checked_false = 0
     for alpha in stream_alphas():
-        convs = convergents(cf_of_real(alpha), 10)
+        convs = convergents(alpha, 10)
         for conv in convs:
             if conv.den == 1:
                 continue
@@ -135,7 +134,7 @@ def test_criterion_3_dual_route_agreement(capsys):
 
     stream_count = 0
     for alpha in stream_alphas():
-        points = [c.value for c in convergents(cf_of_real(alpha), 10)
+        points = [c.value for c in convergents(alpha, 10)
                   if c.den > 1]
         points += nonconvergents_near(alpha)
         for x in points:
@@ -221,7 +220,7 @@ def test_criterion_6_convergent_identities(capsys):
             if not convergent_ordering_check(convs, x):
                 bad.append(("interleaving", x))
     for alpha in stream_alphas():
-        convs = convergents(cf_of_real(alpha), 30)
+        convs = convergents(alpha, 30)
         if any(abs(c2.num * c1.den - c1.num * c2.den) != 1
                for c1, c2 in zip(convs, convs[1:])):
             bad.append(("determinant", alpha.describe()))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import repeat
 
 import pytest
 
@@ -16,6 +17,7 @@ from fordcircles import (
     cf_chain,
     cf_of_rational,
     compare_radii,
+    compare_real,
     convergents,
     fmt6,
     ford_circle,
@@ -50,9 +52,12 @@ def test_every_exported_name_resolves_once():
 
 def test_removed_names_are_gone():
     for name in ("ChainEntry", "Horocircle", "tangent_horocircle",
-                 "make_rational", "Rational", "is_integer"):
+                 "make_rational", "Rational", "is_integer", "cf_of_real"):
         assert name not in fordcircles.__all__
         assert not hasattr(fordcircles, name)
+    # a ContinuedFraction is finite; a real walks its own coefficients
+    for attr in ("from_stream", "finite"):
+        assert not hasattr(ContinuedFraction, attr)
 
 
 @pytest.mark.parametrize("call", [
@@ -83,6 +88,7 @@ def test_removed_names_are_gone():
     lambda: CFStream(1.5, PeriodicCoefficients([1])),
     lambda: convergents(cf_of_rational(F(3, 5)), 2.5),
     lambda: cf_chain(golden_ratio(), 2.5),
+    lambda: compare_real(CFStream(1, repeat(1.5)), F(8, 5)),
 ], ids=["is_best_approx_2nd", "is_nearby", "statement_v_witness",
         "theorem_u_check", "penultimate_pair", "verify_sweep", "cf_of_rational",
         "compare_radii", "compare_radii-stream", "tangent_horocircle_radius",
@@ -90,7 +96,7 @@ def test_removed_names_are_gone():
         "lemma_x_check", "lemma_q_check", "reduced_fractions_in",
         "render-window", "render-width", "render_statement_v", "fmt6",
         "PeriodicCoefficients", "sqrt_real", "from_coefficients", "CFStream",
-        "convergents", "cf_chain"])
+        "convergents", "cf_chain", "stream-partial"])
 def test_float_arguments_rejected(call):
     # a float would be expanded to its binary value and decide exactly on it,
     # or truncated where an integer is expected

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,6 @@ from fordcircles import (
     PeriodicCoefficients,
     cf_chain,
     cf_of_rational,
-    cf_of_real,
     convergent_ordering_check,
     convergents,
     golden_ratio,
@@ -24,8 +24,13 @@ from fordcircles import (
 )
 
 
-def coeffs(cf: ContinuedFraction, limit: int | None = None) -> list[int]:
-    return list(cf.coefficients(limit=limit))
+def coeffs(cf: ContinuedFraction) -> list[int]:
+    return list(cf.coefficients())
+
+
+def both_kinds(x: F) -> tuple[ContinuedFraction, ExactReal]:
+    """The finite expansion of x and x itself: convergents() takes either."""
+    return cf_of_rational(x), ExactReal(x)
 
 
 class TestExpansion:
@@ -67,33 +72,33 @@ class TestExpansion:
         with pytest.raises(ValueError):
             ContinuedFraction.from_coefficients([])
 
-    def test_cf_of_real_passthrough(self):
-        assert coeffs(cf_of_real(ExactReal(F(3, 5)))) == [0, 1, 1, 2]
-        finite = cf_of_real(F(3, 5))
-        assert finite.finite and finite.length == 4
-        infinite = cf_of_real(golden_ratio())
-        assert not infinite.finite and infinite.length is None
-        assert coeffs(infinite, limit=5) == [1, 1, 1, 1, 1]
-        assert coeffs(cf_of_real(sqrt_real(2)), limit=4) == [1, 2, 2, 2]
+    def test_reals_walk_their_coefficients(self):
+        assert list(ExactReal(F(3, 5)).coefficients()) == [0, 1, 1, 2]
+        assert cf_of_rational(F(3, 5)).length == 4
+        assert list(islice(golden_ratio().coefficients(), 5)) == [1, 1, 1, 1, 1]
+        assert list(islice(sqrt_real(2).coefficients(), 4)) == [1, 2, 2, 2]
 
 
 class TestConvergents:
     def test_three_fifths(self):
-        convs = convergents(cf_of_rational(F(3, 5)), 4)
-        assert [(c.num, c.den) for c in convs] == [(0, 1), (1, 1), (1, 2), (3, 5)]
-        assert [c.index for c in convs] == [0, 1, 2, 3]
+        for expansion in both_kinds(F(3, 5)):
+            convs = convergents(expansion, 4)
+            assert [(c.num, c.den) for c in convs] == [(0, 1), (1, 1), (1, 2), (3, 5)]
+            assert [c.index for c in convs] == [0, 1, 2, 3]
 
     def test_golden(self):
-        convs = convergents(cf_of_real(golden_ratio()), 5)
+        convs = convergents(golden_ratio(), 5)
         assert [str(c) for c in convs] == ["1/1", "2/1", "3/2", "5/3", "8/5"]
 
     def test_integer(self):
-        convs = convergents(cf_of_rational(F(7)), 1)
-        assert [(c.num, c.den) for c in convs] == [(7, 1)]
+        for expansion in both_kinds(F(7)):
+            convs = convergents(expansion, 1)
+            assert [(c.num, c.den) for c in convs] == [(7, 1)]
 
     def test_exhaustion(self):
-        with pytest.raises(ValueError, match="expansion exhausted"):
-            convergents(cf_of_rational(F(3, 5)), 5)
+        for expansion in both_kinds(F(3, 5)):
+            with pytest.raises(ValueError, match="expansion exhausted"):
+                convergents(expansion, 5)
 
     def test_bad_count(self):
         with pytest.raises(ValueError):
@@ -119,7 +124,7 @@ class TestConvergents:
            st.integers(1, 30))
     def test_stream_determinant_and_growth(self, b0, period, initial, n):
         stream = CFStream(b0, PeriodicCoefficients(period, initial))
-        convs = convergents(cf_of_real(stream), n)
+        convs = convergents(stream, n)
         for k in range(1, n):
             prev, cur = convs[k - 1], convs[k]
             assert cur.num * prev.den - prev.num * cur.den == (-1) ** (k + 1)
@@ -131,7 +136,7 @@ class TestConvergents:
         assert [c.base for c in cf_chain(stream, n)] == [c.value for c in convs]
 
     def test_sqrt3_convergents(self):
-        convs = convergents(cf_of_real(sqrt_real(3)), 10)
+        convs = convergents(sqrt_real(3), 10)
         assert [str(c) for c in convs] == [
             "1/1", "2/1", "5/3", "7/4", "19/11", "26/15",
             "71/41", "97/56", "265/153", "362/209",
@@ -148,10 +153,6 @@ class TestValue:
     def test_examples(self, terms, expected):
         assert value(ContinuedFraction.from_coefficients(terms)) == expected
 
-    def test_infinite_has_no_value(self):
-        with pytest.raises(ValueError, match="no finite value"):
-            value(cf_of_real(golden_ratio()))
-
     @given(st.fractions(max_denominator=500))
     def test_round_trip(self, x):
         assert value(cf_of_rational(x)) == x
@@ -163,7 +164,7 @@ class TestOrderingCheck:
         assert convergent_ordering_check(convs, F(3, 5))
 
     def test_golden(self):
-        convs = convergents(cf_of_real(golden_ratio()), 5)
+        convs = convergents(golden_ratio(), 5)
         assert convergent_ordering_check(convs, golden_ratio())
 
     def test_swapped_list_fails(self):

@@ -127,6 +127,13 @@ class TestFrozenStdout:
         (["convergents", "sqrt:2", "-n", "5"], "1/1\n3/2\n7/5\n17/12\n41/29\n"),
         (["check", "6765/4181", "golden"],
          check_text("6765/4181", "golden", False, [True] * 5, "10946/6765")),
+        (["cf", "sqrt:7"], "[2;1,1,1,4,1,1,1,4,...]\n"),
+        (["cf", "cf:1;2,(1,3)"], "[1;2,1,3,1,3,1,3,1,...]\n"),
+        (["cf", "cf:-3;(1)"], "[-3;1,1,1,1,1,1,1,1,...]\n"),
+        (["cf", "golden"], "[1;1,1,1,1,1,1,1,1,...]\n"),
+        (["cf", "355/113"], "[3;7,16]\n"),
+        (["cf", "7"], "[7]\n"),
+        (["convergents", "cf:1;2,(1,3)", "-n", "6"], "1/1\n3/2\n4/3\n15/11\n19/14\n72/53\n"),
     ])
     def test_stdout(self, capsys, argv, want):
         assert run(capsys, *argv) == (0, want, "")
