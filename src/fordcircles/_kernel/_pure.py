@@ -128,11 +128,18 @@ def witness_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     A witness y at x = a/b has den(y) = d > b and |alpha - x| < 1/(b*d),
     so |b*alpha - a| < 1/d < 1: only a = floor(b*p/q) and a = floor(b*p/q) + 1
     can qualify, and witness_flag decides those two.
+
+    Prefilter lemma: witness_flag holds iff |lhs| * d < q with
+    lhs = b*p - a*q, and d > b, so |lhs| * b < q is necessary.  With
+    c0, r = divmod(b*p, q) the two candidates have |lhs| = r (a = c0) and
+    q - r (a = c0 + 1); a candidate failing |lhs| * b < q is dropped before
+    its gcd and its witness_flag call.
     """
     found: set[tuple[int, int]] = set()
     for b in range(1, max_den + 1):
-        c0 = b * p // q
-        for a in (c0, c0 + 1):
-            if gcd(a, b) == 1 and witness_flag(a, b, p, q):
-                found.add((a, b))
+        c0, r = divmod(b * p, q)
+        if r * b < q and gcd(c0, b) == 1 and witness_flag(c0, b, p, q):
+            found.add((c0, b))
+        if (q - r) * b < q and gcd(c0 + 1, b) == 1 and witness_flag(c0 + 1, b, p, q):
+            found.add((c0 + 1, b))
     return found

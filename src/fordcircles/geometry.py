@@ -4,10 +4,12 @@ All geometry here is exact.  A Ford circle is fixed by its base point a/b:
 its radius 1/(2*b^2) is derived by ``ford_radius``, the one place that
 formula lives, and never stored.  Radii of horocircles based at a rational
 point are ``Fraction`` values; radii of horocircles based at a coefficient
-stream are ``QuadraticRadius`` objects, quadratics in the stream value that
-are compared through the exact sign of a quadratic at the stream value (an
-integer test on a periodic stream's surd, otherwise on integer convergent
-pairs) rather than ever being evaluated numerically.
+stream are ``QuadraticRadius`` objects, quadratics in the stream value with
+integer coefficients over one positive integer denominator.  Two of them
+are compared by cross-multiplying the denominators and taking the exact
+sign of the resulting integer quadratic at the stream value (one test on a
+periodic stream's surd, otherwise on integer convergent pairs), so no
+``Fraction`` is built and nothing is ever evaluated numerically.
 """
 
 from __future__ import annotations
@@ -55,30 +57,44 @@ def ford_circle(x: RationalLike) -> FordCircle:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticRadius:
-    """Lazily compared value q2*t^2 + q1*t + q0 at the stream value t.
+    """Lazily compared value (c2*t^2 + c1*t + c0)/den at the stream value t.
 
-    Instances are only comparable with rationals or with other radii built on
-    the same stream object; the comparison reduces to the exact sign of a
-    rational quadratic at the stream value.  They are unhashable: equal
-    values can have different coefficients (at the golden ratio t^2 equals
-    t + 1), so no hash can agree with ``==``.
+    The coefficients and the denominator are integers, den >= 1 (a negative
+    den would flip every comparison).  Instances are only comparable with
+    rationals or with other radii built on the same stream object; the
+    comparison cross-multiplies the two positive denominators and reduces to
+    the exact sign of an integer quadratic at the stream value.  They are
+    unhashable: equal values can have different coefficients (at the golden
+    ratio t^2 equals t + 1), so no hash can agree with ``==``.
     """
 
     alpha: RealNumber
-    q2: Fraction
-    q1: Fraction
-    q0: Fraction
+    c2: int
+    c1: int
+    c0: int
+    den: int = 1
 
-    def _coeffs_against(self, other: "QuadraticRadius | RationalLike") -> tuple[Fraction, Fraction, Fraction]:
+    def __post_init__(self) -> None:
+        if not type(self.c2) is type(self.c1) is type(self.c0) is type(self.den) is int:
+            _reject_floats(self.c2, self.c1, self.c0, self.den)
+            raise TypeError("radius coefficients and denominator must be integers")
+        if self.den < 1:
+            raise ValueError("radius denominator must be >= 1")
+
+    def _coeffs_against(self, other: "QuadraticRadius | RationalLike") -> tuple[int, int, int]:
         if isinstance(other, QuadraticRadius):
             if other.alpha is not self.alpha:
                 raise ValueError("radii built on different stream objects are not comparable")
-            return (self.q2 - other.q2, self.q1 - other.q1, self.q0 - other.q0)
-        return (self.q2, self.q1, self.q0 - _as_fraction(other))
+            m, n = self.den, other.den
+            return (self.c2 * n - other.c2 * m, self.c1 * n - other.c1 * m,
+                    self.c0 * n - other.c0 * m)
+        _reject_floats(other)
+        k, n = other.numerator, other.denominator
+        return (self.c2 * n, self.c1 * n, self.c0 * n - k * self.den)
 
     def compare(self, other: "QuadraticRadius | RationalLike") -> int:
-        q2, q1, q0 = self._coeffs_against(other)
-        return sign_of_quadratic(q2, q1, q0, self.alpha)
+        c2, c1, c0 = self._coeffs_against(other)
+        return sign_of_quadratic(c2, c1, c0, self.alpha)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (QuadraticRadius, int, Fraction)):
@@ -144,7 +160,7 @@ def tangent_horocircle_radius(alpha: RealNumber | RationalLike, x: RationalLike)
     if isinstance(alpha, ExactReal):
         t = alpha.value
         return (b * t - a) ** 2 / 2
-    return QuadraticRadius(alpha, Fraction(b * b, 2), Fraction(-a * b), Fraction(a * a, 2))
+    return QuadraticRadius(alpha, b * b, -2 * a * b, a * a, 2)
 
 
 def generic_tangent_radius(base: RealNumber | RationalLike, radius: Fraction,
@@ -167,9 +183,10 @@ def generic_tangent_radius(base: RealNumber | RationalLike, radius: Fraction,
         stream, point = base, z.value
     else:
         raise ValueError("at most one of base and z may be a coefficient stream")
-    # (t - point)^2 / (4r), a quadratic in the stream value t
-    s = 4 * radius
-    return QuadraticRadius(stream, Fraction(1, 1) / s, -2 * point / s, point * point / s)
+    # (t - u/v)^2 / (4*n/m) = m*(v*t - u)^2 / (4*n*v^2) for point u/v, radius n/m
+    u, v = point.numerator, point.denominator
+    n, m = radius.numerator, radius.denominator
+    return QuadraticRadius(stream, m * v * v, -2 * m * u * v, m * u * u, 4 * n * v * v)
 
 
 def lemma_x_check(x: RationalLike, y: RationalLike, z: RationalLike) -> bool:

@@ -260,22 +260,26 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
                       alpha: RealNumber | RationalLike) -> int:
     """Exact sign of q2*t^2 + q1*t + q0 at t = alpha, in integers.
 
-    The coefficients are scaled to integers c2, c1, c0.  At a surd
-    t = (p + s*sqrt(d))/q, q^2 times the value is r + w*sqrt(d) with integers
-    r and w; as s = d = 0 or d is not a square, r^2 == w^2*d only when both
-    are 0, and otherwise the larger term sets the sign.  On a stream without
+    Integer coefficients are used as they are; any other rationals are
+    scaled to integers c2, c1, c0 by the lcm of their denominators.  At a
+    surd t = (p + s*sqrt(d))/q, q^2 times the value is r + w*sqrt(d) with
+    integers r and w; as s = d = 0 or d is not a square, r^2 == w^2*d only
+    when both are 0, and otherwise the larger term sets the sign.  On a stream without
     a surd, f(a, b) = c2*a^2 + c1*a*b + c0*b^2 decides at a convergent pair
     once it has one strict sign at both ends and the derivative 2*c2*a + c1*b
     does not change sign strictly inside, so f is monotone on the bracket.
     That terminates unless the quadratic vanishes at alpha, which raises
     RefinementExhausted after DEFAULT_MAX_PULLS coefficient pulls.
     """
-    _reject_floats(q2, q1, q0)
+    if type(q2) is int and type(q1) is int and type(q0) is int:
+        c2, c1, c0 = q2, q1, q0
+    else:
+        _reject_floats(q2, q1, q0)
+        m = lcm(q2.denominator, q1.denominator, q0.denominator)
+        c2 = q2.numerator * (m // q2.denominator)
+        c1 = q1.numerator * (m // q1.denominator)
+        c0 = q0.numerator * (m // q0.denominator)
     alpha = as_real(alpha)
-    m = lcm(q2.denominator, q1.denominator, q0.denominator)
-    c2 = q2.numerator * (m // q2.denominator)
-    c1 = q1.numerator * (m // q1.denominator)
-    c0 = q0.numerator * (m // q0.denominator)
     if c2 == c1 == c0 == 0:
         return EQ
     surd = alpha.surd()
@@ -298,7 +302,7 @@ def compare_linear_forms(d: int, c: int, b: int, a: int,
 
     Returns GT when the first form is strictly larger, LT when strictly
     smaller, EQ when equal.  Works through the sign of the difference of
-    squares, a rational quadratic in alpha.  For a stream the quadratic is
+    squares, an integer quadratic in alpha.  For a stream the quadratic is
     identically zero only when (d, c) == (b, a), and never merely vanishes at
     the (irrational) stream value, so the refinement always terminates.
     """

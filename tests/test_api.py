@@ -12,6 +12,7 @@ from fordcircles import (
     CFStream,
     ContinuedFraction,
     PeriodicCoefficients,
+    QuadraticRadius,
     RenderSpec,
     are_tangent,
     cf_chain,
@@ -89,6 +90,7 @@ def test_removed_names_are_gone():
     lambda: convergents(cf_of_rational(F(3, 5)), 2.5),
     lambda: cf_chain(golden_ratio(), 2.5),
     lambda: compare_real(CFStream(1, repeat(1.5)), F(8, 5)),
+    lambda: QuadraticRadius(golden_ratio(), 0.5, 0, 0),
 ], ids=["is_best_approx_2nd", "is_nearby", "statement_v_witness",
         "theorem_u_check", "penultimate_pair", "verify_sweep", "cf_of_rational",
         "compare_radii", "compare_radii-stream", "tangent_horocircle_radius",
@@ -96,7 +98,7 @@ def test_removed_names_are_gone():
         "lemma_x_check", "lemma_q_check", "reduced_fractions_in",
         "render-window", "render-width", "render_statement_v", "fmt6",
         "PeriodicCoefficients", "sqrt_real", "from_coefficients", "CFStream",
-        "convergents", "cf_chain", "stream-partial"])
+        "convergents", "cf_chain", "stream-partial", "QuadraticRadius"])
 def test_float_arguments_rejected(call):
     # a float would be expanded to its binary value and decide exactly on it,
     # or truncated where an integer is expected

@@ -7,7 +7,7 @@ from itertools import islice
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fordcircles import (
     EQ,
@@ -351,10 +351,36 @@ def surd_above(surd, x: F) -> bool:
     return rhs < 0 and t * t * d < rhs * rhs
 
 
+def proportional(u, v) -> bool:
+    """Whether the coefficient triples u and v are proportional."""
+    return all(u[i] * v[j] == u[j] * v[i] for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
 COEFF = st.one_of(st.integers(1, 60), st.integers(1, 10**9))
 PERIODIC = st.tuples(st.integers(-50, 50),
                      st.lists(COEFF, min_size=1, max_size=4),
                      st.lists(COEFF, max_size=4))
+
+
+@st.composite
+def streams(draw):
+    """(stream, h): golden, sqrt:n, a periodic cf: stream, or the bracket twin
+    (no surd) of one of them, with the integer minimal polynomial h of its
+    value; h and its multiples vanish there, so a twin never decides them."""
+    kind = draw(st.sampled_from(("golden", "sqrt", "cf")))
+    if kind == "golden":
+        stream, h = golden_ratio(), minimal_polynomial(1, (1,), ())
+    elif kind == "sqrt":
+        n = draw(st.integers(2, 200).filter(lambda n: isqrt(n) ** 2 != n))
+        stream, h = sqrt_real(n), (1, 0, -n)
+    else:
+        b0, period, initial = draw(st.sampled_from(
+            [(0, (2, 5, 1), ()), (1, (1, 3), (2,)), (-3, (1,), ())]))
+        stream = CFStream(b0, PeriodicCoefficients(period, initial))
+        h = minimal_polynomial(b0, period, initial)
+    if draw(st.booleans()):
+        stream = bracket_twin(stream)
+    return stream, h
 
 
 class TestSurd:
@@ -412,9 +438,7 @@ class TestSurd:
         coeffs = tuple(data.draw(st.fractions(max_denominator=100))
                        * data.draw(st.sampled_from([1, 10**6])) for _ in range(3))
         h = minimal_polynomial(b0, period, initial)
-        proportional = all(coeffs[i] * h[j] == coeffs[j] * h[i]
-                           for i, j in ((0, 1), (0, 2), (1, 2)))
-        if any(coeffs) and not proportional:
+        if any(coeffs) and not proportional(coeffs, h):
             assert sign_of_quadratic(*coeffs, stream) == sign_of_quadratic(*coeffs, twin)
         d, b = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 300))
         c = floor_scaled(twin, d) + data.draw(st.integers(-1, 2))
@@ -428,3 +452,14 @@ class TestSurd:
         stream = CFStream(b0, PeriodicCoefficients(period, initial))
         h2, h1, h0 = minimal_polynomial(b0, period, initial)
         assert sign_of_quadratic(scale * h2, scale * h1, scale * h0, stream) == EQ
+
+    @settings(deadline=None)
+    @given(streams(), st.tuples(*[st.integers(-10**6, 10**6)] * 3), st.integers(1, 10**6))
+    def test_integer_path_matches_lcm_path(self, spec, coeffs, k):
+        # int coefficients are used as they are; the same quadratic over k
+        # as Fractions is cleared by the lcm, and the sign must not move
+        stream, h = spec
+        assume(stream.surd() is not None or not proportional(coeffs, h))
+        c2, c1, c0 = coeffs
+        assert sign_of_quadratic(c2, c1, c0, stream) == \
+            sign_of_quadratic(F(c2, k), F(c1, k), F(c0, k), stream)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fordcircles import (
     EQ,
@@ -23,9 +24,13 @@ from fordcircles import (
     lemma_q_check,
     lemma_x_check,
     reduced_fractions_in,
+    sign_of_quadratic,
     sqrt_real,
     tangent_horocircle_radius,
 )
+from test_exact_core import streams
+
+POINTS = st.fractions(min_value=-5, max_value=12, max_denominator=60)
 
 
 class TestFordCircle:
@@ -157,12 +162,23 @@ class TestGenericTangentRadius:
 
     def test_stream_radius_unhashable(self):
         # equal values with different coefficients: no hash agrees with ==
-        r = QuadraticRadius(sqrt_real(2), F(1), F(0), F(0))
+        r = QuadraticRadius(sqrt_real(2), 1, 0, 0)
         assert r == 2
         phi = golden_ratio()
-        assert QuadraticRadius(phi, F(1), F(0), F(0)) == QuadraticRadius(phi, F(0), F(1), F(1))
+        assert QuadraticRadius(phi, 1, 0, 0) == QuadraticRadius(phi, 0, 1, 1)
         with pytest.raises(TypeError):
             hash(r)
+
+    def test_stream_radius_input_checked(self):
+        # a nonpositive denominator would flip or void every comparison
+        for den in (0, -2):
+            with pytest.raises(ValueError, match="denominator"):
+                QuadraticRadius(golden_ratio(), 1, 0, 0, den)
+        # a Fraction coefficient is rejected, not silently compared
+        with pytest.raises(TypeError, match="integers"):
+            QuadraticRadius(golden_ratio(), F(1, 2), 0, 0)
+        with pytest.raises(TypeError, match="integers"):
+            QuadraticRadius(golden_ratio(), 1, 0, 0, F(2))
 
     def test_two_streams_rejected(self):
         with pytest.raises(ValueError, match="at most one"):
@@ -171,6 +187,32 @@ class TestGenericTangentRadius:
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError, match="> 0"):
             generic_tangent_radius(F(0), F(0), F(1))
+
+
+class TestIntegerRadii:
+    """Stream radii held in integers against the rational route: the same
+    quadratics with Fraction coefficients, cleared by sign_of_quadratic's lcm."""
+
+    @settings(deadline=None)
+    @given(streams(), POINTS, POINTS)
+    def test_comparison_matches_fraction_quadratic(self, spec, x, y):
+        alpha, _ = spec
+        a, b, c, d = x.numerator, x.denominator, y.numerator, y.denominator
+        # (b*t - a)^2/2 - (d*t - c)^2/2 never vanishes at an irrational t
+        # unless x == y, where every coefficient is 0
+        expected = sign_of_quadratic(F(b * b - d * d, 2), F(c * d - a * b),
+                                     F(a * a - c * c, 2), alpha)
+        assert compare_radii(tangent_horocircle_radius(alpha, x),
+                             tangent_horocircle_radius(alpha, y)) == expected
+
+    @settings(deadline=None)
+    @given(streams(), POINTS.filter(lambda x: x.denominator > 1))
+    def test_generic_radius_matches_tangent_radius(self, spec, x):
+        # denominators 4*n*v*v (here 4*v*v) and 2 are cross-multiplied
+        alpha, _ = spec
+        generic = generic_tangent_radius(x, ford_circle(x).radius, alpha)
+        assert generic.den == 4 * x.denominator ** 2
+        assert compare_radii(generic, tangent_horocircle_radius(alpha, x)) == EQ
 
 
 class TestLemmaX:

@@ -51,10 +51,11 @@ class TestNonReducedCandidates:
             for p in range(-3 * q, 4 * q):
                 if gcd(p, q) != 1:
                     continue
-                best, near = set(), set()
+                best, near, witness = set(), set(), set()
                 # a pair with |b*alpha - a| > 1/2 holds neither statement
-                # (the nearer candidate at d = 1 beats it); the set
-                # comparisons below confirm it for every b <= max_den
+                # (the nearer candidate at d = 1 beats it), and one with
+                # |b*alpha - a| >= 1 has no witness; the set comparisons
+                # below confirm it for every b <= max_den
                 for b in range(1, max_den + 1):
                     m = b * p // q
                     for a in range(m - 2, m + 4):
@@ -69,14 +70,18 @@ class TestNonReducedCandidates:
                             best.add((a, b))
                         if near_ok:
                             near.add((a, b))
+                        if _pure.witness_flag(a, b, p, q):
+                            witness.add((a, b))
                 assert _pure.best_set(p, q, max_den) == best, (p, q)
                 assert _pure.near_set(p, q, max_den) == near, (p, q)
+                assert _pure.witness_set(p, q, max_den) == witness, (p, q)
 
 
 class TestCheckRationalScale:
     """Alphas with q in [10^6, 10^7], the scale of check-rational, against the
     unpruned references: at every convergent with b <= 300, a semiconvergent
-    and a far fraction, and the sets on every pair checked."""
+    and a far fraction, and the sets on every pair checked.  witness_set is
+    held against witness_flag on every reduced a/b within 2 of b*alpha."""
 
     @staticmethod
     def alphas(seed: int, count: int):
@@ -112,6 +117,10 @@ class TestCheckRationalScale:
                 if b <= max_den:
                     assert ((a, b) in best) == best_ok, (x, alpha)
                     assert ((a, b) in near) == near_ok, (x, alpha)
+            witness = {(a, b) for b in range(1, max_den + 1)
+                       for a in range(b * p // q - 1, b * p // q + 3)
+                       if gcd(a, b) == 1 and _pure.witness_flag(a, b, p, q)}
+            assert _pure.witness_set(p, q, max_den) == witness, alpha
 
 
 class TestSizes:
