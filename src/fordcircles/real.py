@@ -4,13 +4,14 @@ A real number is either an exact rational (``ExactReal``) or an irrational
 value given by its infinite continued fraction coefficient stream
 (``CFStream``), and walks its own ``coefficients()`` (the Euclidean expansion
 of a rational) and ``convergent_pairs()``.  Every query is decided in
-integers.  A rational p/q is the surd (p, 0, 0, q), and an eventually
-periodic stream is a quadratic irrational (Lagrange) with surd
-(P + S*sqrt(D))/Q, S = +-1, so a comparison against a rational, the sign of
-a rational quadratic or a floor is one integer sign test.  Any other stream
-walks its integer convergent pairs, which strictly straddle the value, until
-they decide; that terminates unless the quadratic vanishes at the stream
-value.  No floating-point value enters or leaves this module.
+integers, by the engine the constructor fixes.  A rational p/q is the surd
+(p, 0, 0, q), and a stream on periodic or square-root partials is a
+quadratic irrational (Lagrange) with surd (P + S*sqrt(D))/Q, S = +-1, so a
+comparison against a rational, the sign of a rational quadratic or a floor
+is one integer sign test.  Any other stream walks its integer convergent
+pairs, which strictly straddle the value, until they decide; that
+terminates unless the quadratic vanishes at the stream value.  No
+floating-point value enters or leaves this module.
 """
 
 from __future__ import annotations
@@ -41,9 +42,14 @@ class RefinementExhausted(RuntimeError):
 
 
 class RealNumber:
-    """Base class for exact real values."""
+    """Base class for exact real values; the constructor sets ``_surd``."""
 
-    __slots__ = ()
+    __slots__ = ("_surd",)
+
+    def surd(self) -> Surd | None:
+        """(P, S, D, Q) with value (P + S*sqrt(D))/Q, Q > 0, and either S = D = 0
+        or S = +-1 with D not a square; None when queries walk ``brackets``."""
+        return self._surd
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -65,10 +71,7 @@ class ExactReal(RealNumber):
 
     def __init__(self, value: RationalLike):
         self.value = _as_fraction(value)
-
-    def surd(self) -> Surd:
-        """(p, 0, 0, q) for the value p/q: the point with S = 0 exactly."""
-        return (self.value.numerator, 0, 0, self.value.denominator)
+        self._surd = (self.value.numerator, 0, 0, self.value.denominator)
 
     def coefficients(self) -> Iterator[int]:
         """The Euclidean expansion; it never ends in 1 after b0."""
@@ -114,49 +117,35 @@ class PeriodicCoefficients:
 class CFStream(RealNumber):
     """An irrational real given by its continued fraction coefficients.
 
-    ``partials`` must be restartable (``iter()`` always begins anew) and yield
-    integers >= 1; the represented value is b0 + 1/(p1 + 1/(p2 + ...)).  The
-    stream never ends, hence the value is irrational by construction.  Finite
-    expansions denote rationals and must be built as ``ExactReal`` instead.
+    ``partials`` must be restartable (``iter()`` always begins anew; an
+    iterator or generator raises TypeError) and yield integers >= 1; the
+    represented value is b0 + 1/(p1 + 1/(p2 + ...)).  The stream never ends,
+    hence the value is irrational by construction.  Finite expansions denote
+    rationals and must be built as ``ExactReal`` instead.
+
+    The engine is fixed here, from the type of ``partials``: a
+    ``PeriodicCoefficients`` or ``_SqrtPartials`` gives the surd, anything
+    else None.  Replacing ``partials`` later changes only the coefficient
+    walks, never the engine.
+
+    For periodic partials, with A/B and A'/B' the last two convergents of
+    the period block, the purely periodic tail y = (A*y + A')/(B*y + B') is
+    the root > 1 of B*y^2 + (B' - A)*y - A' = 0, and the last two
+    convergents C/E and C'/E' of [b0; initial...] give the value
+    (C*y + C')/(E*y + E').
     """
 
-    __slots__ = ("b0", "partials", "label", "_surd")
+    __slots__ = ("b0", "partials", "label")
 
     def __init__(self, b0: int, partials: Iterable[int], label: str | None = None):
         self.b0 = _as_int(b0)
+        if iter(partials) is partials:
+            raise TypeError("partials must be restartable, not an iterator or generator")
         self.partials = partials
         self.label = label
-        self._surd: Surd | None = None
-
-    def describe(self) -> str:
-        return self.label if self.label is not None else f"cf:{self.b0};..."
-
-    def __repr__(self) -> str:
-        return f"CFStream({self.describe()!r})"
-
-    def coefficients(self) -> Iterator[int]:
-        yield self.b0
-        for i, p in enumerate(iter(self.partials), start=1):
-            if type(p) is not int:
-                p = _as_int(p)
-            if p < 1:
-                raise ValueError(f"continued fraction coefficient {p} at index {i} is < 1")
-            yield p
-
-    def surd(self) -> Surd | None:
-        """(P, S, D, Q) with value (P + S*sqrt(D))/Q, S = +-1, Q > 0 and D
-        not a square, or None when the stream has no known surd and queries
-        walk its ``brackets``.  A surd set at construction (``sqrt_real``) is
-        returned as is; otherwise it is computed on first use, and cached,
-        when ``partials`` is a ``PeriodicCoefficients``.
-
-        With A/B and A'/B' the last two convergents of the period block, the
-        purely periodic tail y = (A*y + A')/(B*y + B') is the root > 1 of
-        B*y^2 + (B' - A)*y - A' = 0, and the last two convergents C/E and
-        C'/E' of [b0; initial...] give the value (C*y + C')/(E*y + E').
-        """
-        partials = self.partials
-        if self._surd is None and isinstance(partials, PeriodicCoefficients):
+        if isinstance(partials, _SqrtPartials):
+            self._surd = (self.b0 - isqrt(partials.n), 1, partials.n, 1)
+        elif isinstance(partials, PeriodicCoefficients):
             # the seed 1/0 stands in for the convergent before a 1-term block
             (a1, b1), (a, b) = [(1, 0), *convergent_pairs(partials.period)][-2:]
             (c1, e1), (c, e) = [(1, 0), *convergent_pairs((self.b0, *partials.initial))][-2:]
@@ -173,7 +162,23 @@ class CFStream(RealNumber):
             while d % (g * g):
                 g = gcd(g, d // g)
             self._surd = (p // g, sign, d // (g * g), q // g)
-        return self._surd
+        else:
+            self._surd = None
+
+    def describe(self) -> str:
+        return self.label if self.label is not None else f"cf:{self.b0};..."
+
+    def __repr__(self) -> str:
+        return f"CFStream({self.describe()!r})"
+
+    def coefficients(self) -> Iterator[int]:
+        yield self.b0
+        for i, p in enumerate(iter(self.partials), start=1):
+            if type(p) is not int:
+                p = _as_int(p)
+            if p < 1:
+                raise ValueError(f"continued fraction coefficient {p} at index {i} is < 1")
+            yield p
 
     def brackets(self) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
         """Consecutive convergent pairs ((A_{n-1}, B_{n-1}), (A_n, B_n)), n >= 1.
@@ -303,19 +308,18 @@ def compare_linear_forms(d: int, c: int, b: int, a: int,
     Returns GT when the first form is strictly larger, LT when strictly
     smaller, EQ when equal.  Works through the sign of the difference of
     squares, an integer quadratic in alpha.  For a stream the quadratic is
-    identically zero only when (d, c) == (b, a), and never merely vanishes at
-    the (irrational) stream value, so the refinement always terminates.
+    identically zero only when (d, c) == (b, a), which ``sign_of_quadratic``
+    returns as EQ before either engine runs, and never merely vanishes at the
+    (irrational) stream value, so the refinement always terminates.
     """
     if d < 1 or b < 1:
         raise ValueError("denominators of linear forms must be >= 1")
-    if d == b and c == a:
-        return EQ
     return sign_of_quadratic(d * d - b * b, -2 * (d * c - b * a), c * c - a * a, alpha)
 
 
 def floor_scaled(alpha: RealNumber | RationalLike, k: int) -> int:
     """floor(k * alpha) for integer k >= 1, exactly: k*p // q for a rational
-    p/q, the surd formula below for a periodic stream, and otherwise
+    p/q, the surd formula below for a stream with a surd, and otherwise
     k*a0 // b0 once it equals k*a1 // b1 at a convergent pair."""
     if k < 1:
         raise ValueError("scale factor must be >= 1")
@@ -359,15 +363,13 @@ class _SqrtPartials:
 def sqrt_real(n: int) -> CFStream:
     """The square root of a nonsquare integer n >= 2 as a coefficient stream.
 
-    Its coefficients come lazily from ``_SqrtPartials``, and its surd
-    (0, 1, n, 1) is known up front, so no query walks a period.
+    Its coefficients come lazily from ``_SqrtPartials``, from which the
+    stream takes its surd (0, 1, n, 1), so no query walks a period.
     """
     n = _as_int(n)
     if n < 2 or isqrt(n) ** 2 == n:
         raise ValueError("not a quadratic irrational")
-    stream = CFStream(isqrt(n), _SqrtPartials(n), label=f"sqrt:{n}")
-    stream._surd = (0, 1, n, 1)
-    return stream
+    return CFStream(isqrt(n), _SqrtPartials(n), label=f"sqrt:{n}")
 
 
 def golden_ratio() -> CFStream:

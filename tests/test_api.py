@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from itertools import repeat
 
 import pytest
 
@@ -89,7 +88,7 @@ def test_removed_names_are_gone():
     lambda: CFStream(1.5, PeriodicCoefficients([1])),
     lambda: convergents(cf_of_rational(F(3, 5)), 2.5),
     lambda: cf_chain(golden_ratio(), 2.5),
-    lambda: compare_real(CFStream(1, repeat(1.5)), F(8, 5)),
+    lambda: compare_real(CFStream(1, [1.5] * 3), F(8, 5)),
     lambda: QuadraticRadius(golden_ratio(), 0.5, 0, 0),
 ], ids=["is_best_approx_2nd", "is_nearby", "statement_v_witness",
         "theorem_u_check", "penultimate_pair", "verify_sweep", "cf_of_rational",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from itertools import islice
+from itertools import islice, repeat
 from math import isqrt
 
 import pytest
@@ -164,6 +164,39 @@ class TestStreams:
                 break
         assert widths == sorted(widths, reverse=True)
 
+    def test_one_shot_partials_rejected(self):
+        # every walk calls iter(partials); an iterator would resume where the
+        # last walk stopped and give another value on every query
+        def e_partials():
+            k = 1
+            while True:
+                yield from (1, 2 * k, 1)
+                k += 1
+
+        with pytest.raises(TypeError, match="restartable"):
+            CFStream(2, e_partials())
+        with pytest.raises(TypeError, match="restartable"):
+            CFStream(1, repeat(1))
+
+    def test_engine_fixed_at_construction(self):
+        # the same coefficients behind another wrapper change the walks only
+        for make, h in ((golden_ratio, (1, -1, -1)),
+                        (lambda: sqrt_real(7), (1, 0, -7)),
+                        (lambda: CFStream(1, PeriodicCoefficients((1, 3), (2,))),
+                         minimal_polynomial(1, (1, 3), (2,)))):
+            stream, fresh = make(), make()
+            stream.partials = Plain(stream.partials)
+            assert stream.surd() == fresh.surd() is not None
+            for q in (F(1), F(8, 5), F(21, 13), F(-7, 2), F(3)):
+                assert compare_real(stream, q) == compare_real(fresh, q)
+            assert [floor_scaled(stream, k) for k in range(1, 40)] == \
+                [floor_scaled(fresh, k) for k in range(1, 40)]
+            for coeffs in ((1, 0, -3), (3, -5, 1)):
+                assert sign_of_quadratic(*coeffs, stream) == \
+                    sign_of_quadratic(*coeffs, fresh)
+            # h vanishes at the value, which only the surd engine decides
+            assert sign_of_quadratic(*h, stream) == EQ
+
     def test_describe_labels(self):
         assert golden_ratio().describe() == "golden"
         assert sqrt_real(7).describe() == "sqrt:7"
@@ -224,12 +257,15 @@ class TestSqrtReal:
             assert body == body[::-1]
 
     def test_preset_surd_matches_the_period(self):
-        # the surd sqrt_real sets up front is the one its period determines
+        # the surd square-root partials give, after any b0, is the one their
+        # period determines
         for n in range(2, 301):
             if isqrt(n) ** 2 != n:
                 stream = sqrt_real(n)
-                periodic = CFStream(stream.b0, PeriodicCoefficients(sqrt_period(stream)))
-                assert stream.surd() == periodic.surd() == (0, 1, n, 1)
+                assert stream.surd() == (0, 1, n, 1)
+                for b0 in {stream.b0, *range(-3, 4)}:
+                    periodic = CFStream(b0, PeriodicCoefficients(sqrt_period(stream)))
+                    assert CFStream(b0, stream.partials).surd() == periodic.surd()
 
 
 class TestSignOfQuadratic:
@@ -273,6 +309,7 @@ class TestCompareLinearForms:
         # |1*a - 0| vs |2*a - 1| at a = 3/5: 3/5 > 1/5
         assert compare_linear_forms(1, 0, 2, 1, F(3, 5)) == GT
         assert compare_linear_forms(2, 1, 2, 1, F(3, 5)) == EQ
+        assert compare_linear_forms(2, 1, 2, 1, bracket_twin(golden_ratio())) == EQ
         assert compare_linear_forms(1, 1, 2, 1, F(3, 5)) == GT
 
     def test_antisymmetry_rational(self):
@@ -364,15 +401,21 @@ PERIODIC = st.tuples(st.integers(-50, 50),
 
 @st.composite
 def streams(draw):
-    """(stream, h): golden, sqrt:n, a periodic cf: stream, or the bracket twin
-    (no surd) of one of them, with the integer minimal polynomial h of its
-    value; h and its multiples vanish there, so a twin never decides them."""
-    kind = draw(st.sampled_from(("golden", "sqrt", "cf")))
+    """(stream, h): golden, sqrt:n, b0 on the partials of sqrt:n, a periodic
+    cf: stream, or the bracket twin (no surd) of one of them, with the integer
+    minimal polynomial h of its value; h and its multiples vanish there, so a
+    twin never decides them."""
+    kind = draw(st.sampled_from(("golden", "sqrt", "shifted", "cf")))
     if kind == "golden":
         stream, h = golden_ratio(), minimal_polynomial(1, (1,), ())
-    elif kind == "sqrt":
+    elif kind in ("sqrt", "shifted"):
         n = draw(st.integers(2, 200).filter(lambda n: isqrt(n) ** 2 != n))
         stream, h = sqrt_real(n), (1, 0, -n)
+        if kind == "shifted":
+            # the value m + sqrt(n), a root of (t - m)^2 - n
+            b0 = draw(st.integers(-3, 3))
+            m = b0 - isqrt(n)
+            stream, h = CFStream(b0, stream.partials), (1, -2 * m, m * m - n)
     else:
         b0, period, initial = draw(st.sampled_from(
             [(0, (2, 5, 1), ()), (1, (1, 3), (2,)), (-3, (1,), ())]))
