@@ -7,16 +7,21 @@ has one record scan over d: its set collects the records, its flag stops at
 the first record that reaches x.  The tests hold the kernels against the
 unpruned references in tests/reference.py.
 
-Candidate pruning (used by the best-approximation and nearby routes): at a
-fixed d the form t(c, d) = |d*p - c*q| and the radius t(c, d)^2 / (2*q*q)
-grow strictly with the distance from c to d*p/q, so only c0 = floor(d*p/q)
-and c0 + 1 (forms r = d*p mod q and q - r) can hold or violate either
-predicate; any other c has t >= q and loses to the nearer candidate at
-d = 1 (t <= q/2).  Reducedness never decides: a candidate with
-g = gcd(c, d) >= 2 has t(c, d) = g*t(c/g, d/g), so t(c/g, d/g) <= q/2 and
-the reduced c/g over d/g is a candidate at d/g < d with a form no larger.
-A non-reduced candidate is therefore never the first violator, never holds
-and never lowers a running minimum, so the scans need no gcd.
+Candidate pruning, one lemma for every real alpha (verify._rivals applies
+it to streams): at a fixed d the form |d*alpha - c| and the radius
+(d*alpha - c)^2 / 2 grow strictly with the distance from c to d*alpha, so
+only the integer nearest d*alpha can hold or violate either predicate, and
+at an irrational alpha it is unique.  At p/q the form scaled by q is
+t(c, d) = |d*p - c*q|: the nearest is c0 = floor(d*p/q) or c0 + 1 (forms
+r = d*p mod q and q - r), and any other c has t >= q and loses to the nearer
+candidate at d = 1 (t <= q/2).  At a tie, r == q - r, both candidates have
+the same form, so the kernels keep c0: the tie lowers the record and, being
+a violation for both, yields nothing.  Reducedness never decides: a
+candidate with g = gcd(c, d) >= 2 has t(c, d) = g*t(c/g, d/g), so
+t(c/g, d/g) <= q/2 and the reduced c/g over d/g is a candidate at d/g < d
+with a form no larger.  A non-reduced candidate is therefore never the
+first violator, never holds and never lowers a running minimum, so the
+scans need no gcd.
 """
 
 from __future__ import annotations

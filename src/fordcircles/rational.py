@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 from typing import Iterator
 
-from .real import _as_fraction
+from .real import _as_fraction, _as_int
 
 
 def reduced_fractions_in(
@@ -28,6 +28,7 @@ def reduced_fractions_in(
     Yields in (denominator, numerator) order, so each rational appears exactly
     once, at its own (reduced) denominator.
     """
+    max_den = _as_int(max_den)
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
     lo, hi = _as_fraction(lo), _as_fraction(hi)

@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd
 from typing import Iterator
 
 from ._kernel import _pure
@@ -122,20 +121,20 @@ def _is_chain_member(x: Fraction, alpha: RealNumber) -> bool:
 
 
 def _rivals(x: Fraction, alpha: RealNumber) -> Iterator[tuple[int, int]]:
-    """The reduced rivals (c, d) of x = a/b at alpha: every c/d != x with
-    d <= b that could match or beat x.
+    """The rival (c, d) of x = a/b at each d <= b at an irrational alpha:
+    c is the integer nearest d*alpha, and (a, b) itself is skipped.
 
-    By the pruning lemma in _kernel/_pure.py only the two integers nearest
-    d*alpha matter at each d; the tests check the lemma, on rational alphas
-    through the kernels, against an unpruned reference.
+    The lemma of _kernel/_pure.py: the form |d*alpha - c| and the radius grow
+    strictly with |c - d*alpha|, and d*alpha is never a half-integer, so the
+    nearest integer is unique and every other c has a larger form and radius.
+    A non-reduced c/d = c'/d' has gcd(c, d) times the form of c'/d'; if it
+    beats x, so does the rival at d' < d, which refutes x first: no gcd.
     """
     a, b = x.numerator, x.denominator
     for d in range(1, b + 1):
-        m = floor_scaled(alpha, d)
-        for c in (m, m + 1):
-            # the gcd only skips work (see the lemma): a comparison costs more
-            if (c != a or d != b) and gcd(c, d) == 1:
-                yield c, d
+        c = (floor_scaled(alpha, 2 * d) + 1) // 2  # floor(d*alpha + 1/2)
+        if c != a or d != b:
+            yield c, d
 
 
 def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
@@ -144,8 +143,8 @@ def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike) -> boo
     Requires |b*alpha - a| < |d*alpha - c| for every reduced c/d != a/b with
     d <= b; any tie is a violation.  The linear-form route: comparisons go
     through the forms themselves, never through radii.  A rational alpha
-    goes to the integer kernel; any other alpha compares against the pruned
-    rivals of _rivals.
+    goes to the integer kernel; any other alpha compares against the one
+    rival per d of _rivals.
     """
     x = _as_fraction(x)
     a, b = x.numerator, x.denominator
@@ -164,8 +163,7 @@ def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
     radius at base point alpha.  The radii route: comparisons go through
     horocircle radii (squared forms), independently of the linear-form route
     above.  A rational alpha goes to the integer kernel; any other alpha
-    compares against the pruned rivals of _rivals, since circles farther
-    from d*alpha have strictly larger radii.
+    compares against the one rival per d of _rivals.
     """
     x = _as_fraction(x)
     a, b = x.numerator, x.denominator
@@ -264,6 +262,7 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     lo, hi = _as_fraction(window[0]), _as_fraction(window[1])
     if lo >= hi:
         raise ValueError("window must satisfy lo < hi")
+    den_max_x, den_max_alpha = _as_int(den_max_x), _as_int(den_max_alpha)
     if den_max_x < 1 or den_max_alpha < 1:
         raise ValueError("denominator caps must be >= 1")
     started = time.perf_counter()

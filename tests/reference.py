@@ -1,19 +1,28 @@
-"""Unpruned references for statements (iii) and (iv) at a rational alpha.
+"""Unpruned references for statements (iii) and (iv), at a rational alpha and
+at a quadratic irrational alpha given by its surd.
 
-The package prunes its candidates by the lemma in _kernel/_pure.py: only the
-two integers nearest d*alpha at each denominator d, and no gcd in the
-kernels.  These references rely on neither step.  For x = a/b they compare x
-against every reduced c/d != x with d <= b and |d*alpha - c| within
-|b*alpha - a| + 1; any c farther out has a form, and a radius, strictly
-larger than x's.  The arithmetic is plain Fraction and nothing is imported
-from the package, so the pruned routes are held against code they share
-nothing with.
+The package prunes by one lemma for every real (see _kernel/_pure.py): at a
+fixed denominator d only the integer nearest d*alpha can beat x, since the
+form |d*alpha - c| and the radius grow strictly with the distance from c to
+d*alpha.  That integer is unique at an irrational alpha; at a rational tie,
+d*alpha a half-integer, both candidates have the same form, so the kernels
+keep c0 = floor(d*alpha).  Nor does the package take a gcd.  These
+references rely on neither step.  For x = a/b they compare x against every
+reduced c/d != x with d <= b and |d*alpha - c| within |b*alpha - a| + 1; any
+c farther out has a form, and a radius, strictly larger than x's.  Nothing
+is imported from the package, so the pruned routes are held against code
+they share nothing with.
+
+A rational alpha is a Fraction and the arithmetic is plain Fraction.  An
+irrational alpha is a surd (P, S, D, Q), the value (P + S*sqrt(D))/Q with
+Q > 0, S = +-1 and D > 0 not a square, and every decision is the sign of
+u + v*sqrt(D) in integers, read from isqrt.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, isqrt
 from typing import Iterator
 
 
@@ -42,3 +51,70 @@ def nearby(x: Fraction, alpha: Fraction) -> bool:
     x, alpha = Fraction(x), Fraction(alpha)
     radius = (x.denominator * alpha - x.numerator) ** 2 / 2
     return all((d * alpha - c) ** 2 / 2 > radius for c, d in _rivals(x, alpha))
+
+
+def _sign_sqrt(u: int, v: int, n: int) -> int:
+    """The sign of u + v*sqrt(n) for n > 0 not a square: v*sqrt(n) is
+    irrational for v != 0, so it lies strictly between isqrt(v*v*n) and
+    isqrt(v*v*n) + 1 in absolute value, and u + |v|*sqrt(n) > 0 iff
+    u + isqrt(v*v*n) >= 0."""
+    if v == 0:
+        return (u > 0) - (u < 0)
+    if v < 0:
+        return -_sign_sqrt(-u, -v, n)
+    return 1 if u + isqrt(v * v * n) >= 0 else -1
+
+
+def _sign_linear(k: int, m: int, surd: tuple[int, int, int, int]) -> int:
+    """The sign of k*alpha - m: Q times it is (k*P - m*Q) + k*S*sqrt(D)."""
+    p, s, n, q = surd
+    return _sign_sqrt(k * p - m * q, k * s, n)
+
+
+def _floor(k: int, surd: tuple[int, int, int, int]) -> int:
+    """floor(k*alpha): a guess within a few units, moved by linear signs."""
+    p, s, n, q = surd
+    m = (k * p + s * isqrt(k * k * n)) // q
+    while _sign_linear(k, m, surd) < 0:
+        m -= 1
+    while _sign_linear(k, m + 1, surd) > 0:
+        m += 1
+    return m
+
+
+def _surd_rivals(x: Fraction, surd: tuple[int, int, int, int]) -> Iterator[tuple[int, int]]:
+    # span >= |b*alpha - a| + 1, as |b*alpha - a| < |floor(b*alpha) - a| + 1,
+    # and a c outside [m - span, m + span + 1], m = floor(d*alpha), is more
+    # than span away from d*alpha
+    a, b = x.numerator, x.denominator
+    span = abs(_floor(b, surd) - a) + 2
+    for d in range(1, b + 1):
+        m = _floor(d, surd)
+        for c in range(m - span, m + span + 2):
+            if (c != a or d != b) and gcd(c, d) == 1:
+                yield c, d
+
+
+def best_approx_surd(x: Fraction, surd: tuple[int, int, int, int]) -> bool:
+    """Statement (iii) by linear forms at a surd: with X = d*alpha - c and
+    Y = b*alpha - a, |X| > |Y| iff (X - Y)*(X + Y) > 0, two linear signs."""
+    x = Fraction(x)
+    a, b = x.numerator, x.denominator
+    return all(_sign_linear(d - b, c - a, surd) * _sign_linear(d + b, c + a, surd) > 0
+               for c, d in _surd_rivals(x, surd))
+
+
+def nearby_surd(x: Fraction, surd: tuple[int, int, int, int]) -> bool:
+    """Statement (iv) by squared radii at a surd: 2*Q^2 times the radius at
+    c/d is (u + v*sqrt(D))^2 = u^2 + v^2*D + 2*u*v*sqrt(D) with u = d*P - c*Q
+    and v = d*S, and every reduced rival's must exceed x's."""
+    x = Fraction(x)
+    p, s, n, q = surd
+
+    def squared(c: int, d: int) -> tuple[int, int]:
+        u, v = d * p - c * q, d * s
+        return u * u + v * v * n, 2 * u * v
+
+    r0, w0 = squared(x.numerator, x.denominator)
+    return all(_sign_sqrt(r - r0, w - w0, n) > 0
+               for r, w in (squared(c, d) for c, d in _surd_rivals(x, surd)))

@@ -78,6 +78,10 @@ def test_removed_names_are_gone():
     lambda: lemma_x_check(0.0, F(1), F(1, 2)),
     lambda: lemma_q_check(F(0), F(1), F(1, 2), 2.0),
     lambda: list(reduced_fractions_in(0.0, 1.0, 3)),
+    lambda: list(reduced_fractions_in(0, 1, 3.0)),
+    lambda: verify_sweep(3.0, 3, (0, 1)),
+    lambda: verify_sweep(3, 3.0, (0, 1)),
+    lambda: render_ford_field(RenderSpec(max_den=3.0)),
     lambda: render_ford_field(RenderSpec(window=(0.0, 1.0))),
     lambda: render_ford_field(RenderSpec(width_px=800.0)),
     lambda: render_statement_v(1.5, golden_ratio(), RenderSpec(window=(F(1), F(2)))),
@@ -95,7 +99,8 @@ def test_removed_names_are_gone():
         "compare_radii", "compare_radii-stream", "tangent_horocircle_radius",
         "ford_circle", "are_tangent", "gap_relation", "generic_tangent_radius",
         "lemma_x_check", "lemma_q_check", "reduced_fractions_in",
-        "render-window", "render-width", "render_statement_v", "fmt6",
+        "reduced_fractions_in-max_den", "verify_sweep-den_max_x",
+        "verify_sweep-den_max_alpha", "render-max_den", "render-window", "render-width", "render_statement_v", "fmt6",
         "PeriodicCoefficients", "sqrt_real", "from_coefficients", "CFStream",
         "convergents", "cf_chain", "stream-partial", "QuadraticRadius"])
 def test_float_arguments_rejected(call):

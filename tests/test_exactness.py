@@ -1,5 +1,6 @@
-"""No float decides anything: the package source has no float literal, no
-float() call and no math import beyond the exact integer functions."""
+"""No float decides anything: the package source and the unpruned references
+in tests/reference.py have no float literal, no float() call and no math
+import beyond the exact integer functions."""
 
 from __future__ import annotations
 
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "fordcircles"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "fordcircles"
+SOURCES = [*sorted(SRC.rglob("*.py")), TESTS / "reference.py"]
 # exact on ints and Fractions; math's other functions return floats
 EXACT_MATH = {"gcd", "isqrt", "lcm", "ceil", "floor"}
 
@@ -28,8 +31,14 @@ def float_uses(tree: ast.AST):
                         if alias.name not in EXACT_MATH)
 
 
-@pytest.mark.parametrize("path", sorted(SRC.rglob("*.py")),
-                         ids=lambda path: path.relative_to(SRC).as_posix())
+def source_id(path: Path) -> str:
+    """A package module by its path in the package, a test file by its path
+    in the repository."""
+    root = SRC if path.is_relative_to(SRC) else TESTS.parent
+    return path.relative_to(root).as_posix()
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=source_id)
 def test_no_float_in_source(path):
     assert list(float_uses(ast.parse(path.read_text(), str(path)))) == []
 

@@ -6,12 +6,15 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction as F
+from itertools import islice
 from math import gcd
 
 import pytest
 
 import reference
 from fordcircles import (
+    CFStream,
+    PeriodicCoefficients,
     are_tangent,
     cf_chain,
     cf_of_rational,
@@ -29,6 +32,7 @@ from fordcircles import (
     verify_sweep,
 )
 from fordcircles._kernel import _pure
+from test_exact_core import bracket_twin
 
 
 def per_pair_sweep(den_max_x, den_max_alpha, window):
@@ -156,6 +160,57 @@ class TestNearby:
         for alpha in alphas:
             for x in xs:
                 assert is_best_approx_2nd(x, alpha) == is_nearby(x, alpha)
+
+
+#: Streams with their surds (P, S, D, Q), the value (P + S*sqrt(D))/Q,
+#: worked out by hand from the period; the straddle test below checks each.
+SURD_STREAMS = {
+    "golden": (golden_ratio, (1, 1, 5, 2)),
+    "sqrt:2": (lambda: sqrt_real(2), (0, 1, 2, 1)),
+    "sqrt:3": (lambda: sqrt_real(3), (0, 1, 3, 1)),
+    "sqrt:7": (lambda: sqrt_real(7), (0, 1, 7, 1)),
+    "sqrt:13": (lambda: sqrt_real(13), (0, 1, 13, 1)),
+    "sqrt:94": (lambda: sqrt_real(94), (0, 1, 94, 1)),
+    # b0 on the partials of sqrt:n is b0 - isqrt(n) + sqrt(n)
+    "-2;sqrt:7": (lambda: CFStream(-2, sqrt_real(7).partials), (-4, 1, 7, 1)),
+    "5;sqrt:13": (lambda: CFStream(5, sqrt_real(13).partials), (2, 1, 13, 1)),
+    # the tail y = [1;3,1,3,...] solves 3y^2 - 3y - 1 = 0
+    "cf:1;2,(1,3)": (lambda: CFStream(1, PeriodicCoefficients((1, 3), (2,))),
+                     (9, 1, 21, 10)),
+    # the tail y = [2;5,1,...] solves 6y^2 - 8y - 11 = 0, and alpha = 1/y
+    "cf:0;(2,5,1)": (lambda: CFStream(0, PeriodicCoefficients((2, 5, 1))),
+                     (-4, 1, 82, 11)),
+    "cf:-3;(1)": (lambda: CFStream(-3, PeriodicCoefficients((1,))), (-7, 1, 5, 2)),
+    # 3 - sqrt(2) = [1;1,1,2,2,...], whose surd has S = -1
+    "cf:1;1,1,(2)": (lambda: CFStream(1, PeriodicCoefficients((2,), (1, 1))),
+                     (3, -1, 2, 1)),
+}
+
+
+class TestStreamReference:
+    """(iii) and (iv) on streams against the unpruned surd references, on the
+    surd engine and on the bracket engine of the same coefficients."""
+
+    @pytest.mark.parametrize("name", SURD_STREAMS)
+    def test_surd_is_the_stream_value(self, name):
+        # even-indexed convergents lie below the value, odd-indexed above
+        make, surd = SURD_STREAMS[name]
+        for n, (num, den) in enumerate(islice(make().convergent_pairs(), 12)):
+            assert reference._sign_linear(den, num, surd) == (-1) ** n, (name, n)
+
+    @pytest.mark.parametrize("engine", ["surd", "brackets"])
+    @pytest.mark.parametrize("name", SURD_STREAMS)
+    def test_flags_match_reference(self, name, engine):
+        make, surd = SURD_STREAMS[name]
+        alpha = make() if engine == "surd" else bracket_twin(make())
+        b0 = alpha.b0
+        held = 0
+        for x in reduced_fractions_in(F(b0 - 1), F(b0 + 2), 40):
+            best = reference.best_approx_surd(x, surd)
+            assert is_best_approx_2nd(x, alpha) == best, (name, x)
+            assert is_nearby(x, alpha) == reference.nearby_surd(x, surd), (name, x)
+            held += best
+        assert held >= 4
 
 
 class TestStatementVWitness:
