@@ -1,4 +1,4 @@
-"""Pure-Python kernels for the rational sweeps.
+"""Integer kernels for the rational sweeps, in plain Python.
 
 Statements (iii), (iv) and (v) for x = a/b against a rational alpha = p/q,
 in integers (scaled by q, or by 2*q*q for radii), per pair (the flags) and
@@ -28,6 +28,11 @@ from __future__ import annotations
 
 from math import gcd
 from typing import Iterator
+
+
+def backend_name() -> str:
+    """The kernel's name in run reports."""
+    return "pure"
 
 
 def _best_records(p: int, q: int, max_den: int) -> Iterator[tuple[int, int, int]]:

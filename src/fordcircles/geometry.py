@@ -158,8 +158,12 @@ def tangent_horocircle_radius(alpha: RealNumber | RationalLike, x: RationalLike)
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal):
-        t = alpha.value
-        return (b * t - a) ** 2 / 2
+        return (b * alpha.value - a) ** 2 / 2
+    return _tangent_radius(alpha, a, b)
+
+
+def _tangent_radius(alpha: RealNumber, a: int, b: int) -> QuadraticRadius:
+    """(b*alpha - a)^2 / 2 at a stream alpha, from the integers a and b."""
     return QuadraticRadius(alpha, b * b, -2 * a * b, a * a, 2)
 
 

@@ -26,12 +26,16 @@ def reduced_fractions_in(
     """Every reduced fraction with denominator <= max_den inside the interval.
 
     Yields in (denominator, numerator) order, so each rational appears exactly
-    once, at its own (reduced) denominator.
+    once, at its own (reduced) denominator.  Arguments are checked at the call.
     """
     max_den = _as_int(max_den)
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    lo, hi = _as_fraction(lo), _as_fraction(hi)
+    return _reduced_fractions(_as_fraction(lo), _as_fraction(hi), max_den, include_lo, include_hi)
+
+
+def _reduced_fractions(lo: Fraction, hi: Fraction, max_den: int,
+                       include_lo: bool, include_hi: bool) -> Iterator[Fraction]:
     for b in range(1, max_den + 1):
         a_min = ceil(lo * b)
         a_max = floor(hi * b)

@@ -14,9 +14,9 @@ For non-integer x the five are equivalent; integer x satisfies (i) without
 (iii) whenever alpha lands in the upper half of the unit interval around it,
 so reports flag integers and skip the equivalence claim for them.
 
-Statements (iii) and (iv) are computed along genuinely different routes
-(linear forms versus horocircle radii), which makes their pointwise agreement
-a meaningful cross-check rather than a tautology.
+Statements (iii) and (iv) take different routes (linear forms versus
+horocircle radii), but at a stream both reduce each rival to the sign of one
+integer quadratic, so there they agree by construction, like (i) and (ii).
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from ._kernel import _pure
+from . import _kernel
 from .cf import Convergent, cf_of_rational, convergents
-from .geometry import FordCircle, compare_radii, ford_circle, tangent_horocircle_radius
+from .geometry import FordCircle, _tangent_radius, ford_circle
 from .rational import reduced_fractions_in
 from .real import (
     EQ,
@@ -98,15 +98,15 @@ def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[FordCircle]:
     return out
 
 
-def _is_convergent(x: Fraction, alpha: RealNumber) -> bool:
-    a, b = x.numerator, x.denominator
-    for num, den in alpha.convergent_pairs():
-        # denominators never decrease, so once past b stop
-        if den > b:
-            return False
-        if num == a and den == b:
-            return True
-    return False
+def _convergents_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
+    """Statement (i) up to a cap: the convergent pairs (A_n, B_n) with B_n <=
+    max_den; denominators never decrease, so the walk stops past the cap."""
+    found = set()
+    for pair in alpha.convergent_pairs():
+        if pair[1] > max_den:
+            break
+        found.add(pair)
+    return found
 
 
 def _is_chain_member(x: Fraction, alpha: RealNumber) -> bool:
@@ -124,7 +124,7 @@ def _rivals(x: Fraction, alpha: RealNumber) -> Iterator[tuple[int, int]]:
     """The rival (c, d) of x = a/b at each d <= b at an irrational alpha:
     c is the integer nearest d*alpha, and (a, b) itself is skipped.
 
-    The lemma of _kernel/_pure.py: the form |d*alpha - c| and the radius grow
+    The lemma of _kernel.py: the form |d*alpha - c| and the radius grow
     strictly with |c - d*alpha|, and d*alpha is never a half-integer, so the
     nearest integer is unique and every other c has a larger form and radius.
     A non-reduced c/d = c'/d' has gcd(c, d) times the form of c'/d'; if it
@@ -150,7 +150,7 @@ def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike) -> boo
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal):
-        return _pure.best_flag(a, b, alpha.value.numerator, alpha.value.denominator)
+        return _kernel.best_flag(a, b, alpha.value.numerator, alpha.value.denominator)
     return all(compare_linear_forms(d, c, b, a, alpha) == GT
                for c, d in _rivals(x, alpha))
 
@@ -169,9 +169,9 @@ def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal):
-        return _pure.near_flag(a, b, alpha.value.numerator, alpha.value.denominator)
-    rx = tangent_horocircle_radius(alpha, x)
-    return all(compare_radii(tangent_horocircle_radius(alpha, Fraction(c, d)), rx) == GT
+        return _kernel.near_flag(a, b, alpha.value.numerator, alpha.value.denominator)
+    rx = _tangent_radius(alpha, a, b)
+    return all(_tangent_radius(alpha, c, d).compare(rx) == GT
                for c, d in _rivals(x, alpha))
 
 
@@ -189,7 +189,7 @@ def statement_v_witness(x: RationalLike, alpha: RealNumber | RationalLike) -> Fr
     cmp = compare_real(alpha, x)
     side = -1 if cmp == LT else 1
     a, b = x.numerator, x.denominator
-    d = _pure._tangent_neighbor_den(a, b, side)
+    d = _kernel._tangent_neighbor_den(a, b, side)
     y = Fraction((side + d * a) // b, d)  # the neighbor with c*b - d*a = side
     return y if cmp == EQ or compare_real(alpha, y) == -side else None
 
@@ -202,7 +202,7 @@ def theorem_u_check(x: RationalLike, alpha: RealNumber | RationalLike) -> Theore
     """
     x = _as_fraction(x)
     alpha = as_real(alpha)
-    stmt_i = _is_convergent(x, alpha)
+    stmt_i = (x.numerator, x.denominator) in _convergents_upto(alpha, x.denominator)
     stmt_ii = _is_chain_member(x, alpha)
     stmt_iii = is_best_approx_2nd(x, alpha)
     stmt_iv = is_nearby(x, alpha)
@@ -279,11 +279,11 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     inconsistencies: list[dict] = []
     for alpha in alphas:
         p, q = alpha.numerator, alpha.denominator
-        conv_set = set(ExactReal(alpha).convergent_pairs())
+        conv_set = _convergents_upto(ExactReal(alpha), den_max_x)
         chain_set = {(c.base.numerator, c.base.denominator) for c in _chain_iter(alpha)}
-        best_set = _pure.best_set(p, q, den_max_x)
-        near_set = _pure.near_set(p, q, den_max_x)
-        witness_set = _pure.witness_set(p, q, den_max_x)
+        best_set = _kernel.best_set(p, q, den_max_x)
+        near_set = _kernel.near_set(p, q, den_max_x)
+        witness_set = _kernel.witness_set(p, q, den_max_x)
         candidates = conv_set | chain_set | best_set | near_set | witness_set
         for i in sorted(position[x] for x in candidates if x in position):
             x = xs[i]

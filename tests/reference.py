@@ -1,7 +1,7 @@
 """Unpruned references for statements (iii) and (iv), at a rational alpha and
 at a quadratic irrational alpha given by its surd.
 
-The package prunes by one lemma for every real (see _kernel/_pure.py): at a
+The package prunes by one lemma for every real (see _kernel.py): at a
 fixed denominator d only the integer nearest d*alpha can beat x, since the
 form |d*alpha - c| and the radius grow strictly with the distance from c to
 d*alpha.  That integer is unique at an irrational alpha; at a rational tie,

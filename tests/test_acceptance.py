@@ -39,7 +39,7 @@ from fordcircles import (
     value,
     verify_sweep,
 )
-from fordcircles._kernel import _pure
+from fordcircles import _kernel
 
 
 def announce(capsys, line: str) -> None:
@@ -128,7 +128,7 @@ def test_criterion_3_dual_route_agreement(capsys):
     mismatches = 0
     for p, q in alphas:
         for a, b in xs:
-            if _pure.best_flag(a, b, p, q) != _pure.near_flag(a, b, p, q):
+            if _kernel.best_flag(a, b, p, q) != _kernel.near_flag(a, b, p, q):
                 mismatches += 1
     grid_count = len(alphas) * len(xs)
 

@@ -77,6 +77,16 @@ class TestReducedFractionsIn:
         seq = list(reduced_fractions_in(F(0), F(2), 1, include_hi=False))
         assert seq == [F(0), F(1)]
 
+    @pytest.mark.parametrize("args, error, match", [
+        ((0, 1, 0), ValueError, "max_den must be >= 1"),
+        ((0, 1, 3.0), TypeError, "floating-point"),
+        ((0.5, 1, 3), TypeError, "floating-point"),
+    ])
+    def test_arguments_checked_at_the_call(self, args, error, match):
+        # the call raises before anything is iterated, not at the first next()
+        with pytest.raises(error, match=match):
+            reduced_fractions_in(*args)
+
 
 class TestCompareReal:
     def test_exact(self):

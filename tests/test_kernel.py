@@ -13,7 +13,6 @@ from fordcircles import (
     theorem_u_check,
 )
 from fordcircles import _kernel
-from fordcircles._kernel import _pure
 
 
 def _pairs(max_den_x: int, max_den_alpha: int):
@@ -31,14 +30,14 @@ class TestAgainstHighLevel:
         # the kernels and the unpruned Fraction references decide identically
         for a, b, p, q in _pairs(7, 7):
             x, alpha = F(a, b), F(p, q)
-            assert _pure.best_flag(a, b, p, q) == reference.best_approx(x, alpha)
-            assert _pure.near_flag(a, b, p, q) == reference.nearby(x, alpha)
-            assert _pure.witness_flag(a, b, p, q) == theorem_u_check(x, alpha).stmt_v
+            assert _kernel.best_flag(a, b, p, q) == reference.best_approx(x, alpha)
+            assert _kernel.near_flag(a, b, p, q) == reference.nearby(x, alpha)
+            assert _kernel.witness_flag(a, b, p, q) == theorem_u_check(x, alpha).stmt_v
 
     def test_witness_flag_matches_search(self):
         for a, b, p, q in _pairs(8, 8):
             found = statement_v_witness(F(a, b), F(p, q)) is not None
-            assert _pure.witness_flag(a, b, p, q) == found
+            assert _kernel.witness_flag(a, b, p, q) == found
 
 
 class TestNonReducedCandidates:
@@ -64,17 +63,17 @@ class TestNonReducedCandidates:
                         x, alpha = F(a, b), F(p, q)
                         best_ok = reference.best_approx(x, alpha)
                         near_ok = reference.nearby(x, alpha)
-                        assert _pure.best_flag(a, b, p, q) == best_ok, (x, alpha)
-                        assert _pure.near_flag(a, b, p, q) == near_ok, (x, alpha)
+                        assert _kernel.best_flag(a, b, p, q) == best_ok, (x, alpha)
+                        assert _kernel.near_flag(a, b, p, q) == near_ok, (x, alpha)
                         if best_ok:
                             best.add((a, b))
                         if near_ok:
                             near.add((a, b))
-                        if _pure.witness_flag(a, b, p, q):
+                        if _kernel.witness_flag(a, b, p, q):
                             witness.add((a, b))
-                assert _pure.best_set(p, q, max_den) == best, (p, q)
-                assert _pure.near_set(p, q, max_den) == near, (p, q)
-                assert _pure.witness_set(p, q, max_den) == witness, (p, q)
+                assert _kernel.best_set(p, q, max_den) == best, (p, q)
+                assert _kernel.near_set(p, q, max_den) == near, (p, q)
+                assert _kernel.witness_set(p, q, max_den) == witness, (p, q)
 
 
 class TestCheckRationalScale:
@@ -106,34 +105,34 @@ class TestCheckRationalScale:
             mediant = (h0 + h1, k0 + k1)  # a semiconvergent or the next convergent
             # |k1*alpha - a| > 1/2, so the nearer candidate at d = 1 beats it
             far = next((h1 + t, k1) for t in range(1, k1 + 2) if gcd(h1 + t, k1) == 1)
-            best = _pure.best_set(p, q, max_den)
-            near = _pure.near_set(p, q, max_den)
+            best = _kernel.best_set(p, q, max_den)
+            near = _kernel.near_set(p, q, max_den)
             for a, b in set(head) | {mediant, far} | best | near:
                 x = F(a, b)
                 best_ok = reference.best_approx(x, alpha)
                 near_ok = reference.nearby(x, alpha)
-                assert _pure.best_flag(a, b, p, q) == best_ok, (x, alpha)
-                assert _pure.near_flag(a, b, p, q) == near_ok, (x, alpha)
+                assert _kernel.best_flag(a, b, p, q) == best_ok, (x, alpha)
+                assert _kernel.near_flag(a, b, p, q) == near_ok, (x, alpha)
                 if b <= max_den:
                     assert ((a, b) in best) == best_ok, (x, alpha)
                     assert ((a, b) in near) == near_ok, (x, alpha)
             witness = {(a, b) for b in range(1, max_den + 1)
                        for a in range(b * p // q - 1, b * p // q + 3)
-                       if gcd(a, b) == 1 and _pure.witness_flag(a, b, p, q)}
-            assert _pure.witness_set(p, q, max_den) == witness, alpha
+                       if gcd(a, b) == 1 and _kernel.witness_flag(a, b, p, q)}
+            assert _kernel.witness_set(p, q, max_den) == witness, alpha
 
 
 class TestSizes:
     def test_pure_has_no_size_limit(self):
         big = 1 << 40
-        assert isinstance(_pure.best_flag(1, 2, big + 1, 2 * big), bool)
-        assert isinstance(_pure.near_flag(big - 1, big, 1, 3), bool)
+        assert isinstance(_kernel.best_flag(1, 2, big + 1, 2 * big), bool)
+        assert isinstance(_kernel.near_flag(big - 1, big, 1, 3), bool)
 
     def test_far_x_exits_at_once(self):
         # the nearer candidate at d = 1 already beats x, so the flags return
         # there; a scan that ran on to d = b would not end
-        assert _pure.best_flag(1, 10**12, 1, 10**9 + 7) is False
-        assert _pure.near_flag(1, 10**12, 1, 10**9 + 7) is False
+        assert _kernel.best_flag(1, 10**12, 1, 10**9 + 7) is False
+        assert _kernel.near_flag(1, 10**12, 1, 10**9 + 7) is False
 
     def test_backend_name(self):
         assert _kernel.backend_name() == "pure"

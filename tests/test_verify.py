@@ -31,7 +31,7 @@ from fordcircles import (
     theorem_u_check,
     verify_sweep,
 )
-from fordcircles._kernel import _pure
+from fordcircles import _kernel
 from test_exact_core import bracket_twin
 
 
@@ -52,8 +52,8 @@ def per_pair_sweep(den_max_x, den_max_alpha, window):
         for x in xs:
             a, b = x.numerator, x.denominator
             stmts = ((a, b) in convs, (a, b) in convs,
-                     _pure.best_flag(a, b, p, q), _pure.near_flag(a, b, p, q),
-                     _pure.witness_flag(a, b, p, q))
+                     _kernel.best_flag(a, b, p, q), _kernel.near_flag(a, b, p, q),
+                     _kernel.witness_flag(a, b, p, q))
             if any(stmts) and not all(stmts):
                 names = ("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv", "stmt_v")
                 inconsistencies.append({"x": f"{a}/{b}", "alpha": f"{p}/{q}",
@@ -410,9 +410,9 @@ class TestCandidateSets:
             if gcd(p, q) != 1:
                 continue
             max_den = rng.randint(1, 24)
-            best = _pure.best_set(p, q, max_den)
-            near = _pure.near_set(p, q, max_den)
-            witness = _pure.witness_set(p, q, max_den)
+            best = _kernel.best_set(p, q, max_den)
+            near = _kernel.near_set(p, q, max_den)
+            witness = _kernel.witness_set(p, q, max_den)
             seen = set()
             for b in range(1, max_den + 1):
                 c0 = b * p // q
@@ -420,9 +420,9 @@ class TestCandidateSets:
                     if gcd(a, b) != 1:
                         continue
                     seen.add((a, b))
-                    assert ((a, b) in best) == _pure.best_flag(a, b, p, q), (a, b, p, q)
-                    assert ((a, b) in near) == _pure.near_flag(a, b, p, q), (a, b, p, q)
-                    assert ((a, b) in witness) == _pure.witness_flag(a, b, p, q), \
+                    assert ((a, b) in best) == _kernel.best_flag(a, b, p, q), (a, b, p, q)
+                    assert ((a, b) in near) == _kernel.near_flag(a, b, p, q), (a, b, p, q)
+                    assert ((a, b) in witness) == _kernel.witness_flag(a, b, p, q), \
                         (a, b, p, q)
             # every member of the sets was among the pairs checked above
             assert best | near | witness <= seen
@@ -430,7 +430,7 @@ class TestCandidateSets:
     def test_sets_hold_the_convergents(self):
         cf = cf_of_rational(F(355, 113))
         convs = {(c.num, c.den) for c in convergents(cf, cf.length) if c.den > 1}
-        for make in (_pure.best_set, _pure.near_set, _pure.witness_set):
+        for make in (_kernel.best_set, _kernel.near_set, _kernel.witness_set):
             found = make(355, 113, 120)
             assert {x for x in found if x[1] > 1} == convs
 
@@ -448,12 +448,12 @@ class TestCandidateSets:
     def test_engines_report_the_same_inconsistencies(self, monkeypatch):
         # flip statement (v) on three candidate pairs, two true and one false
         flipped = {(1, 3, 1, 4), (1, 2, 3, 5), (2, 3, 3, 5)}
-        reference = _pure.witness_flag
+        reference = _kernel.witness_flag
 
         def witness_flag(a, b, p, q):
             return reference(a, b, p, q) != ((a, b, p, q) in flipped)
 
-        monkeypatch.setattr(_pure, "witness_flag", witness_flag)
+        monkeypatch.setattr(_kernel, "witness_flag", witness_flag)
         per_pair = per_pair_sweep(8, 8, (F(0), F(1)))
         report = verify_sweep(8, 8, (F(0), F(1)))
 
