@@ -36,7 +36,7 @@ from .real import (
 
 def ford_radius(x: RationalLike) -> Fraction:
     """1/(2*b^2), the radius of the Ford circle at the reduced x = a/b."""
-    b = x.denominator
+    b = _as_fraction(x).denominator
     return Fraction(1, 2 * b * b)
 
 

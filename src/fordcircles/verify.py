@@ -14,9 +14,9 @@ For non-integer x the five are equivalent; integer x satisfies (i) without
 (iii) whenever alpha lands in the upper half of the unit interval around it,
 so reports flag integers and skip the equivalence claim for them.
 
-Statements (iii) and (iv) take different routes (linear forms versus
-horocircle radii), but at a stream both reduce each rival to the sign of one
-integer quadratic, so there they agree by construction, like (i) and (ii).
+(i) walks the convergent recurrence and (ii) the Ford packing's mediants; (iii)
+and (iv) take different routes (linear forms, horocircle radii), but at a
+stream both test one integer quadratic per rival, so agree by construction.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator
 
 from . import _kernel
 from .cf import Convergent, cf_of_rational, convergents
-from .geometry import FordCircle, _tangent_radius, ford_circle
+from .geometry import FordCircle, _tangent_radius
 from .rational import reduced_fractions_in
 from .real import (
     EQ,
@@ -44,6 +43,7 @@ from .real import (
     compare_linear_forms,
     compare_real,
     floor_scaled,
+    sign_of_quadratic,
 )
 
 
@@ -77,25 +77,13 @@ class TheoremUReport:
         }
 
 
-def _chain_iter(alpha: RealNumber | RationalLike) -> Iterator[FordCircle]:
-    # unbounded for a stream: the consumer stops the walk (a count or a radius)
-    for num, den in as_real(alpha).convergent_pairs():
-        yield FordCircle(Fraction(num, den))
-
-
 def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[FordCircle]:
     """The first count circles of the continued fraction chain of alpha.
 
     Consecutive circles are tangent because consecutive convergents are
     unimodular; radii never increase and decrease strictly from index 1 on.
     """
-    count = _as_int(count)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    out = list(islice(_chain_iter(alpha), count))
-    if len(out) < count:
-        raise ValueError("expansion exhausted")
-    return out
+    return [FordCircle(c.value) for c in convergents(as_real(alpha), count)]
 
 
 def _convergents_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
@@ -109,15 +97,28 @@ def _convergents_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
     return found
 
 
-def _is_chain_member(x: Fraction, alpha: RealNumber) -> bool:
-    target = ford_circle(x)
-    for n, circle in enumerate(_chain_iter(alpha)):
-        if circle == target:
-            return True
-        # radii decrease (strictly from index 1), so once below rad(C_x) stop
-        if n >= 1 and circle.radius < target.radius:
-            return False
-    return False
+def _chain_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
+    """Statement (ii) up to a cap: the bases (a, b) with b <= max_den of the
+    chain of alpha, by a mediant descent of the Ford packing.  Between tangent
+    circles at a/b and c/d, one circle touches both and the axis, at the
+    mediant (Ford, 1938); the chain circles are where the descent towards
+    alpha turns (Series, 1985).  Mediant denominators grow by >= 1 per step,
+    and the step past the cap still decides its turn: <= max_den + 2 tests."""
+    n = floor_scaled(alpha, 1)
+    found = {(n, 1)}
+    if sign_of_quadratic(0, 1, -n, alpha) == EQ:  # an integer is its own chain
+        return found
+    a, b, c, d = n, 1, n + 1, 1  # the tangent ends a/b < alpha < c/d
+    while True:
+        m, k = a + c, b + d
+        side = sign_of_quadratic(0, k, -m, alpha)
+        if side != EQ:
+            found.add((c, d) if side == GT else (a, b))  # the end that stays
+        elif k <= max_den:
+            found.add((m, k))  # alpha = m/k ends the chain
+        if side == EQ or k > max_den:
+            return found
+        a, b, c, d = (m, k, c, d) if side == GT else (a, b, m, k)
 
 
 def _rivals(x: Fraction, alpha: RealNumber) -> Iterator[tuple[int, int]]:
@@ -203,7 +204,7 @@ def theorem_u_check(x: RationalLike, alpha: RealNumber | RationalLike) -> Theore
     x = _as_fraction(x)
     alpha = as_real(alpha)
     stmt_i = (x.numerator, x.denominator) in _convergents_upto(alpha, x.denominator)
-    stmt_ii = _is_chain_member(x, alpha)
+    stmt_ii = (x.numerator, x.denominator) in _chain_upto(alpha, x.denominator)
     stmt_iii = is_best_approx_2nd(x, alpha)
     stmt_iv = is_nearby(x, alpha)
     witness = statement_v_witness(x, alpha)
@@ -249,8 +250,8 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
 
     Runs the equivalence over every non-integer reduced x with denominator
     <= den_max_x strictly inside (lo - 1, hi + 1) against every reduced alpha
-    with denominator <= den_max_alpha in [lo, hi).  Statements (i) and (ii)
-    come from the cf engine and the chain, precomputed per alpha.
+    with denominator <= den_max_alpha in [lo, hi).  Statement (i) walks the
+    convergent recurrence and (ii) the Ford packing, both capped at den_max_x.
 
     Statements (iii), (iv) and (v) for a whole alpha come from the kernel's
     candidate sets, O(den_max_x) integer work each.  A pair outside all five
@@ -279,8 +280,9 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     inconsistencies: list[dict] = []
     for alpha in alphas:
         p, q = alpha.numerator, alpha.denominator
-        conv_set = _convergents_upto(ExactReal(alpha), den_max_x)
-        chain_set = {(c.base.numerator, c.base.denominator) for c in _chain_iter(alpha)}
+        real = ExactReal(alpha)
+        conv_set = _convergents_upto(real, den_max_x)
+        chain_set = _chain_upto(real, den_max_x)
         best_set = _kernel.best_set(p, q, den_max_x)
         near_set = _kernel.near_set(p, q, den_max_x)
         witness_set = _kernel.witness_set(p, q, den_max_x)

@@ -21,6 +21,7 @@ from fordcircles import (
     convergents,
     fmt6,
     ford_circle,
+    ford_radius,
     gap_relation,
     generic_tangent_radius,
     golden_ratio,
@@ -92,6 +93,7 @@ def test_removed_names_are_gone():
     lambda: CFStream(1.5, PeriodicCoefficients([1])),
     lambda: convergents(cf_of_rational(F(3, 5)), 2.5),
     lambda: cf_chain(golden_ratio(), 2.5),
+    lambda: ford_radius(0.5),
     lambda: compare_real(CFStream(1, [1.5] * 3), F(8, 5)),
     lambda: QuadraticRadius(golden_ratio(), 0.5, 0, 0),
 ], ids=["is_best_approx_2nd", "is_nearby", "statement_v_witness",
@@ -102,7 +104,7 @@ def test_removed_names_are_gone():
         "reduced_fractions_in-max_den", "verify_sweep-den_max_x",
         "verify_sweep-den_max_alpha", "render-max_den", "render-window", "render-width", "render_statement_v", "fmt6",
         "PeriodicCoefficients", "sqrt_real", "from_coefficients", "CFStream",
-        "convergents", "cf_chain", "stream-partial", "QuadraticRadius"])
+        "convergents", "cf_chain", "ford_radius", "stream-partial", "QuadraticRadius"])
 def test_float_arguments_rejected(call):
     # a float would be expanded to its binary value and decide exactly on it,
     # or truncated where an integer is expected

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from itertools import islice
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -218,6 +220,50 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--max-den-x", "0",
                            "--max-den-alpha", "5", "--window", "0..1")
         assert code == 1 and "caps" in err
+
+
+class TestPinnedOutputs:
+    """sha256 of the `check` and `verify` output, the counterpart of the SVG
+    digests in test_render.py: any change to a statement's verdict, the
+    witness, the exit code or the JSON layout shows here."""
+
+    CHECK_SPECS = ("golden", "sqrt:2", "sqrt:94", "cf:1;2,(2)", "cf:-2;1,3,(1,4)",
+                   "3/5", "-7/2", "355/113", "4", "1/1000")
+
+    @staticmethod
+    def captured(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    def test_check(self):
+        # every reduced a/b with -4b <= a < 6b and b <= 12 against ten specs
+        digest = hashlib.sha256()
+        runs = 0
+        for spec in self.CHECK_SPECS:
+            for b in range(1, 13):
+                for a in range(-4 * b, 6 * b):
+                    if gcd(a, b) == 1:
+                        code, out, err = self.captured(["check", f"{a}/{b}", spec])
+                        digest.update(f"{code}|{out}|{err}".encode())
+                        runs += 1
+        assert runs == 4600
+        assert digest.hexdigest() == \
+            "9d5e8952a03e61cafb24b51219d3b0b79a3ffa97227ac5f0a6c89dfe6c68b640"
+
+    @pytest.mark.parametrize("argv,want", [
+        (["--max-den-x", "40", "--max-den-alpha", "25", "--window=-2..1"],
+         "1154896a4e4f1caaf1a48f09dbf3ada680c4720e6b40dd7a1b942a2d3770f187"),
+        (["--max-den-x", "12", "--max-den-alpha", "30", "--window", "1/3..5/2"],
+         "316b28b5203c47a9f80d1c590434c1f98a9f3ef28291dbc6589a23409bd9ae9a"),
+    ], ids=["40x25", "12x30"])
+    def test_verify(self, argv, want):
+        code, out, err = self.captured(["verify", *argv])
+        report = json.loads(out)
+        del report["elapsed"]
+        text = f"{code}|{json.dumps(report, indent=2)}|{err}"
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 class TestRender:

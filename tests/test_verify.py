@@ -31,7 +31,9 @@ from fordcircles import (
     theorem_u_check,
     verify_sweep,
 )
-from fordcircles import _kernel
+from fordcircles import _kernel, verify
+from fordcircles.cli import parse_real_spec
+from fordcircles.real import ExactReal, RealNumber, as_real, sign_of_quadratic
 from test_exact_core import bracket_twin
 
 
@@ -98,6 +100,80 @@ class TestCfChain:
         chain = cf_chain(sqrt_real(2), 8)
         for prev, cur in zip(chain, chain[1:]):
             assert are_tangent(prev.base, cur.base)
+
+
+class TestChainDescent:
+    """Statement (ii)'s mediant descent of the Ford packing, held against
+    statement (i)'s convergent walk, which it never calls."""
+
+    CAPS = (1, 2, 3, 7, 20, 39, 40, 41, 200)
+    STREAMS = ("golden", "sqrt:2", "sqrt:94", "sqrt:991", "cf:-3;40,1,(5,1,7)")
+
+    @staticmethod
+    def streams():
+        yield from map(parse_real_spec, TestChainDescent.STREAMS)
+        yield bracket_twin(golden_ratio())
+        yield bracket_twin(sqrt_real(7))
+
+    def test_rationals_match_the_convergents(self):
+        for alpha in reduced_fractions_in(F(-3), F(3), 40, include_hi=False):
+            real = ExactReal(alpha)
+            for cap in self.CAPS:
+                assert verify._chain_upto(real, cap) == \
+                    verify._convergents_upto(real, cap), (alpha, cap)
+
+    def test_streams_match_the_convergents(self):
+        for alpha in self.streams():
+            for cap in (1, 2, 3, 5, 41, 100, 10**4, 10**6):
+                assert verify._chain_upto(alpha, cap) == \
+                    verify._convergents_upto(alpha, cap), (alpha, cap)
+
+    def test_consecutive_bases_are_tangent(self):
+        alphas = [*self.streams(), F(355, 113), F(-7, 2), F(3, 5), F(7, 2)]
+        for alpha in alphas:
+            bases = sorted(verify._chain_upto(as_real(alpha), 10**4),
+                           key=lambda pair: pair[::-1])
+            for (a, b), (c, d) in zip(bases, bases[1:]):
+                assert are_tangent(F(a, b), F(c, d)), (alpha, (a, b), (c, d))
+
+    @pytest.mark.parametrize("x,alpha,member,most", [
+        (F(1, 10**4), F(1, 10**4), True, 10**4 + 2),  # [0;10000]: a step per mediant
+        (F(1, 10**8), F(0), False, 1),  # an integer alpha is decided by one test
+    ])
+    def test_sign_tests_are_bounded(self, monkeypatch, x, alpha, member, most):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return sign_of_quadratic(*args)
+
+        monkeypatch.setattr(verify, "sign_of_quadratic", counted)
+        assert theorem_u_check(x, alpha).stmt_ii is member
+        assert 1 <= len(calls) <= most
+
+    @staticmethod
+    def skip_convergent_3(monkeypatch):
+        walk = RealNumber.convergent_pairs
+
+        def skipping(self):
+            return (pair for n, pair in enumerate(walk(self)) if n != 3)
+
+        monkeypatch.setattr(RealNumber, "convergent_pairs", skipping)
+
+    def test_check_does_not_follow_the_convergents(self, monkeypatch):
+        # sqrt(2): 1/1, 3/2, 7/5, 17/12, ...; (i) loses 17/12, (ii) keeps it
+        self.skip_convergent_3(monkeypatch)
+        report = theorem_u_check(F(17, 12), sqrt_real(2))
+        assert (report.stmt_i, report.stmt_ii) == (False, True)
+
+    def test_sweep_does_not_follow_the_convergents(self, monkeypatch):
+        self.skip_convergent_3(monkeypatch)
+        found = verify_sweep(8, 8, (F(0), F(1)))["inconsistencies"]
+        assert found
+        for entry in found:
+            assert entry["stmt_i"] is False, entry
+            assert entry["stmt_ii"] and entry["stmt_iii"] and entry["stmt_iv"] \
+                and entry["stmt_v"], entry
 
 
 class TestBestApprox:
@@ -438,6 +514,7 @@ class TestCandidateSets:
         ((12, 6), (F(-7, 2), F(-5, 2))),
         ((6, 5), (F(1 << 30), F((1 << 30) + 1))),
         ((9, 4), (F(-(1 << 31) - 1, 2), F(-(1 << 31) + 1, 2))),
+        ((6, 12), (F(-7, 2), F(-5, 2))),  # the chain's cap below alpha's denominators
     ])
     def test_engines_agree(self, caps, window):
         per_pair = per_pair_sweep(*caps, window)
