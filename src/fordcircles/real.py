@@ -8,10 +8,16 @@ integers, by the engine the constructor fixes.  A rational p/q is the surd
 (p, 0, 0, q), and a stream on periodic or square-root partials is a
 quadratic irrational (Lagrange) with surd (P + S*sqrt(D))/Q, S = +-1, so a
 comparison against a rational, the sign of a rational quadratic or a floor
-is one integer sign test.  Any other stream walks its integer convergent
+is one integer sign test.  Any other stream reads its integer convergent
 pairs, which strictly straddle the value, until they decide; that
-terminates unless the quadratic vanishes at the stream value.  No
-floating-point value enters or leaves this module.
+terminates unless the quadratic vanishes at the stream value.  Such a
+stream keeps one table of its convergent pairs, shared by all its queries
+and grown on demand from one live ``convergent_pairs()`` walk, so each
+coefficient is pulled once per stream rather than once per query.  The
+table is keyed on the ``partials`` object it was built from and rebuilt
+when that object is replaced; it lives as long as the stream and holds at
+most DEFAULT_MAX_PULLS + 1 pairs.  No floating-point value enters or leaves
+this module.
 """
 
 from __future__ import annotations
@@ -23,12 +29,14 @@ from typing import Iterable, Iterator, Union
 
 LT, EQ, GT = -1, 0, 1
 
-#: Hard cap on coefficient pulls during bracket refinement, read by
-#: ``CFStream.brackets`` at each call.  A query that needs this many pulls
-#: almost certainly means a rational value was smuggled in as a stream, or a
-#: quadratic vanishing at a stream without a surd; genuine irrational streams
-#: separate from any fixed rational after a handful of convergents, and
-#: queries on a surd never refine brackets at all.
+#: Hard cap on the bracket index of refinement, read by ``CFStream.brackets``
+#: at each call: a query not decided by bracket n = DEFAULT_MAX_PULLS raises
+#: RefinementExhausted, even when the stream's table already holds deeper
+#: pairs, and the table never grows past that many coefficient pulls.  A query
+#: that needs this many almost certainly means a rational value was smuggled
+#: in as a stream, or a quadratic vanishing at a stream without a surd;
+#: genuine irrational streams separate from any fixed rational after a
+#: handful of convergents, and queries on a surd never refine brackets at all.
 DEFAULT_MAX_PULLS = 10_000
 
 RationalLike = Union[int, Fraction]
@@ -128,6 +136,15 @@ class CFStream(RealNumber):
     else None.  Replacing ``partials`` later changes only the coefficient
     walks, never the engine.
 
+    ``brackets()`` reads one table of convergent pairs (A_n, B_n) that all
+    queries share, grown one coefficient at a time from a single live
+    ``convergent_pairs()`` walk.  The table is keyed on the identity of
+    ``partials``: when ``self.partials`` is not the object it was built from,
+    it is dropped and rebuilt from the new one.  A walk that raises (a
+    coefficient < 1 or not an integer, a stream that ended) drops it too, so
+    the next query walks again and raises the same error.  It lives as long
+    as the stream and holds at most DEFAULT_MAX_PULLS + 1 pairs.
+
     For periodic partials, with A/B and A'/B' the last two convergents of
     the period block, the purely periodic tail y = (A*y + A')/(B*y + B') is
     the root > 1 of B*y^2 + (B' - A)*y - A' = 0, and the last two
@@ -135,7 +152,7 @@ class CFStream(RealNumber):
     (C*y + C')/(E*y + E').
     """
 
-    __slots__ = ("b0", "partials", "label")
+    __slots__ = ("b0", "partials", "label", "_source", "_pairs", "_walk")
 
     def __init__(self, b0: int, partials: Iterable[int], label: str | None = None):
         self.b0 = _as_int(b0)
@@ -143,6 +160,7 @@ class CFStream(RealNumber):
             raise TypeError("partials must be restartable, not an iterator or generator")
         self.partials = partials
         self.label = label
+        self._source = None  # the partials the convergent table was built from
         if isinstance(partials, _SqrtPartials):
             self._surd = (self.b0 - isqrt(partials.n), 1, partials.n, 1)
         elif isinstance(partials, PeriodicCoefficients):
@@ -186,23 +204,40 @@ class CFStream(RealNumber):
         The two convergents strictly straddle the value (even-indexed below,
         odd-indexed above), and A_n*B_{n-1} - A_{n-1}*B_n = +-1 makes the
         open bracket between them 1/(B_{n-1}*B_n) wide, shrinking to zero, so
-        any question decidable from a rational neighbourhood terminates.  A
-        question that is not decided after DEFAULT_MAX_PULLS coefficients
-        raises RefinementExhausted; this is the only loop that holds the cap.
+        any question decidable from a rational neighbourhood terminates.  The
+        pairs come from the stream's table, which this loop extends by one
+        pull of the live walk when a query reaches its end.  A question that
+        is not decided by bracket DEFAULT_MAX_PULLS raises
+        RefinementExhausted, however deep the table already is; this is the
+        only loop that holds the cap.
         """
-        pairs = self.convergent_pairs()
-        prev = next(pairs)
-        for n, cur in enumerate(pairs, start=1):
+        if self._source is not self.partials:
+            self._source = self.partials
+            self._walk = convergent_pairs(self.coefficients())
+            self._pairs = [next(self._walk)]  # (b0, 1) pulls no partial
+        pairs, walk = self._pairs, self._walk
+        n = 1
+        while True:
             if n > DEFAULT_MAX_PULLS:
                 raise RefinementExhausted(
                     f"no decision after {DEFAULT_MAX_PULLS} coefficient pulls; "
                     "a finite value must be constructed as an exact rational"
                 )
-            yield prev, cur
-            prev = cur
-        raise ValueError(
-            "coefficient stream ended; finite expansions must be ExactReal"
-        )
+            if n == len(pairs):
+                try:
+                    pairs.append(next(walk))
+                except BaseException as exc:
+                    # a raising generator is spent: drop the table so that
+                    # the next query walks again and meets the same error
+                    if self._pairs is pairs:
+                        self._source = None
+                    if isinstance(exc, StopIteration):
+                        raise ValueError(
+                            "coefficient stream ended; finite expansions must be ExactReal"
+                        ) from None
+                    raise
+            yield pairs[n - 1], pairs[n]
+            n += 1
 
 
 def convergent_pairs(coeffs: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -284,7 +319,8 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
         c2 = q2.numerator * (m // q2.denominator)
         c1 = q1.numerator * (m // q1.denominator)
         c0 = q0.numerator * (m // q0.denominator)
-    alpha = as_real(alpha)
+    if not isinstance(alpha, RealNumber):
+        alpha = as_real(alpha)
     if c2 == c1 == c0 == 0:
         return EQ
     surd = alpha.surd()
@@ -323,7 +359,8 @@ def floor_scaled(alpha: RealNumber | RationalLike, k: int) -> int:
     k*a0 // b0 once it equals k*a1 // b1 at a convergent pair."""
     if k < 1:
         raise ValueError("scale factor must be >= 1")
-    alpha = as_real(alpha)
+    if not isinstance(alpha, RealNumber):
+        alpha = as_real(alpha)
     surd = alpha.surd()
     if surd is not None:
         # floor(k*s*sqrt(d)) is s*isqrt(k^2*d), less 1 when s < 0 (irrational)

@@ -134,6 +134,12 @@ class TestCompareReal:
             compare_real(golden_ratio(), 1.5)
         with pytest.raises(TypeError, match="floating-point"):
             sign_of_quadratic(0.5, 0, -1, golden_ratio())
+        # a float alpha too, where a RealNumber, int or Fraction is accepted
+        with pytest.raises(TypeError, match="floating-point"):
+            sign_of_quadratic(1, 0, -2, 1.5)
+        with pytest.raises(TypeError, match="floating-point"):
+            floor_scaled(2.5, 1)
+        assert floor_scaled(7, 1) == floor_scaled(F(7, 3), 3) == 7
 
     def test_finite_stream_rejected(self):
         class Finite:
@@ -516,3 +522,111 @@ class TestSurd:
         c2, c1, c0 = coeffs
         assert sign_of_quadratic(c2, c1, c0, stream) == \
             sign_of_quadratic(F(c2, k), F(c1, k), F(c0, k), stream)
+
+
+class Counting:
+    """A restartable coefficient iterable that counts its restarts and the
+    coefficients pulled through it."""
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+        self.restarts = self.pulls = 0
+
+    def __iter__(self):
+        self.restarts += 1
+        for c in self.coeffs:
+            self.pulls += 1
+            yield c
+
+
+def answer(query, alpha):
+    kind, arg = query
+    if kind == "floor":
+        return floor_scaled(alpha, arg)
+    if kind == "compare":
+        return compare_real(alpha, arg)
+    return sign_of_quadratic(*arg, alpha)
+
+
+class TestConvergentTable:
+    """A stream without a surd keeps one table of convergent pairs for all
+    its queries, keyed on its partials object and capped like a fresh walk."""
+
+    GOLDEN_QUERIES = (
+        [("floor", k) for k in (1, 7, 55, 600, 10**4, 3)]
+        + [("compare", q) for q in (F(832040, 514229), F(1), F(8, 5), F(-7, 2))]
+        + [("quad", c) for c in ((1, 0, -3), (3, -5, 1), (1, -1, F(-9, 8)))]
+    )
+
+    def test_each_coefficient_pulled_once(self):
+        partials = Counting(PeriodicCoefficients((1,)))
+        stream = CFStream(1, partials)
+        want = [answer(q, golden_ratio()) for q in self.GOLDEN_QUERIES]
+        assert [answer(q, stream) for q in self.GOLDEN_QUERIES] == want
+        # one walk in all, as deep as the deepest query (832040/514229 is
+        # the convergent of index 28)
+        assert partials.restarts == 1 and 28 <= partials.pulls < 40
+        pulls = partials.pulls
+        assert [answer(q, stream) for q in reversed(self.GOLDEN_QUERIES)] == want[::-1]
+        assert (partials.restarts, partials.pulls) == (1, pulls)
+
+    def test_replaced_partials_rebuild_the_table(self):
+        old = Counting(PeriodicCoefficients((1,)))
+        stream = CFStream(1, old)
+        assert compare_real(stream, F(3, 2)) == GT  # golden
+        pulled = old.pulls
+        new = stream.partials = Counting(Plain(sqrt_real(2).partials))
+        assert compare_real(stream, F(3, 2)) == LT  # 1 + [0; 2, 2, ...] = sqrt(2)
+        assert floor_scaled(stream, 1000) == 1414
+        assert new.restarts == 1 and new.pulls > 0
+        assert (old.restarts, old.pulls) == (1, pulled)
+
+    def test_exhaustion_bounds_the_table(self, monkeypatch):
+        monkeypatch.setattr(real, "DEFAULT_MAX_PULLS", 5)
+        partials = Counting(PeriodicCoefficients((1,)))
+        stream = CFStream(1, partials)
+        for _ in range(2):
+            with pytest.raises(RefinementExhausted, match="after 5 coefficient pulls"):
+                compare_real(stream, F(832040, 514229))
+            assert len(stream._pairs) <= real.DEFAULT_MAX_PULLS + 1
+            assert partials.pulls <= real.DEFAULT_MAX_PULLS
+
+    @pytest.mark.parametrize("coeffs, error, match", [
+        ((1, 1, 1, 0, 1, 1), ValueError, "coefficient 0 at index 4 is < 1"),
+        ((1, 1, 1, 1.5, 1), TypeError, "floating-point"),
+        ((1, 1, 1, F(3, 2), 1), TypeError, "cannot be interpreted as an integer"),
+        ((1, 1), ValueError, "coefficient stream ended"),
+    ])
+    def test_errors_repeat_on_every_query(self, coeffs, error, match):
+        # the first three brackets are golden's, and 832040/514229 lies inside
+        # every golden bracket, so each query reaches the bad coefficient
+        stream = CFStream(1, Plain(coeffs))
+        for _ in range(3):
+            with pytest.raises(error, match=match):
+                compare_real(stream, F(832040, 514229))
+        # a query decided before the bad coefficient still is
+        assert compare_real(stream, F(1)) == GT
+
+    @settings(deadline=None)
+    @given(PERIODIC, st.data())
+    def test_order_independence(self, spec, data):
+        # one memoised stream answers any mix of queries in any order as a
+        # fresh stream per query does, and as the surd does
+        b0, period, initial = spec
+        stream = CFStream(b0, PeriodicCoefficients(period, initial))
+        h = minimal_polynomial(b0, period, initial)
+        convergents = list(islice(bracket_twin(stream).convergent_pairs(), 13))
+        near = st.builds(lambda i, dq: F(*convergents[i]) + dq,
+                         st.integers(0, 12),
+                         st.sampled_from([F(0), F(1, 10**12), F(-1, 10**12), F(1, 3)]))
+        quad = st.tuples(*[st.fractions(max_denominator=100)] * 3).filter(
+            lambda c: any(c) and not proportional(c, h))
+        queries = data.draw(st.lists(st.one_of(
+            st.tuples(st.just("floor"), st.integers(1, 10**4)),
+            st.tuples(st.just("compare"), near),
+            st.tuples(st.just("quad"), quad)), min_size=1, max_size=12))
+        memo = bracket_twin(stream)
+        order = data.draw(st.permutations(range(len(queries))))
+        got = {i: answer(queries[i], memo) for i in order}
+        for i, query in enumerate(queries):
+            assert got[i] == answer(query, bracket_twin(stream)) == answer(query, stream)
