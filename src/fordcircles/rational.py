@@ -3,13 +3,15 @@
 Rationals are plain ``fractions.Fraction`` values: the stdlib type already
 maintains the two invariants everything downstream relies on, namely
 ``gcd(|numerator|, denominator) == 1`` and a strictly positive denominator
-after every construction.
+after every construction.  The enumeration itself runs on integers: one
+generator yields reduced pairs ``(a, b)``, which ``reduced_fractions_in``
+turns into ``Fraction`` values and the sweep and the renderer read as they are.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
 from typing import Iterator
 
 from .real import _as_fraction, _as_int
@@ -31,18 +33,20 @@ def reduced_fractions_in(
     max_den = _as_int(max_den)
     if max_den < 1:
         raise ValueError("max_den must be >= 1")
-    return _reduced_fractions(_as_fraction(lo), _as_fraction(hi), max_den, include_lo, include_hi)
+    pairs = _reduced_pairs(_as_fraction(lo), _as_fraction(hi), max_den, include_lo, include_hi)
+    return (Fraction(a, b) for a, b in pairs)
 
 
-def _reduced_fractions(lo: Fraction, hi: Fraction, max_den: int,
-                       include_lo: bool, include_hi: bool) -> Iterator[Fraction]:
+def _reduced_pairs(lo: Fraction, hi: Fraction, max_den: int,
+                   include_lo: bool = True, include_hi: bool = True) -> Iterator[tuple[int, int]]:
+    """The pairs (a, b) of reduced_fractions_in, in the same order, with
+    b >= 1 and gcd(a, b) == 1.  For lo = ln/ld, the least a at b is
+    ceil(ln*b/ld) = -(-ln*b // ld), or floor(ln*b/ld) + 1 when lo is left
+    out; the greatest at hi likewise, so no bound is tested for equality."""
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     for b in range(1, max_den + 1):
-        a_min = ceil(lo * b)
-        a_max = floor(hi * b)
-        if not include_lo and Fraction(a_min, b) == lo:
-            a_min += 1
-        if not include_hi and a_max >= a_min and Fraction(a_max, b) == hi:
-            a_max -= 1
+        a_min = -(-ln * b // ld) if include_lo else ln * b // ld + 1
+        a_max = hn * b // hd if include_hi else -(-hn * b // hd) - 1
         for a in range(a_min, a_max + 1):
-            if gcd(abs(a), b) == 1:
-                yield Fraction(a, b)
+            if gcd(a, b) == 1:
+                yield a, b

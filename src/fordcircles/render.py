@@ -1,10 +1,16 @@
 """Deterministic SVG rendering of Ford circle pictures.
 
-Geometry stays exact (fractions) all the way to the final formatting step,
-where every coordinate is written with exactly six decimal places (ties to
-even), so identical inputs give byte-identical documents and visual tangency
-survives rendering.  Mathematical x in [lo, hi] maps to [0, widthPx]; y uses
-the same scale and is inverted so the real axis sits at the bottom edge.
+Geometry stays exact all the way to the final formatting step, where every
+coordinate is written with exactly six decimal places (ties to even), so
+identical inputs give byte-identical documents and visual tangency survives
+rendering.  Mathematical x in [lo, hi] maps to [0, widthPx]; y uses the same
+scale and is inverted so the real axis sits at the bottom edge.
+
+Circles are computed in integers: the window end, the scale and the height
+are each one ratio of integers per figure, so every circle coordinate is an
+integer numerator over a common denominator, and the one rounding step is an
+integer division.  A circle's y and radius depend only on its denominator, so
+that part of the element is written once per denominator of the field.
 """
 
 from __future__ import annotations
@@ -12,12 +18,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import groupby
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
 from xml.sax.saxutils import escape
 
-from .geometry import ford_radius
-from .rational import reduced_fractions_in
-from .real import CFStream, ExactReal, RationalLike, RealNumber, _as_fraction, as_real
+from .rational import _reduced_pairs
+from .real import CFStream, ExactReal, RationalLike, RealNumber, _as_fraction, _as_int, as_real
 from .verify import cf_chain, statement_v_witness
 
 #: Stroke colors: muted background field, highlighted foreground, axis, marker.
@@ -37,21 +44,42 @@ class RenderSpec:
     width_px: int = 800
 
     def validate(self) -> None:
-        lo, hi = self.window
+        lo, hi = map(_as_fraction, self.window)
         if not lo < hi:
             raise ValueError("invalid render spec: window must satisfy lo < hi")
-        if self.max_den < 1:
+        if _spec_int(self.max_den, "maxDen") < 1:
             raise ValueError("invalid render spec: maxDen must be >= 1")
-        if self.width_px < 64:
+        if _spec_int(self.width_px, "widthPx") < 64:
             raise ValueError("invalid render spec: widthPx must be >= 64")
+
+
+def _spec_int(value: int, name: str) -> int:
+    """_as_int(value); a non-integer other than a float is refused by the
+    field's name, not by operator.index's generic message."""
+    try:
+        return _as_int(value)
+    except TypeError:
+        if isinstance(value, float):
+            raise
+        raise TypeError(f"invalid render spec: {name} must be an integer, "
+                        f"not {type(value).__name__}") from None
 
 
 def fmt6(x: RationalLike) -> str:
     """Exact fixed 6-decimal rendering of a rational, ties to even."""
-    scaled = round(_as_fraction(x) * 10**6)
-    digits = f"{abs(scaled):07d}"
-    sign = "-" if scaled < 0 else ""
-    return f"{sign}{digits[:-6]}.{digits[-6:]}"
+    x = _as_fraction(x)
+    return _fmt6(x.numerator, x.denominator)
+
+
+def _fmt6(n: int, d: int) -> str:
+    """fmt6 of n/d for integers n and d >= 1, not necessarily coprime.  The
+    floor and remainder of n*10**6 over d round half to even exactly as
+    Fraction.__round__ does, whatever common factor n and d share."""
+    scaled, rem = divmod(n * 10**6, d)
+    if 2 * rem > d or (2 * rem == d and scaled & 1):
+        scaled += 1
+    whole, frac = divmod(abs(scaled), 10**6)
+    return f"{'-' if scaled < 0 else ''}{whole}.{frac:06d}"
 
 
 def _approx_for_pixels(alpha: RealNumber) -> Fraction:
@@ -84,28 +112,39 @@ def _figure(spec: RenderSpec, field_stroke: str, highlights: Sequence[Fraction] 
     the optional segment on the axis, the highlighted circles, the optional
     marker at a real, and meta plus the window, maxDen and widthPx as
     metadata.  The height fits the largest circle drawn."""
-    lo, hi = spec.window
-    field = list(reduced_fractions_in(lo, hi, spec.max_den))
+    lo, hi = map(_as_fraction, spec.window)
+    field = list(_reduced_pairs(lo, hi, spec.max_den))
     width = _as_fraction(spec.width_px)
     scale = width / (hi - lo)
-    # the field is ordered by denominator, so its first circle is its largest
-    r_max = max(map(ford_radius, [*field[:1], *highlights]), default=Fraction(1, 2))
-    height = 2 * r_max * scale
+    # the largest circle drawn, of radius 1/(2*b*b), has the least denominator
+    # b, and the field is ordered by denominator; 1/2 when nothing is drawn
+    b_min = min([b for _, b in field[:1]] + [x.denominator for x in highlights], default=1)
+    height = scale / (b_min * b_min)
+    ln, ld = lo.numerator, lo.denominator
+    sn, sd = scale.numerator, scale.denominator
+    hn, hd = height.numerator, height.denominator
 
     def x_px(x: Fraction) -> Fraction:
         return (x - lo) * scale
 
-    def circle(base: Fraction, stroke: str) -> str:
-        r = ford_radius(base) * scale
-        return (f'<circle cx="{fmt6(x_px(base))}" cy="{fmt6(height - r)}" '
-                f'r="{fmt6(r)}" fill="none" stroke="{stroke}" stroke-width="1"/>')
+    def circles(pairs: Iterable[tuple[int, int]], stroke: str) -> Iterator[str]:
+        """The circle at a/b has cx = (a*ld - ln*b)*sn / (b*ld*sd),
+        r = sn/rd and cy = height - r = (hn*rd - sn*hd) / (hd*rd), where
+        rd = 2*b*b*sd; everything after cx is shared by the run of b."""
+        for b, run in groupby(pairs, key=itemgetter(1)):
+            rd = 2 * b * b * sd
+            tail = (f'" cy="{_fmt6(hn * rd - sn * hd, hd * rd)}" r="{_fmt6(sn, rd)}" '
+                    f'fill="none" stroke="{stroke}" stroke-width="1"/>')
+            offset, den = ln * b, b * ld * sd
+            for a, _ in run:
+                yield f'<circle cx="{_fmt6((a * ld - offset) * sn, den)}{tail}'
 
     parts = [_line(Fraction(0), height, width, height, AXIS_STROKE, 1)]
-    parts += [circle(x, field_stroke) for x in field]
+    parts += circles(field, field_stroke)
     if segment is not None:
         parts.append(_line(x_px(segment[0]), height, x_px(segment[1]), height,
                            MARKER_STROKE, 3))
-    parts += [circle(x, HIGHLIGHT_STROKE) for x in highlights]
+    parts += circles([(x.numerator, x.denominator) for x in highlights], HIGHLIGHT_STROKE)
     if marker is not None:
         px = x_px(_approx_for_pixels(marker))
         parts.append(_line(px, height - height / 30, px, height, MARKER_STROKE, 2))

@@ -29,7 +29,7 @@ from typing import Iterator
 from . import _kernel
 from .cf import Convergent, cf_of_rational, convergents
 from .geometry import FordCircle, _tangent_radius
-from .rational import reduced_fractions_in
+from .rational import _reduced_pairs, reduced_fractions_in
 from .real import (
     EQ,
     GT,
@@ -268,12 +268,8 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
         raise ValueError("denominator caps must be >= 1")
     started = time.perf_counter()
 
-    xs = [
-        (x.numerator, x.denominator)
-        for x in reduced_fractions_in(lo - 1, hi + 1, den_max_x,
-                                      include_lo=False, include_hi=False)
-        if x.denominator > 1
-    ]
+    xs = [(a, b) for a, b in _reduced_pairs(lo - 1, hi + 1, den_max_x, False, False)
+          if b > 1]
     alphas = list(reduced_fractions_in(lo, hi, den_max_alpha, include_hi=False))
     position = {x: i for i, x in enumerate(xs)}
 

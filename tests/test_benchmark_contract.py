@@ -1,7 +1,8 @@
 """What the benchmark in perfbench/ needs of the package: a short untraced run
 succeeds, names the kernel, and every kernel function is traced under the
 ``kernel`` layer.  A change in src/ that dropped ``backend_name`` or moved
-the kernels out of a traced module would make every benchmark run fail."""
+the kernels out of a traced module would make every benchmark run fail.  A
+short render run on seed 1 also reproduces that seed's recorded SVG digests."""
 
 from __future__ import annotations
 
@@ -29,6 +30,18 @@ def test_short_run_names_the_backend_and_passes():
     assert len(env) == 1
     assert json.loads(env[0][len("env "):])["backend"] == "pure"
     last = json.loads(lines[-1])
+    assert last["correct"] is True and last["failed"] == 0
+
+
+def test_render_matches_the_held_out_digests():
+    # seed 1's 60 documents are compared with perfbench/render_digests.json,
+    # so a byte of SVG that moves fails the benchmark's correctness check
+    run = subprocess.run(
+        [sys.executable, "-B", str(PERFBENCH / "run.py"), "--workload", "render",
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    last = json.loads(run.stdout.splitlines()[-1])
     assert last["correct"] is True and last["failed"] == 0
 
 

@@ -77,6 +77,22 @@ class TestReducedFractionsIn:
         seq = list(reduced_fractions_in(F(0), F(2), 1, include_hi=False))
         assert seq == [F(0), F(1)]
 
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=12),
+           st.fractions(min_value=0, max_value=3, max_denominator=12),
+           st.integers(1, 12), st.booleans(), st.booleans())
+    def test_matches_a_filter_over_fractions(self, lo, width, max_den, include_lo, include_hi):
+        # the integer floor/ceiling bounds against a Fraction comparison of
+        # every candidate numerator, with fractional and negative ends
+        hi = lo + width
+        want = [F(a, b) for b in range(1, max_den + 1)
+                for a in range(int(lo * b) - 1, int(hi * b) + 2)
+                if F(a, b).denominator == b
+                and (lo <= F(a, b) if include_lo else lo < F(a, b))
+                and (F(a, b) <= hi if include_hi else F(a, b) < hi)]
+        got = list(reduced_fractions_in(lo, hi, max_den,
+                                        include_lo=include_lo, include_hi=include_hi))
+        assert got == want
+
     @pytest.mark.parametrize("args, error, match", [
         ((0, 1, 0), ValueError, "max_den must be >= 1"),
         ((0, 1, 3.0), TypeError, "floating-point"),

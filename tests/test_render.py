@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fordcircles import (
     RenderSpec,
@@ -18,7 +19,7 @@ from fordcircles import (
     render_statement_v,
     sqrt_real,
 )
-from fordcircles.render import FIELD_STROKE, HIGHLIGHT_STROKE, MARKER_STROKE
+from fordcircles.render import FIELD_STROKE, HIGHLIGHT_STROKE, MARKER_STROKE, _fmt6
 
 
 def farey_ascending(n: int):
@@ -66,6 +67,38 @@ class TestFmt6:
 
     def test_no_negative_zero(self):
         assert fmt6(F(-1, 10**7)) == "0.000000"
+
+
+def reference_fmt6(n: int, d: int) -> str:
+    """Six decimals of n/d from Fraction's own rounding (half to even)."""
+    scaled = round(F(n, d) * 10**6)
+    sign = "-" if scaled < 0 else ""
+    return f"{sign}{abs(scaled) // 10**6}.{abs(scaled) % 10**6:06d}"
+
+
+class TestIntegerFmt6:
+    """_fmt6(n, d) rounds n/d from a divmod of the unreduced pair; it must
+    agree with Fraction's rounding whatever factor n and d share."""
+
+    @given(st.integers(-10**12, 10**12), st.integers(1, 10**9), st.integers(1, 10**4))
+    def test_matches_fraction_rounding(self, n, d, k):
+        assert _fmt6(n, d) == reference_fmt6(n, d)
+        assert _fmt6(k * n, k * d) == reference_fmt6(n, d)
+        assert _fmt6(n, d) != "-0.000000"
+
+    @given(st.integers(-10**6, 10**6), st.integers(1, 10**4), st.sampled_from([1, -1]))
+    def test_exact_ties(self, j, k, sign):
+        # (2j+1) / (2*10**6) lies halfway between two six-decimal values
+        n, d = sign * k * (2 * j + 1), k * 2 * 10**6
+        assert _fmt6(n, d) == reference_fmt6(n, d)
+        assert int(_fmt6(n, d).replace(".", "")) % 2 == 0
+
+    @given(st.integers(1, 10**6), st.integers(0, 10**9), st.integers(1, 10**4))
+    def test_no_negative_zero(self, n, extra, k):
+        # -n/d lies at most half a unit of the sixth place below 0 (a tie
+        # when extra == 0), so it rounds to an unsigned zero
+        d = 2 * 10**6 * n + extra
+        assert _fmt6(-k * n, k * d) == "0.000000"
 
 
 class TestFordField:
@@ -119,6 +152,13 @@ class TestFordField:
             render_ford_field(RenderSpec(max_den=0))
         with pytest.raises(ValueError, match="widthPx"):
             render_ford_field(RenderSpec(width_px=32))
+        # a non-integer cap or width is refused by validate, before any drawing
+        with pytest.raises(TypeError, match="widthPx must be an integer"):
+            render_ford_field(RenderSpec(width_px=F(800)))
+        with pytest.raises(TypeError, match="maxDen must be an integer"):
+            render_ford_field(RenderSpec(max_den=F(3)))
+        with pytest.raises(TypeError, match="maxDen must be an integer"):
+            RenderSpec(max_den=F(3)).validate()
 
 
 class TestChain:
@@ -216,7 +256,11 @@ class TestPinnedDigests:
     `render chain 355/113 --depth 3`, `render witness 8/5 golden --window
     1..2`, `render witness 1/2 3/5` (a rational marker) and `render witness
     2/3 2/3` (alpha == x); any change to the exact geometry or the
-    formatting shows here."""
+    formatting shows here.  Those six windows start at an integer, so six
+    more start at a fraction (a negative one among them), use odd widths (97
+    and 801 px), cap the field at denominator 1, or mark the rational -22/7;
+    they were recorded from the Fraction-per-circle renderer that preceded
+    the integer one."""
 
     @pytest.mark.parametrize("figure,digest", [
         (lambda: render_ford_field(RenderSpec(max_den=30)),
@@ -231,7 +275,24 @@ class TestPinnedDigests:
          "bb1269564e6a86818713eab520b98a75fa5f8e160b285fe2f05b5342665261b7"),
         (lambda: render_statement_v(F(2, 3), F(2, 3), RenderSpec()),
          "cb50f21634562fc22f9795405ae68d00eccc74df71f85d2c5f4633f0446d1fe8"),
+        (lambda: render_ford_field(RenderSpec(window=(F(-7, 3), F(-4, 3)), max_den=23)),
+         "6837018d67278bd311364d3ad802364fc9c30f26a0479965db84e9346b8b6e04"),
+        (lambda: render_ford_field(RenderSpec(window=(F(1, 4), F(5, 4)), max_den=9,
+                                              width_px=97)),
+         "2c6b8a30160f935cd185beb8a5715272318df5d172030f9cd28ad95f1be177cb"),
+        (lambda: render_chain(golden_ratio(), 5, RenderSpec(window=(F(5, 7), F(45, 14)),
+                                                            max_den=9, width_px=801)),
+         "98bbafc5504f5842a8c3af52dcda1b64d3daaeaecbd6a24d1aa0cb3f06326c96"),
+        (lambda: render_ford_field(RenderSpec(window=(F(-1), F(3, 2)), max_den=1)),
+         "bb57b789a82f110e71690df0fbd60b212c4a91ed326b8295db281e2ed9d4365b"),
+        (lambda: render_chain(F(-22, 7), 3, RenderSpec(window=(F(-7, 2), F(-3)), max_den=23)),
+         "be778346269425cf5f8261b238b8791f2182b70941931e3eed4dc89d468ff273"),
+        (lambda: render_statement_v(F(3, 4), F(7, 9), RenderSpec(window=(F(2, 3), F(4, 5)),
+                                                                 max_den=12, width_px=97)),
+         "9fb0ee855c465ed621d74ccdac674c0ee0766213c879f2e64830018c9e11eab4"),
     ], ids=["field", "chain-sqrt2", "chain-355_113", "witness-golden",
-            "witness-rational", "witness-alpha-is-x"])
+            "witness-rational", "witness-alpha-is-x", "field-negative-fractional",
+            "field-width-97", "chain-golden-width-801", "field-max-den-1",
+            "chain-neg-22_7", "witness-fractional-window"])
     def test_digest(self, figure, digest):
         assert hashlib.sha256(figure().encode()).hexdigest() == digest
