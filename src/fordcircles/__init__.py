@@ -42,7 +42,6 @@ from .real import (
     RealNumber,
     RefinementExhausted,
     as_real,
-    compare_linear_forms,
     compare_real,
     floor_scaled,
     golden_ratio,
@@ -78,9 +77,8 @@ __all__ = [
     "tangent_horocircle_radius",
     "reduced_fractions_in",
     "EQ", "GT", "LT", "CFStream", "ExactReal", "PeriodicCoefficients",
-    "RealNumber", "RefinementExhausted", "as_real", "compare_linear_forms",
-    "compare_real", "floor_scaled", "golden_ratio", "sign_of_quadratic",
-    "sqrt_real",
+    "RealNumber", "RefinementExhausted", "as_real", "compare_real",
+    "floor_scaled", "golden_ratio", "sign_of_quadratic", "sqrt_real",
     "RenderSpec", "fmt6", "render_chain", "render_ford_field",
     "render_statement_v",
     "TheoremUReport", "cf_chain", "is_best_approx_2nd",

@@ -337,22 +337,6 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
     raise AssertionError("unreachable: brackets() never returns normally")
 
 
-def compare_linear_forms(d: int, c: int, b: int, a: int,
-                         alpha: RealNumber | RationalLike) -> int:
-    """Compare |d*alpha - c| against |b*alpha - a| exactly.
-
-    Returns GT when the first form is strictly larger, LT when strictly
-    smaller, EQ when equal.  Works through the sign of the difference of
-    squares, an integer quadratic in alpha.  For a stream the quadratic is
-    identically zero only when (d, c) == (b, a), which ``sign_of_quadratic``
-    returns as EQ before either engine runs, and never merely vanishes at the
-    (irrational) stream value, so the refinement always terminates.
-    """
-    if d < 1 or b < 1:
-        raise ValueError("denominators of linear forms must be >= 1")
-    return sign_of_quadratic(d * d - b * b, -2 * (d * c - b * a), c * c - a * a, alpha)
-
-
 def floor_scaled(alpha: RealNumber | RationalLike, k: int) -> int:
     """floor(k * alpha) for integer k >= 1, exactly: k*p // q for a rational
     p/q, the surd formula below for a stream with a surd, and otherwise

@@ -14,9 +14,10 @@ For non-integer x the five are equivalent; integer x satisfies (i) without
 (iii) whenever alpha lands in the upper half of the unit interval around it,
 so reports flag integers and skip the equivalence claim for them.
 
-(i) walks the convergent recurrence and (ii) the Ford packing's mediants; (iii)
-and (iv) take different routes (linear forms, horocircle radii), but at a
-stream both test one integer quadratic per rival, so agree by construction.
+(i) walks the convergent recurrence and (ii) the Ford packing's mediants.
+(iii) compares linear forms and (iv) horocircle radii: at a stream, (iii)
+tests the sign of one linear form per rival and squares nothing, so it
+shares no quadratic with (iv).
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .real import (
     _as_fraction,
     _as_int,
     as_real,
-    compare_linear_forms,
     compare_real,
     floor_scaled,
     sign_of_quadratic,
@@ -121,9 +121,12 @@ def _chain_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
         a, b, c, d = (m, k, c, d) if side == GT else (a, b, m, k)
 
 
-def _rivals(x: Fraction, alpha: RealNumber) -> Iterator[tuple[int, int]]:
-    """The rival (c, d) of x = a/b at each d <= b at an irrational alpha:
-    c is the integer nearest d*alpha, and (a, b) itself is skipped.
+def _rivals(x: Fraction, alpha: RealNumber) -> Iterator[tuple[int, int, int]]:
+    """The rival (c, d, s) of x = a/b at each d <= b at an irrational alpha:
+    c is the integer nearest d*alpha, s the sign of d*alpha - c, and (a, b)
+    itself is skipped.  With f = floor(2*d*alpha), c = floor((f + 1)/2), so
+    d*alpha lies in (c, c + 1/2) when f is even and in (c - 1/2, c) when
+    f is odd: s is GT or LT by the parity of f.
 
     The lemma of _kernel.py: the form |d*alpha - c| and the radius grow
     strictly with |c - d*alpha|, and d*alpha is never a half-integer, so the
@@ -133,9 +136,10 @@ def _rivals(x: Fraction, alpha: RealNumber) -> Iterator[tuple[int, int]]:
     """
     a, b = x.numerator, x.denominator
     for d in range(1, b + 1):
-        c = (floor_scaled(alpha, 2 * d) + 1) // 2  # floor(d*alpha + 1/2)
+        f = floor_scaled(alpha, 2 * d)
+        c = (f + 1) // 2  # floor(d*alpha + 1/2)
         if c != a or d != b:
-            yield c, d
+            yield c, d, LT if f & 1 else GT
 
 
 def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
@@ -146,14 +150,21 @@ def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike) -> boo
     through the forms themselves, never through radii.  A rational alpha
     goes to the integer kernel; any other alpha compares against the one
     rival per d of _rivals.
+
+    The sign lemma: with s the sign of d*alpha - c and s_b that of
+    b*alpha - a, |d*alpha - c| > |b*alpha - a| iff
+    s*(d*alpha - c) - s_b*(b*alpha - a) > 0, that is iff the linear form
+    (d - e*b)*alpha - (c - e*a) has sign s, where e = s*s_b.  So each rival
+    costs one linear sign test and nothing is squared.
     """
     x = _as_fraction(x)
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal):
         return _kernel.best_flag(a, b, alpha.value.numerator, alpha.value.denominator)
-    return all(compare_linear_forms(d, c, b, a, alpha) == GT
-               for c, d in _rivals(x, alpha))
+    sb = compare_real(alpha, x)
+    return all(sign_of_quadratic(0, d - s * sb * b, s * sb * a - c, alpha) == s
+               for c, d, s in _rivals(x, alpha))
 
 
 def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
@@ -173,7 +184,7 @@ def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
         return _kernel.near_flag(a, b, alpha.value.numerator, alpha.value.denominator)
     rx = _tangent_radius(alpha, a, b)
     return all(_tangent_radius(alpha, c, d).compare(rx) == GT
-               for c, d in _rivals(x, alpha))
+               for c, d, _ in _rivals(x, alpha))
 
 
 def statement_v_witness(x: RationalLike, alpha: RealNumber | RationalLike) -> Fraction | None:

@@ -18,7 +18,6 @@ from fordcircles import (
     PeriodicCoefficients,
     RefinementExhausted,
     as_real,
-    compare_linear_forms,
     compare_real,
     floor_scaled,
     golden_ratio,
@@ -336,41 +335,6 @@ class TestSignOfQuadratic:
         assert sign_of_quadratic(F(1, 3), 0, F(-2, 3), sqrt_real(2)) == EQ
 
 
-class TestCompareLinearForms:
-    def test_spec_triple(self):
-        # |1*a - 0| vs |2*a - 1| at a = 3/5: 3/5 > 1/5
-        assert compare_linear_forms(1, 0, 2, 1, F(3, 5)) == GT
-        assert compare_linear_forms(2, 1, 2, 1, F(3, 5)) == EQ
-        assert compare_linear_forms(2, 1, 2, 1, bracket_twin(golden_ratio())) == EQ
-        assert compare_linear_forms(1, 1, 2, 1, F(3, 5)) == GT
-
-    def test_antisymmetry_rational(self):
-        alpha = F(5, 8)
-        for d, c, b, a in [(1, 0, 2, 1), (3, 2, 5, 3), (4, 3, 7, 4), (2, 2, 3, 1)]:
-            assert compare_linear_forms(d, c, b, a, alpha) == -compare_linear_forms(b, a, d, c, alpha)
-
-    def test_eq_only_at_identical_forms_for_streams(self):
-        # for irrational alpha two distinct forms never tie
-        for alpha in (golden_ratio(), sqrt_real(2)):
-            for d in range(1, 5):
-                for b in range(1, 5):
-                    for c in range(-2, 6):
-                        for a in range(-2, 6):
-                            cmp = compare_linear_forms(d, c, b, a, alpha)
-                            if (d, c) == (b, a):
-                                assert cmp == EQ
-                            else:
-                                assert cmp in (LT, GT)
-
-    def test_rational_tie(self):
-        # |1*t - 0| = |3*t - 1| at t = 1/4 (both 1/4)
-        assert compare_linear_forms(1, 0, 3, 1, F(1, 4)) == EQ
-
-    def test_bad_denominators(self):
-        with pytest.raises(ValueError):
-            compare_linear_forms(0, 0, 1, 1, F(1, 2))
-
-
 class TestFloorScaled:
     def test_rational(self):
         assert floor_scaled(F(3, 5), 1) == 0
@@ -515,11 +479,14 @@ class TestSurd:
         h = minimal_polynomial(b0, period, initial)
         if any(coeffs) and not proportional(coeffs, h):
             assert sign_of_quadratic(*coeffs, stream) == sign_of_quadratic(*coeffs, twin)
+        # the linear sign test of (iii) at a rival c/d of a/b, where
+        # e = +-1 and d - e*b may be zero or negative
         d, b = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 300))
         c = floor_scaled(twin, d) + data.draw(st.integers(-1, 2))
         a = floor_scaled(twin, b) + data.draw(st.integers(-1, 2))
-        assert compare_linear_forms(d, c, b, a, stream) == \
-            compare_linear_forms(d, c, b, a, twin)
+        e = compare_real(twin, F(c, d)) * compare_real(twin, F(a, b))
+        assert sign_of_quadratic(0, d - e * b, e * a - c, stream) == \
+            sign_of_quadratic(0, d - e * b, e * a - c, twin)
 
     @given(PERIODIC, st.fractions().filter(bool))
     def test_minimal_polynomial_multiples_vanish(self, spec, scale):

@@ -33,7 +33,8 @@ from fordcircles import (
 )
 from fordcircles import _kernel, verify
 from fordcircles.cli import parse_real_spec
-from fordcircles.real import ExactReal, RealNumber, as_real, sign_of_quadratic
+from fordcircles.real import (ExactReal, RealNumber, as_real, compare_real,
+                              sign_of_quadratic)
 from test_exact_core import bracket_twin
 
 
@@ -287,6 +288,39 @@ class TestStreamReference:
             assert is_nearby(x, alpha) == reference.nearby_surd(x, surd), (name, x)
             held += best
         assert held >= 4
+
+    @pytest.mark.parametrize("engine", ["surd", "brackets"])
+    @pytest.mark.parametrize("name", SURD_STREAMS)
+    def test_rival_signs(self, name, engine):
+        # the parity lemma of _rivals: s is the sign of d*alpha - c
+        make, _ = SURD_STREAMS[name]
+        alpha = make() if engine == "surd" else bracket_twin(make())
+        for c, d, s in verify._rivals(F(1, 200), alpha):
+            assert s == compare_real(alpha, F(c, d)), (name, c, d)
+
+    def test_iii_squares_no_form(self, monkeypatch):
+        # (iii) on a stream makes only linear sign tests: with
+        # sign_of_quadratic refusing a quadratic term in both modules that
+        # (iii) reaches it through, its verdicts stand
+        cases = []
+        for name in ("golden", "sqrt:2", "sqrt:94", "cf:1;2,(1,3)"):
+            make, _ = SURD_STREAMS[name]
+            for alpha in (make(), bracket_twin(make())):
+                b0 = alpha.b0
+                for x in reduced_fractions_in(F(b0 - 1), F(b0 + 2), 29,
+                                              include_hi=False):
+                    cases.append((x, alpha, is_best_approx_2nd(x, alpha)))
+
+        def linear_only(q2, q1, q0, alpha):
+            assert q2 == 0, "a squared form"
+            return sign_of_quadratic(q2, q1, q0, alpha)
+
+        for module in ("fordcircles.real", "fordcircles.verify"):
+            monkeypatch.setattr(f"{module}.sign_of_quadratic", linear_only)
+        for x, alpha, held in cases:
+            assert is_best_approx_2nd(x, alpha) == held, (alpha, x)
+        assert len(cases) == 2 * 3240
+        assert sum(held for *_, held in cases) == 2 * (7 + 5 + 5 + 5)
 
 
 class TestStatementVWitness:
