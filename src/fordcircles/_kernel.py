@@ -3,9 +3,10 @@
 Statements (iii), (iv) and (v) for x = a/b against a rational alpha = p/q,
 in integers (scaled by q, or by 2*q*q for radii), per pair (the flags) and
 per alpha for every b <= X in O(X) work (the sets).  Each of (iii) and (iv)
-has one record scan over d: its set collects the records, its flag stops at
-the first record that reaches x.  The tests hold the kernels against the
-unpruned references in tests/reference.py.
+has one record scan over d, and its set collects the records.  (iv)'s flag
+stops its scan at the first record that reaches x; (iii)'s flag runs no scan
+but a first-hit residue search in O(log q) steps (best_flag).  The tests hold
+the kernels against the unpruned references in tests/reference.py.
 
 Candidate pruning, one lemma for every real alpha (verify._rivals applies
 it to streams): at a fixed d the form |d*alpha - c| and the radius
@@ -80,17 +81,55 @@ def _tangent_neighbor_den(a: int, b: int, side: int) -> int:
     return 2 if b == 1 else (-side * pow(a, -1, b)) % b + b
 
 
+def _first_hit(a: int, m: int, lo: int, hi: int) -> int | None:
+    """The least k >= 0 with lo <= a*k mod m <= hi, for 0 <= lo <= hi < m,
+    or None if there is none.
+
+    If no multiple of a (reduced mod m, so 0 < a < m) lies in [lo, hi], then
+    hi - lo < a, and a*k - j*m lies in [lo, hi] iff (-j*m) mod a lies in
+    [lo mod a, lo mod a + hi - lo], a window inside [1, a - 1]: the least j
+    there gives k = ceil((lo + j*m)/a).  For a > m/2 that step shrinks m
+    only to a, and m = 1 (mod a) would take m steps, so first reflect
+    (a, [lo, hi]) to (m - a, [m - hi, m - lo]): for lo >= 1 the k that hit
+    are the same.  Then a <= m/2 and m at least halves at every step."""
+    if lo == 0:
+        return 0
+    back: list[tuple[int, int, int]] = []
+    while True:
+        a %= m
+        if a == 0:
+            return None
+        if 2 * a > m:
+            a, lo, hi = m - a, m - hi, m - lo
+        k = -(-lo // a)
+        if k * a <= hi:
+            break
+        back.append((lo, m, a))
+        a, m, lo, hi = -m % a, a, lo % a, lo % a + hi - lo
+    for lo, m, a in reversed(back):
+        k = -(-(lo + k * m) // a)
+    return k
+
+
 def best_flag(a: int, b: int, p: int, q: int) -> bool:
     """Statement (iii): is a/b a best approximation of the second kind to p/q.
 
-    Requires t(c, d) = |d*p - c*q| > t(a, b) for every reduced c/d != a/b
-    with d <= b: x holds iff the first record of best_set's scan with
-    t <= t(a, b) is x itself, so a far x exits at d = 1."""
-    target = abs(b * p - a * q)
-    for c, d, t in _best_records(p, q, b):
-        if t <= target:
-            return c == a and d == b
-    return False
+    Requires t(c, d) = |d*p - c*q| > t(a, b) = t for every reduced
+    c/d != a/b with d <= b.  If 2*t >= q the nearer candidate at d = 1
+    (form <= q/2 <= t) refutes x.  Otherwise x holds iff the least d >= 1
+    whose nearer candidate has a form <= t, i.e. whose residue
+    r = d*p mod q has min(r, q - r) <= t, i.e. (d*p + t) mod q <= 2*t, is b:
+    at d = b the other candidates have forms >= q - t > t, so a is the
+    nearest and no tie (form q/2) is a hit.  With d = k + 1 that is the
+    first hit k of p*k mod q in [(-p - t) mod q, that + 2*t]; a window
+    reaching past q holds 0 (k = 0, d = 1), and otherwise _first_hit finds
+    k in O(log q) steps.  Some d <= q has r = 0, so a hit exists."""
+    t = abs(b * p - a * q)
+    if 2 * t >= q:
+        return False
+    lo = (-p - t) % q
+    first_d = 1 if lo + 2 * t >= q else 1 + _first_hit(p, q, lo, lo + 2 * t)
+    return first_d == b
 
 
 def near_flag(a: int, b: int, p: int, q: int) -> bool:

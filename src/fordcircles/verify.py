@@ -17,7 +17,8 @@ so reports flag integers and skip the equivalence claim for them.
 (i) walks the convergent recurrence and (ii) the Ford packing's mediants.
 (iii) compares linear forms and (iv) horocircle radii: at a stream, (iii)
 tests the sign of one linear form per rival and squares nothing, so it
-shares no quadratic with (iv).
+shares no quadratic with (iv).  At a rational, (iii) is a first-hit residue
+search in O(log q) steps and (iv) a scan of the radii over d <= b.
 """
 
 from __future__ import annotations

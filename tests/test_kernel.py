@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
+from hypothesis import example, given, strategies as st
+
 import reference
 from fordcircles import (
     reduced_fractions_in,
@@ -121,6 +123,71 @@ class TestCheckRationalScale:
                        if gcd(a, b) == 1 and _kernel.witness_flag(a, b, p, q)}
             assert _kernel.witness_set(p, q, max_den) == witness, alpha
 
+    def test_best_flag_at_check_rational_denominators(self):
+        # q in 2e6..8e6 and a convergent with b in 6000..20000, as in the
+        # check-rational benchmark; the next partial quotient is at least 2,
+        # so the mediant with the previous convergent is a semiconvergent
+        rng, found = random.Random(11), 0
+        while found < 4:
+            pairs = [(1, 0), (rng.randint(-2, 2), 1)]
+            while pairs[-1][1] < 2 * 10**6:
+                k = rng.choice((1, 1, 2, 3, 5, 9))
+                (h0, k0), (h1, k1) = pairs[-2:]
+                pairs.append((k * h1 + h0, k * k1 + k0))
+            p, q = pairs[-1]
+            picks = [i for i in range(2, len(pairs) - 1)
+                     if 6000 <= pairs[i][1] <= 20000
+                     and pairs[i + 1][1] >= 2 * pairs[i][1] + pairs[i - 1][1]]
+            if q > 8 * 10**6 or not picks:
+                continue
+            found += 1
+            (h0, k0), (h1, k1) = pairs[picks[0] - 1], pairs[picks[0]]
+            alpha = F(p, q)
+            for a, b in ((h1, k1), (h0 + h1, k0 + k1)):
+                assert _kernel.best_flag(a, b, p, q) == reference.best_approx(F(a, b), alpha), \
+                    (a, b, p, q)
+            assert _kernel.best_flag(h1, k1, p, q)
+
+
+def _first_hit_by_scan(a: int, m: int, lo: int, hi: int) -> int | None:
+    # a*k mod m has period dividing m
+    return next((k for k in range(m) if lo <= a * k % m <= hi), None)
+
+
+@st.composite
+def _windows(draw):
+    m = draw(st.integers(1, 300))
+    a = draw(st.one_of(st.integers(),
+                       st.sampled_from((0, m, -m, m // 2, -(m // 2), m - 1, m + 1, 3 * m + 1))))
+    lo = draw(st.integers(0, m - 1))
+    hi = draw(st.integers(lo, m - 1))
+    return a, m, lo, hi
+
+
+class TestFirstHit:
+    """_kernel._first_hit, the residue search behind best_flag, against a scan
+    over k < m."""
+
+    @given(_windows())
+    @example((0, 7, 1, 6))  # no multiple of 0 but 0: None
+    @example((0, 7, 0, 0))
+    @example((4, 8, 1, 3))  # 2*a == m, and only 0 and 4 are hit: None
+    @example((4, 8, 4, 4))  # a hit: 1
+    @example((-3, 10, 0, 9))
+    @example((301, 300, 299, 299))
+    @example((9, 10, 1, 1))  # m = 1 (mod a): the reflection's case
+    def test_matches_scan(self, window):
+        assert _kernel._first_hit(*window) == _first_hit_by_scan(*window)
+
+    def test_m_one_mod_a_takes_few_steps(self):
+        # unreflected, each step of the search only lowers a by one here, so
+        # these would take about m steps (and a recursive search would
+        # overflow the stack)
+        m = 10**30
+        assert _kernel._first_hit(m - 1, m, 1, 1) == m - 1
+        for p, q in ((10**6, 3 * 10**6 + 1), (10**30, 3 * 10**30 + 1)):
+            assert _kernel.best_flag(p, q, p, q) is True
+
 
 class TestSizes:
     def test_pure_has_no_size_limit(self):
@@ -133,6 +200,19 @@ class TestSizes:
         # there; a scan that ran on to d = b would not end
         assert _kernel.best_flag(1, 10**12, 1, 10**9 + 7) is False
         assert _kernel.near_flag(1, 10**12, 1, 10**9 + 7) is False
+
+    def test_fibonacci_far_beyond_any_scan(self):
+        # F_201/F_200 = [1; 1, 1, ...]: its convergents are F_(n+1)/F_n, and
+        # the mediant of two consecutive ones is the next convergent, so the
+        # mediant that skips one is not a best approximation
+        fib = [0, 1]
+        while len(fib) <= 201:
+            fib.append(fib[-1] + fib[-2])
+        p, q = fib[201], fib[200]
+        assert _kernel.best_flag(fib[101], fib[100], p, q) is True
+        assert _kernel.best_flag(fib[99] + fib[101], fib[98] + fib[100], p, q) is False
+        assert gcd(fib[101] + 2, fib[100]) == 1
+        assert _kernel.best_flag(fib[101] + 2, fib[100], p, q) is False
 
     def test_backend_name(self):
         assert _kernel.backend_name() == "pure"
