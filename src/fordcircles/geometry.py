@@ -9,7 +9,8 @@ integer coefficients over one positive integer denominator.  Two of them
 are compared by cross-multiplying the denominators and taking the exact
 sign of the resulting integer quadratic at the stream value (one test on a
 periodic stream's surd, otherwise on integer convergent pairs), so no
-``Fraction`` is built and nothing is ever evaluated numerically.
+``Fraction`` is built and nothing is ever evaluated numerically.  The
+statement oracles build no radius object and compare the quadratics directly.
 """
 
 from __future__ import annotations
@@ -159,11 +160,6 @@ def tangent_horocircle_radius(alpha: RealNumber | RationalLike, x: RationalLike)
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal):
         return (b * alpha.value - a) ** 2 / 2
-    return _tangent_radius(alpha, a, b)
-
-
-def _tangent_radius(alpha: RealNumber, a: int, b: int) -> QuadraticRadius:
-    """(b*alpha - a)^2 / 2 at a stream alpha, from the integers a and b."""
     return QuadraticRadius(alpha, b * b, -2 * a * b, a * a, 2)
 
 

@@ -15,10 +15,12 @@ For non-integer x the five are equivalent; integer x satisfies (i) without
 so reports flag integers and skip the equivalence claim for them.
 
 (i) walks the convergent recurrence and (ii) the Ford packing's mediants.
-(iii) compares linear forms and (iv) horocircle radii: at a stream, (iii)
-tests the sign of one linear form per rival and squares nothing, so it
-shares no quadratic with (iv).  At a rational, (iii) is a first-hit residue
-search in O(log q) steps and (iv) a scan of the radii over d <= b.
+(iii) compares linear forms and (iv) horocircle radii.  At a stream, (iii)
+tests one linear form per rival and squares nothing; (iv) keeps its
+quadratic, so they share no test: c/d's horocircle at alpha exceeds a/b's iff
+(d^2 - b^2)*alpha^2 - 2*(c*d - a*b)*alpha + (c^2 - a^2) > 0, one integer sign
+test per rival.  At a rational, (iii) is a first-hit residue search in
+O(log q) steps and (iv) a scan of the radii over d <= b.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterator
 
 from . import _kernel
 from .cf import Convergent, cf_of_rational, convergents
-from .geometry import FordCircle, _tangent_radius
+from .geometry import FordCircle
 from .rational import _reduced_pairs, reduced_fractions_in
 from .real import (
     EQ,
@@ -173,19 +175,20 @@ def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
 
     Requires every other Ford circle with radius >= rad(C_x), equivalently
     with denominator d <= b, to carry a strictly larger tangent-horocircle
-    radius at base point alpha.  The radii route: comparisons go through
-    horocircle radii (squared forms), independently of the linear-form route
-    above.  A rational alpha goes to the integer kernel; any other alpha
-    compares against the one rival per d of _rivals.
+    radius at base point alpha.  A rational alpha goes to the integer kernel;
+    any other alpha compares against the one rival per d of _rivals.  The
+    radius lemma: the rival's radius (d*alpha - c)^2/2 exceeds x's iff
+    (d^2 - b^2)*alpha^2 - 2*(c*d - a*b)*alpha + (c^2 - a^2) > 0.  So the radii
+    route squares the forms, independently of the linear-form route above,
+    with one integer sign test per rival and no radius built.
     """
     x = _as_fraction(x)
     a, b = x.numerator, x.denominator
     alpha = as_real(alpha)
     if isinstance(alpha, ExactReal):
         return _kernel.near_flag(a, b, alpha.value.numerator, alpha.value.denominator)
-    rx = _tangent_radius(alpha, a, b)
-    return all(_tangent_radius(alpha, c, d).compare(rx) == GT
-               for c, d, _ in _rivals(x, alpha))
+    return all(sign_of_quadratic(d * d - b * b, 2 * (a * b - c * d), c * c - a * a, alpha)
+               == GT for c, d, _ in _rivals(x, alpha))
 
 
 def statement_v_witness(x: RationalLike, alpha: RealNumber | RationalLike) -> Fraction | None:

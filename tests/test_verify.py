@@ -15,6 +15,7 @@ import reference
 from fordcircles import (
     CFStream,
     PeriodicCoefficients,
+    QuadraticRadius,
     are_tangent,
     cf_chain,
     cf_of_rational,
@@ -298,10 +299,11 @@ class TestStreamReference:
         for c, d, s in verify._rivals(F(1, 200), alpha):
             assert s == compare_real(alpha, F(c, d)), (name, c, d)
 
-    def test_iii_squares_no_form(self, monkeypatch):
-        # (iii) on a stream makes only linear sign tests: with
-        # sign_of_quadratic refusing a quadratic term in both modules that
-        # (iii) reaches it through, its verdicts stand
+    @staticmethod
+    def stream_cases(statement):
+        """2 x 3,240 cases (x, alpha, verdict): golden, sqrt:2, sqrt:94 and
+        cf:1;2,(1,3) on the surd engine and on the bracket engine, with x of
+        denominator <= 29 in [b0 - 1, b0 + 2)."""
         cases = []
         for name in ("golden", "sqrt:2", "sqrt:94", "cf:1;2,(1,3)"):
             make, _ = SURD_STREAMS[name]
@@ -309,7 +311,15 @@ class TestStreamReference:
                 b0 = alpha.b0
                 for x in reduced_fractions_in(F(b0 - 1), F(b0 + 2), 29,
                                               include_hi=False):
-                    cases.append((x, alpha, is_best_approx_2nd(x, alpha)))
+                    cases.append((x, alpha, statement(x, alpha)))
+        assert len(cases) == 2 * 3240
+        return cases
+
+    def test_iii_squares_no_form(self, monkeypatch):
+        # (iii) on a stream makes only linear sign tests: with
+        # sign_of_quadratic refusing a quadratic term in both modules that
+        # (iii) reaches it through, its verdicts stand
+        cases = self.stream_cases(is_best_approx_2nd)
 
         def linear_only(q2, q1, q0, alpha):
             assert q2 == 0, "a squared form"
@@ -319,7 +329,30 @@ class TestStreamReference:
             monkeypatch.setattr(f"{module}.sign_of_quadratic", linear_only)
         for x, alpha, held in cases:
             assert is_best_approx_2nd(x, alpha) == held, (alpha, x)
-        assert len(cases) == 2 * 3240
+        assert sum(held for *_, held in cases) == 2 * (7 + 5 + 5 + 5)
+
+    def test_iv_builds_no_radius(self, monkeypatch):
+        # (iv) on a stream makes one integer quadratic sign test per rival
+        # and builds no radius object: with QuadraticRadius refusing to be
+        # built, its verdicts stand on at most b sign tests per case
+        cases = self.stream_cases(is_nearby)
+
+        def refuse(radius):
+            raise AssertionError("a radius object")
+
+        calls = 0
+
+        def counted(q2, q1, q0, alpha):
+            nonlocal calls
+            calls += 1
+            return sign_of_quadratic(q2, q1, q0, alpha)
+
+        monkeypatch.setattr(QuadraticRadius, "__post_init__", refuse)
+        monkeypatch.setattr("fordcircles.verify.sign_of_quadratic", counted)
+        for x, alpha, held in cases:
+            calls = 0
+            assert is_nearby(x, alpha) == held, (alpha, x)
+            assert calls <= x.denominator, (alpha, x, calls)
         assert sum(held for *_, held in cases) == 2 * (7 + 5 + 5 + 5)
 
 
