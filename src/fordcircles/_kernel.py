@@ -3,10 +3,11 @@
 Statements (iii), (iv) and (v) for x = a/b against a rational alpha = p/q,
 in integers (scaled by q, or by 2*q*q for radii), per pair (the flags) and
 per alpha for every b <= X in O(X) work (the sets).  Each of (iii) and (iv)
-has one record scan over d, and its set collects the records.  (iv)'s flag
-stops its scan at the first record that reaches x; (iii)'s flag runs no scan
-but a first-hit residue search in O(log q) steps (best_flag).  The tests hold
-the kernels against the unpruned references in tests/reference.py.
+has one record scan over d, and its set collects the records.  The flags run
+no scan but find the first candidate that reaches x in O(log q) steps, each
+its own way: (iii) by a first-hit residue search (best_flag), (iv) by a
+Stern-Brocot descent on the squared forms (near_flag).  The tests hold the
+kernels against the unpruned references in tests/reference.py.
 
 Candidate pruning, one lemma for every real alpha (verify._rivals applies
 it to streams): at a fixed d the form |d*alpha - c| and the radius
@@ -27,7 +28,7 @@ scans need no gcd.
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator
 
 
@@ -136,13 +137,48 @@ def near_flag(a: int, b: int, p: int, q: int) -> bool:
     """Statement (iv): is the Ford circle at a/b nearby to p/q.
 
     Every circle C_{c/d} != C_x with d <= b (radius >= that of C_x) needs a
-    larger tangent-horocircle radius (d*p - c*q)^2 / (2*q*q) at alpha: x holds
-    iff the first record of near_set's scan at or below x's is x itself."""
+    larger tangent-horocircle radius (d*p - c*q)^2 / (2*q*q) at alpha.  Call
+    c/d a hit when (d*p - c*q)^2 <= rx = (b*p - a*q)^2: x holds iff the
+    first hit, at the least d and there the nearest c, is a/b.  At d = 1 the
+    candidates are floor(p/q) and floor(p/q) + 1; when their radii tie
+    (2*r == q with r = p mod q), d = 1 has no hit, as in near_set's scan.
+
+    The lemma: the Stern-Brocot path to p/q starts at those two integers and
+    goes on by mediants of its two ends, one on each side of p/q, until it
+    reaches p/q, with d growing at every node.  A reduced c/d off the path
+    has a path node u/v with v <= d strictly between c/d and p/q, so
+    v*|p/q - u/v| < d*|p/q - c/d|.  Hence the first hit is a path node.
+
+    The descent, on |e| with e = d*p - c*q: the ends X (the larger |e|) and
+    Y lie on opposite sides of p/q, so along the run M_j = X + j*Y the form
+    e_X + j*e_Y moves monotonically to 0 and first changes sign, or vanishes,
+    at J = ceil(|e_X|/|e_Y|).  For j < J its size is |e_X| - j*|e_Y|, so
+    j = max(1, ceil((|e_X| - isqrt(rx))/|e_Y|)), which is at most J, is the
+    run's first hit if j < J, and otherwise only M_J can hit.  Without a hit
+    (so j = J) the ends become M_(J-1) and M_J, of sizes |e_Y| - |e_J| and
+    |e_J|: one Euclid step on (|e_X|, |e_Y|), so there are O(log q) runs.
+    p/q itself (e = 0) always hits, and the first node with d > b ends the
+    descent."""
     rx = (b * p - a * q) ** 2
-    for c, d, rad in _near_records(p, q, b):
-        if rad <= rx:
-            return c == a and d == b
-    return False
+    c, r = divmod(p, q)
+    near, far = (c, 1, r), (c + 1, 1, q - r)  # (c, d, |e|) at d = 1
+    if 2 * r > q:
+        near, far = far, near
+    if 2 * r != q and near[2] * near[2] <= rx:
+        return near[:2] == (a, b)
+    root = isqrt(rx)
+    while True:
+        (cx, dx, fx), (cy, dy, fy) = far, near
+        j = max(1, -(-(fx - root) // fy))
+        d = dx + j * dy
+        if d > b:
+            return False
+        f = abs(fx - j * fy)
+        if f * f <= rx:
+            return (cx + j * cy, d) == (a, b)
+        far, near = (cx + (j - 1) * cy, d - dy, fy - f), (cx + j * cy, d, f)
+        if far[2] < f:
+            far, near = near, far
 
 
 def witness_flag(a: int, b: int, p: int, q: int) -> bool:

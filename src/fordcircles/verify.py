@@ -19,8 +19,8 @@ so reports flag integers and skip the equivalence claim for them.
 tests one linear form per rival and squares nothing; (iv) keeps its
 quadratic, so they share no test: c/d's horocircle at alpha exceeds a/b's iff
 (d^2 - b^2)*alpha^2 - 2*(c*d - a*b)*alpha + (c^2 - a^2) > 0, one integer sign
-test per rival.  At a rational, (iii) is a first-hit residue search in
-O(log q) steps and (iv) a scan of the radii over d <= b.
+test per rival.  At a rational, (iii) is a first-hit residue search and (iv)
+a Stern-Brocot descent on the squared forms, each in O(log q) steps.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 import reference
 from fordcircles import (
+    is_nearby,
     reduced_fractions_in,
     statement_v_witness,
     theorem_u_check,
@@ -189,6 +191,50 @@ class TestFirstHit:
             assert _kernel.best_flag(p, q, p, q) is True
 
 
+@st.composite
+def _near_cases(draw):
+    q = draw(st.integers(1, 10**7))
+    p = draw(st.integers(-q, 2 * q))
+    g = gcd(p, q)
+    return p // g, q // g, draw(st.integers(1, 2000)), draw(st.integers(-1, 2)), \
+        draw(st.integers(0, 30))
+
+
+class TestNearDescent:
+    """near_flag's Stern-Brocot descent against near_set's scan, which it
+    shares no code with, and against the unpruned reference at small b."""
+
+    @given(_near_cases())
+    @example((1, 2, 1, 0, 0))  # the tie at d = 1: alpha = 1/2 against 0/1
+    @example((1, 2, 1, 1, 0))  # and against 1/1
+    @example((-3, 2, 5, 0, 1))
+    @example((7, 1, 9, 0, 0))  # an integer alpha
+    @example((3, 7, 7, 0, 3))  # x = alpha
+    @example((10**6, 3 * 10**6 + 1, 2000, 0, 30))  # a long first run
+    def test_matches_scan(self, case):
+        # x = floor(b*alpha) + offset over b, and the record of near_set's
+        # scan at index pick (ordered by d) if there is one
+        p, q, max_den, offset, pick = case
+        records = sorted(_kernel.near_set(p, q, max_den), key=lambda x: x[1])
+        for a, b in [(max_den * p // q + offset, max_den)] + records[pick:pick + 1]:
+            held = (a, b) in records  # the records at b' < b are near_set(p, q, b')
+            assert _kernel.near_flag(a, b, p, q) == held, (a, b, p, q)
+            if b <= 60 and gcd(a, b) == 1:
+                assert reference.nearby(F(a, b), F(p, q)) == held, (a, b, p, q)
+
+    def test_calls_no_scan_and_no_residue_search(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("near_flag reached another kernel's walk")
+
+        monkeypatch.setattr(_kernel, "_near_records", refuse)
+        monkeypatch.setattr(_kernel, "_first_hit", refuse)
+        with pytest.raises(AssertionError):
+            _kernel.near_set(2, 5, 3)
+        for a, b, p, q in _pairs(8, 8):
+            assert _kernel.near_flag(a, b, p, q) == reference.nearby(F(a, b), F(p, q)), \
+                (a, b, p, q)
+
+
 class TestSizes:
     def test_pure_has_no_size_limit(self):
         big = 1 << 40
@@ -213,6 +259,18 @@ class TestSizes:
         assert _kernel.best_flag(fib[99] + fib[101], fib[98] + fib[100], p, q) is False
         assert gcd(fib[101] + 2, fib[100]) == 1
         assert _kernel.best_flag(fib[101] + 2, fib[100], p, q) is False
+        assert _kernel.near_flag(fib[101], fib[100], p, q) is True
+        assert _kernel.near_flag(fib[99] + fib[101], fib[98] + fib[100], p, q) is False
+        assert _kernel.near_flag(fib[101] + 2, fib[100], p, q) is False
+
+    def test_alpha_against_itself(self):
+        # x = alpha = [0; 3, 10^6], [0; 3, 10^30] and [0; 10^40]: a scan over
+        # d <= b = q could not finish, and the descent makes one run per
+        # partial quotient
+        for p, q in ((10**6, 3 * 10**6 + 1), (10**30, 3 * 10**30 + 1), (1, 10**40)):
+            assert _kernel.near_flag(p, q, p, q) is True
+        x = F(10**7, 3 * 10**7 + 1)
+        assert is_nearby(x, x) is True
 
     def test_backend_name(self):
         assert _kernel.backend_name() == "pure"
