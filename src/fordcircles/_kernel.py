@@ -2,12 +2,15 @@
 
 Statements (iii), (iv) and (v) for x = a/b against a rational alpha = p/q,
 in integers (scaled by q, or by 2*q*q for radii), per pair (the flags) and
-per alpha for every b <= X in O(X) work (the sets).  Each of (iii) and (iv)
-has one record scan over d, and its set collects the records.  The flags run
-no scan but find the first candidate that reaches x in O(log q) steps, each
-its own way: (iii) by a first-hit residue search (best_flag), (iv) by a
-Stern-Brocot descent on the squared forms (near_flag).  The tests hold the
-kernels against the unpruned references in tests/reference.py.
+per alpha for every b <= X (the sets).  (iii) and (iv) each have one
+search, each its own way, for the first candidate (least d, there the
+nearest c) whose form is at most a threshold, in O(log q) steps: (iii) a
+first-hit residue search, (iv) a Stern-Brocot descent on the squared forms.
+A flag holds iff the first hit at x's own form is x.  A set collects the
+records, the d whose nearer candidate has a form below every one at
+smaller d: forms are integers, so each is the first hit at one below the
+last, and a set makes one search per record.  Only (v)'s set walks every
+b <= X.  The tests hold the kernels against tests/reference.py.
 
 Candidate pruning, one lemma for every real alpha (verify._rivals applies
 it to streams): at a fixed d the form |d*alpha - c| and the radius
@@ -16,63 +19,24 @@ only the integer nearest d*alpha can hold or violate either predicate, and
 at an irrational alpha it is unique.  At p/q the form scaled by q is
 t(c, d) = |d*p - c*q|: the nearest is c0 = floor(d*p/q) or c0 + 1 (forms
 r = d*p mod q and q - r), and any other c has t >= q and loses to the nearer
-candidate at d = 1 (t <= q/2).  At a tie, r == q - r, both candidates have
-the same form, so the kernels keep c0: the tie lowers the record and, being
-a violation for both, yields nothing.  Reducedness never decides: a
-candidate with g = gcd(c, d) >= 2 has t(c, d) = g*t(c/g, d/g), so
-t(c/g, d/g) <= q/2 and the reduced c/g over d/g is a candidate at d/g < d
-with a form no larger.  A non-reduced candidate is therefore never the
-first violator, never holds and never lowers a running minimum, so the
-scans need no gcd.
+candidate at d = 1 (t <= q/2).  At a tie, r == q - r, both candidates
+have the form q/2, a violation for both, and the searches return neither:
+(iii) searches below q/2, and (iv) skips a tie at d = 1, while a tie at a
+larger d loses to the nearer candidate at d = 1.  Reducedness never
+decides: a candidate with g = gcd(c, d) >= 2 has t(c, d) = g*t(c/g, d/g),
+so t(c/g, d/g) <= q/2 and the reduced c/g over d/g is a candidate at
+d/g < d with a form no larger.  A non-reduced candidate is therefore
+never a first hit, so the searches need no gcd.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import Iterator
 
 
 def backend_name() -> str:
     """The kernel's name in run reports."""
     return "pure"
-
-
-def _best_records(p: int, q: int, max_den: int) -> Iterator[tuple[int, int, int]]:
-    """(c, d, t) for each d <= max_den whose nearer candidate c has a form t
-    strictly below the other candidate's and every form at smaller d.  The
-    residue r = d*p mod q is walked and c computed only at a record; a tie
-    (r == q - r) lowers the record but yields nothing."""
-    step = p % q
-    r = 0
-    record = q + 1  # above every form: both candidate forms lie in [0, q]
-    for d in range(1, max_den + 1):
-        r += step
-        if r >= q:
-            r -= q
-        s = q - r
-        t = r if r < s else s
-        if t < record:
-            record = t
-            if r != s:
-                yield (d * p - r) // q + (r > s), d, t
-
-
-def _near_records(p: int, q: int, max_den: int) -> Iterator[tuple[int, int, int]]:
-    """(c, d, rad) as in _best_records, but on the tangent-horocircle radii
-    at alpha cleared of 2*q*q, the squares r*r and (q - r)^2, not on forms."""
-    step = p % q
-    r = 0
-    least = q * q + 1  # above every radius: both candidate squares are <= q*q
-    for d in range(1, max_den + 1):
-        r += step
-        if r >= q:
-            r -= q
-        lower, upper = r * r, (q - r) * (q - r)  # radii of c0 and c0 + 1
-        rad = lower if lower < upper else upper
-        if rad < least:
-            least = rad
-            if lower != upper:
-                yield (d * p - r) // q + (lower > upper), d, rad
 
 
 def _tangent_neighbor_den(a: int, b: int, side: int) -> int:
@@ -112,36 +76,37 @@ def _first_hit(a: int, m: int, lo: int, hi: int) -> int | None:
     return k
 
 
+def _best_first(p: int, q: int, t: int) -> int:
+    """The least d >= 1 whose nearer candidate has a form t(c, d) <= t, for
+    0 <= t with 2*t < q.
+
+    That is the least d whose residue r = d*p mod q has min(r, q - r) <= t,
+    i.e. (d*p + t) mod q <= 2*t; as 2*t < q, no tie (form q/2) is a hit.
+    With d = k + 1 it is the first hit k of p*k mod q in
+    [(-p - t) mod q, that + 2*t]; a window reaching past q holds 0 (k = 0,
+    d = 1), and otherwise _first_hit finds k in O(log q) steps.  Some d <= q
+    has r = 0, so a hit exists."""
+    lo = (-p - t) % q
+    return 1 if lo + 2 * t >= q else 1 + _first_hit(p, q, lo, lo + 2 * t)
+
+
 def best_flag(a: int, b: int, p: int, q: int) -> bool:
     """Statement (iii): is a/b a best approximation of the second kind to p/q.
 
     Requires t(c, d) = |d*p - c*q| > t(a, b) = t for every reduced
     c/d != a/b with d <= b.  If 2*t >= q the nearer candidate at d = 1
-    (form <= q/2 <= t) refutes x.  Otherwise x holds iff the least d >= 1
-    whose nearer candidate has a form <= t, i.e. whose residue
-    r = d*p mod q has min(r, q - r) <= t, i.e. (d*p + t) mod q <= 2*t, is b:
-    at d = b the other candidates have forms >= q - t > t, so a is the
-    nearest and no tie (form q/2) is a hit.  With d = k + 1 that is the
-    first hit k of p*k mod q in [(-p - t) mod q, that + 2*t]; a window
-    reaching past q holds 0 (k = 0, d = 1), and otherwise _first_hit finds
-    k in O(log q) steps.  Some d <= q has r = 0, so a hit exists."""
+    (form <= q/2 <= t) refutes x.  Otherwise x holds iff _best_first at t
+    is b: at d = b the other candidates have forms >= q - t > t, so a is
+    the nearest."""
     t = abs(b * p - a * q)
-    if 2 * t >= q:
-        return False
-    lo = (-p - t) % q
-    first_d = 1 if lo + 2 * t >= q else 1 + _first_hit(p, q, lo, lo + 2 * t)
-    return first_d == b
+    return 2 * t < q and _best_first(p, q, t) == b
 
 
-def near_flag(a: int, b: int, p: int, q: int) -> bool:
-    """Statement (iv): is the Ford circle at a/b nearby to p/q.
-
-    Every circle C_{c/d} != C_x with d <= b (radius >= that of C_x) needs a
-    larger tangent-horocircle radius (d*p - c*q)^2 / (2*q*q) at alpha.  Call
-    c/d a hit when (d*p - c*q)^2 <= rx = (b*p - a*q)^2: x holds iff the
-    first hit, at the least d and there the nearest c, is a/b.  At d = 1 the
-    candidates are floor(p/q) and floor(p/q) + 1; when their radii tie
-    (2*r == q with r = p mod q), d = 1 has no hit, as in near_set's scan.
+def _near_first(p: int, q: int, rx: int, max_den: int) -> tuple[int, int] | None:
+    """The first (c, d), at the least d and there the nearest c, with
+    (d*p - c*q)^2 <= rx, for rx >= 0 and max_den >= 1, or None if it has
+    d > max_den.  At d = 1 the candidates are floor(p/q) and floor(p/q) + 1;
+    when their forms tie (2*r == q with r = p mod q), d = 1 has no hit.
 
     The lemma: the Stern-Brocot path to p/q starts at those two integers and
     goes on by mediants of its two ends, one on each side of p/q, until it
@@ -157,28 +122,37 @@ def near_flag(a: int, b: int, p: int, q: int) -> bool:
     run's first hit if j < J, and otherwise only M_J can hit.  Without a hit
     (so j = J) the ends become M_(J-1) and M_J, of sizes |e_Y| - |e_J| and
     |e_J|: one Euclid step on (|e_X|, |e_Y|), so there are O(log q) runs.
-    p/q itself (e = 0) always hits, and the first node with d > b ends the
-    descent."""
-    rx = (b * p - a * q) ** 2
+    p/q itself (e = 0) always hits, and the first node with d > max_den
+    ends the descent."""
     c, r = divmod(p, q)
     near, far = (c, 1, r), (c + 1, 1, q - r)  # (c, d, |e|) at d = 1
     if 2 * r > q:
         near, far = far, near
     if 2 * r != q and near[2] * near[2] <= rx:
-        return near[:2] == (a, b)
+        return near[:2]
     root = isqrt(rx)
     while True:
         (cx, dx, fx), (cy, dy, fy) = far, near
         j = max(1, -(-(fx - root) // fy))
         d = dx + j * dy
-        if d > b:
-            return False
+        if d > max_den:
+            return None
         f = abs(fx - j * fy)
         if f * f <= rx:
-            return (cx + j * cy, d) == (a, b)
+            return cx + j * cy, d
         far, near = (cx + (j - 1) * cy, d - dy, fy - f), (cx + j * cy, d, f)
         if far[2] < f:
             far, near = near, far
+
+
+def near_flag(a: int, b: int, p: int, q: int) -> bool:
+    """Statement (iv): is the Ford circle at a/b nearby to p/q.
+
+    Every circle C_{c/d} != C_x with d <= b (radius >= that of C_x) needs a
+    larger tangent-horocircle radius (d*p - c*q)^2 / (2*q*q) at alpha.  So
+    x holds iff the first c/d with (d*p - c*q)^2 <= (b*p - a*q)^2, found by
+    _near_first, is a/b."""
+    return _near_first(p, q, (b * p - a * q) ** 2, b) == (a, b)
 
 
 def witness_flag(a: int, b: int, p: int, q: int) -> bool:
@@ -196,14 +170,36 @@ def witness_flag(a: int, b: int, p: int, q: int) -> bool:
 
 def best_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     """Statement (iii) at once: every reduced (a, b) with b <= max_den for
-    which best_flag(a, b, p, q) holds, i.e. every record of the scan."""
-    return {(c, d) for c, d, _ in _best_records(p, q, max_den)}
+    which best_flag(a, b, p, q) holds, i.e. every record of the forms: the
+    first hit below q/2, then each first hit below the form of the last,
+    down to p/q itself (form 0)."""
+    found: set[tuple[int, int]] = set()
+    t = (q - 1) // 2
+    while (d := _best_first(p, q, t)) <= max_den:
+        c, r = divmod(d * p, q)
+        if 2 * r > q:
+            c, r = c + 1, q - r
+        found.add((c, d))
+        if r == 0:
+            break
+        t = r - 1
+    return found
 
 
 def near_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     """Statement (iv) at once: every reduced (a, b) with b <= max_den for
-    which near_flag(a, b, p, q) holds, i.e. every record of the radii scan."""
-    return {(c, d) for c, d, _ in _near_records(p, q, max_den)}
+    which near_flag(a, b, p, q) holds, i.e. every record of the squared
+    forms: the first hit at q*q, then each first hit below the square of
+    the last, down to p/q itself (e = 0)."""
+    found: set[tuple[int, int]] = set()
+    rx = q * q
+    while (hit := _near_first(p, q, rx, max_den)) is not None:
+        found.add(hit)
+        e = hit[1] * p - hit[0] * q
+        if e == 0:
+            break
+        rx = e * e - 1
+    return found
 
 
 def witness_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:

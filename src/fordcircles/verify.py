@@ -269,11 +269,12 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     convergent recurrence and (ii) the Ford packing, both capped at den_max_x.
 
     Statements (iii), (iv) and (v) for a whole alpha come from the kernel's
-    candidate sets, O(den_max_x) integer work each.  A pair outside all five
-    statement sets is false on all five, hence consistent, so it is counted
-    without being visited; the pairs inside are visited in the order of the
-    x enumeration.  Cost: O(|alphas| * den_max_x + |xs|).  The tests hold
-    the candidate sets against the unpruned references in tests/reference.py.
+    candidate sets: one O(log q) search per record for (iii) and (iv), and
+    O(den_max_x) integer work for (v).  A pair outside all five statement
+    sets is false on all five, hence consistent, so it is counted without
+    being visited; the pairs inside are visited in the order of the x
+    enumeration.  Cost: O(|alphas| * den_max_x + |xs|), from (ii) and (v).
+    The tests hold the sets against the references in tests/reference.py.
     """
     lo, hi = _as_fraction(window[0]), _as_fraction(window[1])
     if lo >= hi:

@@ -156,6 +156,23 @@ def _first_hit_by_scan(a: int, m: int, lo: int, hi: int) -> int | None:
     return next((k for k in range(m) if lo <= a * k % m <= hi), None)
 
 
+def _records_by_scan(p: int, q: int, max_den: int, squared: bool) -> list[tuple[int, int]]:
+    # the nearer candidate (c, d) at each d <= max_den whose form, or its
+    # square, is strictly below every one at smaller d, in order of d; a tie
+    # (r == q - r) lowers the record but is no record
+    records, least = [], q * q + 1
+    for d in range(1, max_den + 1):
+        c, r = divmod(d * p, q)
+        near, far = (r, q - r) if 2 * r <= q else (q - r, r)
+        if squared:
+            near, far = near * near, far * far
+        if near < least:
+            least = near
+            if near != far:
+                records.append((c + (2 * r > q), d))
+    return records
+
+
 @st.composite
 def _windows(draw):
     m = draw(st.integers(1, 300))
@@ -200,9 +217,9 @@ def _near_cases(draw):
         draw(st.integers(0, 30))
 
 
-class TestNearDescent:
-    """near_flag's Stern-Brocot descent against near_set's scan, which it
-    shares no code with, and against the unpruned reference at small b."""
+class TestRecords:
+    """The sets and the flags of (iii) and (iv) against a scan of the records
+    over every d <= max_den, and against the unpruned references at small b."""
 
     @given(_near_cases())
     @example((1, 2, 1, 0, 0))  # the tie at d = 1: alpha = 1/2 against 0/1
@@ -212,27 +229,60 @@ class TestNearDescent:
     @example((3, 7, 7, 0, 3))  # x = alpha
     @example((10**6, 3 * 10**6 + 1, 2000, 0, 30))  # a long first run
     def test_matches_scan(self, case):
-        # x = floor(b*alpha) + offset over b, and the record of near_set's
-        # scan at index pick (ordered by d) if there is one
+        # x = floor(b*alpha) + offset over b, and the record at index pick
+        # (ordered by d) if there is one
         p, q, max_den, offset, pick = case
-        records = sorted(_kernel.near_set(p, q, max_den), key=lambda x: x[1])
-        for a, b in [(max_den * p // q + offset, max_den)] + records[pick:pick + 1]:
-            held = (a, b) in records  # the records at b' < b are near_set(p, q, b')
-            assert _kernel.near_flag(a, b, p, q) == held, (a, b, p, q)
+        best = _records_by_scan(p, q, max_den, squared=False)
+        near = _records_by_scan(p, q, max_den, squared=True)
+        assert _kernel.best_set(p, q, max_den) == set(best), (p, q, max_den)
+        assert _kernel.near_set(p, q, max_den) == set(near), (p, q, max_den)
+        xs = [(max_den * p // q + offset, max_den)] + best[pick:pick + 1] + near[pick:pick + 1]
+        for a, b in xs:
+            # the records at b' < b are the records of the scan to b'
+            best_held, near_held = (a, b) in best, (a, b) in near
+            assert _kernel.best_flag(a, b, p, q) == best_held, (a, b, p, q)
+            assert _kernel.near_flag(a, b, p, q) == near_held, (a, b, p, q)
             if b <= 60 and gcd(a, b) == 1:
-                assert reference.nearby(F(a, b), F(p, q)) == held, (a, b, p, q)
+                assert reference.best_approx(F(a, b), F(p, q)) == best_held, (a, b, p, q)
+                assert reference.nearby(F(a, b), F(p, q)) == near_held, (a, b, p, q)
 
-    def test_calls_no_scan_and_no_residue_search(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("near_flag reached another kernel's walk")
 
-        monkeypatch.setattr(_kernel, "_near_records", refuse)
-        monkeypatch.setattr(_kernel, "_first_hit", refuse)
-        with pytest.raises(AssertionError):
+class _Refused(Exception):
+    pass
+
+
+def _refuse(*args):
+    raise _Refused("reached the other statement's search")
+
+
+def _holds_on_pairs(flag, make_set, oracle):
+    # the flag on every pair of _pairs(8, 8), and the set on the same xs
+    verdicts: dict[tuple[int, int], dict[tuple[int, int], bool]] = {}
+    for a, b, p, q in _pairs(8, 8):
+        held = oracle(F(a, b), F(p, q))
+        assert flag(a, b, p, q) == held, (a, b, p, q)
+        verdicts.setdefault((p, q), {})[a, b] = held
+    for (p, q), by_x in verdicts.items():
+        found = make_set(p, q, 8)
+        assert {x for x in by_x if x in found} == {x for x, held in by_x.items() if held}, \
+            (p, q)
+
+
+class TestIndependence:
+    """(iii) and (iv) at a rational share no code: each statement's flag and
+    set still decide right with the other statement's search made to raise."""
+
+    def test_iv_reaches_no_residue_search(self, monkeypatch):
+        monkeypatch.setattr(_kernel, "_first_hit", _refuse)
+        with pytest.raises(_Refused):
+            _kernel.best_set(2, 5, 3)
+        _holds_on_pairs(_kernel.near_flag, _kernel.near_set, reference.nearby)
+
+    def test_iii_reaches_no_descent(self, monkeypatch):
+        monkeypatch.setattr(_kernel, "_near_first", _refuse)
+        with pytest.raises(_Refused):
             _kernel.near_set(2, 5, 3)
-        for a, b, p, q in _pairs(8, 8):
-            assert _kernel.near_flag(a, b, p, q) == reference.nearby(F(a, b), F(p, q)), \
-                (a, b, p, q)
+        _holds_on_pairs(_kernel.best_flag, _kernel.best_set, reference.best_approx)
 
 
 class TestSizes:
@@ -262,6 +312,35 @@ class TestSizes:
         assert _kernel.near_flag(fib[101], fib[100], p, q) is True
         assert _kernel.near_flag(fib[99] + fib[101], fib[98] + fib[100], p, q) is False
         assert _kernel.near_flag(fib[101] + 2, fib[100], p, q) is False
+
+    def test_one_search_per_record(self, monkeypatch):
+        # the sets to max_den = q at F_201/F_200 = [1; 1, ..., 1, 2], whose
+        # records are its convergents F_(n+1)/F_n up to n = 198 and alpha
+        # (F_200/F_199 ties with F_199/F_198), and at 1/10^40, whose records
+        # are 0/1 and alpha: each set makes at most one search more than it
+        # has records, so a threshold that failed to fall fails here rather
+        # than hang
+        fib = [0, 1]
+        while len(fib) <= 201:
+            fib.append(fib[-1] + fib[-2])
+        cases = [(fib[201], fib[200],
+                  {(fib[n + 1], fib[n]) for n in range(2, 199)} | {(fib[201], fib[200])}),
+                 (1, 10**40, {(0, 1), (1, 10**40)})]
+        for name, make in (("_best_first", _kernel.best_set),
+                           ("_near_first", _kernel.near_set)):
+            search = getattr(_kernel, name)
+            for p, q, records in cases:
+                calls = 0
+
+                def counted(*args):
+                    nonlocal calls
+                    calls += 1
+                    if calls > len(records) + 1:
+                        raise AssertionError(f"{name} searched past the records")
+                    return search(*args)
+
+                monkeypatch.setattr(_kernel, name, counted)
+                assert make(p, q, q) == records, (name, p, q)
 
     def test_alpha_against_itself(self):
         # x = alpha = [0; 3, 10^6], [0; 3, 10^30] and [0; 10^40]: a scan over

@@ -533,8 +533,9 @@ class TestVerifySweep:
 
 
 class TestCandidateSets:
-    """The per-alpha candidate sets against the per-pair kernels: a flag's
-    early exit against its set's full scan, and (v) against its own set."""
+    """The per-alpha candidate sets against the per-pair kernels: the search
+    of (iii) and of (iv), run once at x's form by a flag and at falling
+    thresholds by a set, and (v)'s walk over every b against its flag."""
 
     @staticmethod
     def random_alphas(seed: int, count: int):
