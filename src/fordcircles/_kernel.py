@@ -12,8 +12,8 @@ smaller d: forms are integers, so each is the first hit at one below the
 last, and a set makes one search per record.  Only (v)'s set walks every
 b <= X.  The tests hold the kernels against tests/reference.py.
 
-Candidate pruning, one lemma for every real alpha (verify._rivals applies
-it to streams): at a fixed d the form |d*alpha - c| and the radius
+Candidate pruning, one lemma for every real alpha (streams reach it via
+verify._farey_proxy): at a fixed d the form |d*alpha - c| and the radius
 (d*alpha - c)^2 / 2 grow strictly with the distance from c to d*alpha, so
 only the integer nearest d*alpha can hold or violate either predicate, and
 at an irrational alpha it is unique.  At p/q the form scaled by q is

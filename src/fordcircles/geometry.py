@@ -10,7 +10,8 @@ are compared by cross-multiplying the denominators and taking the exact
 sign of the resulting integer quadratic at the stream value (one test on a
 periodic stream's surd, otherwise on integer convergent pairs), so no
 ``Fraction`` is built and nothing is ever evaluated numerically.  The
-statement oracles build no radius object and compare the quadratics directly.
+statement oracles build no radius object: (iv) compares squared forms in
+integers at a rational, and at a stream's Farey proxy.
 """
 
 from __future__ import annotations

@@ -15,12 +15,10 @@ For non-integer x the five are equivalent; integer x satisfies (i) without
 so reports flag integers and skip the equivalence claim for them.
 
 (i) walks the convergent recurrence and (ii) the Ford packing's mediants.
-(iii) compares linear forms and (iv) horocircle radii.  At a stream, (iii)
-tests one linear form per rival and squares nothing; (iv) keeps its
-quadratic, so they share no test: c/d's horocircle at alpha exceeds a/b's iff
-(d^2 - b^2)*alpha^2 - 2*(c*d - a*b)*alpha + (c^2 - a^2) > 0, one integer sign
-test per rival.  At a rational, (iii) is a first-hit residue search and (iv)
-a Stern-Brocot descent on the squared forms, each in O(log q) steps.
+(iii) compares linear forms and (iv) horocircle radii, each by its own
+O(log q) search at a rational: a first-hit residue search for (iii), a
+Stern-Brocot descent on the squared forms for (iv).  Their verdicts at a
+stream are those at its Farey proxy, a convergent of denominator > 2*b.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from . import _kernel
 from .cf import Convergent, cf_of_rational, convergents
@@ -124,50 +121,44 @@ def _chain_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
         a, b, c, d = (m, k, c, d) if side == GT else (a, b, m, k)
 
 
-def _rivals(x: Fraction, alpha: RealNumber) -> Iterator[tuple[int, int, int]]:
-    """The rival (c, d, s) of x = a/b at each d <= b at an irrational alpha:
-    c is the integer nearest d*alpha, s the sign of d*alpha - c, and (a, b)
-    itself is skipped.  With f = floor(2*d*alpha), c = floor((f + 1)/2), so
-    d*alpha lies in (c, c + 1/2) when f is even and in (c - 1/2, c) when
-    f is odd: s is GT or LT by the parity of f.
+def _farey_proxy(alpha: RealNumber, n: int) -> tuple[int, int]:
+    """A reduced p/q in alpha's cell of the Farey subdivision of order n, for
+    n >= 1: every linear form v*t - u in integers with 1 <= |v| <= n has the
+    same nonzero sign at p/q as at alpha.
 
-    The lemma of _kernel.py: the form |d*alpha - c| and the radius grow
-    strictly with |c - d*alpha|, and d*alpha is never a half-integer, so the
-    nearest integer is unique and every other c has a larger form and radius.
-    A non-reduced c/d = c'/d' has gcd(c, d) times the form of c'/d'; if it
-    beats x, so does the rival at d' < d, which refutes x first: no gcd.
+    A rational alpha is its own proxy.  For a stream it is the first
+    convergent A_k/B_k with B_k > n, on an uncapped walk; k >= 1 as B_0 = 1.
+    The lemma: alpha lies strictly between A_(k-1)/B_(k-1) and A_k/B_k,
+    unimodular neighbours, and every fraction strictly between those has a
+    denominator >= B_(k-1) + B_k > n (Ford, 1938).  The zero u/v of the form
+    has denominator <= n, so it is neither inside nor A_k/B_k, and both
+    alpha and the proxy lie on one side of it.
+
+    Hence (iii) and (iv): |d*alpha - c| - |b*alpha - a| has the sign of
+    ((d - b)*alpha - (c - a))*((d + b)*alpha - (c + a)), and for d <= b and
+    c/d != a/b each factor is such a form with n = 2*b, or a nonzero
+    constant at d = b.  Every comparison, and so each verdict, is the same
+    at alpha and at the proxy of order 2*b, where none ties.
     """
-    a, b = x.numerator, x.denominator
-    for d in range(1, b + 1):
-        f = floor_scaled(alpha, 2 * d)
-        c = (f + 1) // 2  # floor(d*alpha + 1/2)
-        if c != a or d != b:
-            yield c, d, LT if f & 1 else GT
+    if isinstance(alpha, ExactReal):
+        return alpha.value.numerator, alpha.value.denominator
+    for pair in alpha.convergent_pairs():
+        if pair[1] > n:
+            return pair
+    raise ValueError("coefficient stream ended; finite expansions must be ExactReal")
 
 
 def is_best_approx_2nd(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
     """Whether x = a/b is a best approximation of the second kind to alpha.
 
     Requires |b*alpha - a| < |d*alpha - c| for every reduced c/d != a/b with
-    d <= b; any tie is a violation.  The linear-form route: comparisons go
-    through the forms themselves, never through radii.  A rational alpha
-    goes to the integer kernel; any other alpha compares against the one
-    rival per d of _rivals.
-
-    The sign lemma: with s the sign of d*alpha - c and s_b that of
-    b*alpha - a, |d*alpha - c| > |b*alpha - a| iff
-    s*(d*alpha - c) - s_b*(b*alpha - a) > 0, that is iff the linear form
-    (d - e*b)*alpha - (c - e*a) has sign s, where e = s*s_b.  So each rival
-    costs one linear sign test and nothing is squared.
+    d <= b; any tie is a violation.  The linear-form route: the integer
+    kernel's residue search at the Farey proxy of order 2*b, which compares
+    the forms themselves, never radii.
     """
     x = _as_fraction(x)
     a, b = x.numerator, x.denominator
-    alpha = as_real(alpha)
-    if isinstance(alpha, ExactReal):
-        return _kernel.best_flag(a, b, alpha.value.numerator, alpha.value.denominator)
-    sb = compare_real(alpha, x)
-    return all(sign_of_quadratic(0, d - s * sb * b, s * sb * a - c, alpha) == s
-               for c, d, s in _rivals(x, alpha))
+    return _kernel.best_flag(a, b, *_farey_proxy(as_real(alpha), 2 * b))
 
 
 def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
@@ -175,20 +166,13 @@ def is_nearby(x: RationalLike, alpha: RealNumber | RationalLike) -> bool:
 
     Requires every other Ford circle with radius >= rad(C_x), equivalently
     with denominator d <= b, to carry a strictly larger tangent-horocircle
-    radius at base point alpha.  A rational alpha goes to the integer kernel;
-    any other alpha compares against the one rival per d of _rivals.  The
-    radius lemma: the rival's radius (d*alpha - c)^2/2 exceeds x's iff
-    (d^2 - b^2)*alpha^2 - 2*(c*d - a*b)*alpha + (c^2 - a^2) > 0.  So the radii
-    route squares the forms, independently of the linear-form route above,
-    with one integer sign test per rival and no radius built.
+    radius (d*alpha - c)^2/2 at base point alpha.  The radii route: the
+    integer kernel's descent on the squared forms at the Farey proxy of
+    order 2*b, independently of the linear-form route above.
     """
     x = _as_fraction(x)
     a, b = x.numerator, x.denominator
-    alpha = as_real(alpha)
-    if isinstance(alpha, ExactReal):
-        return _kernel.near_flag(a, b, alpha.value.numerator, alpha.value.denominator)
-    return all(sign_of_quadratic(d * d - b * b, 2 * (a * b - c * d), c * c - a * a, alpha)
-               == GT for c, d, _ in _rivals(x, alpha))
+    return _kernel.near_flag(a, b, *_farey_proxy(as_real(alpha), 2 * b))
 
 
 def statement_v_witness(x: RationalLike, alpha: RealNumber | RationalLike) -> Fraction | None:

@@ -32,11 +32,12 @@ from fordcircles import (
     theorem_u_check,
     verify_sweep,
 )
-from fordcircles import _kernel, verify
-from fordcircles.cli import parse_real_spec
-from fordcircles.real import (ExactReal, RealNumber, as_real, compare_real,
+from fordcircles import _kernel, real, verify
+from fordcircles.cli import main, parse_real_spec
+from fordcircles.real import (GT, LT, ExactReal, RealNumber, as_real, compare_real,
                               sign_of_quadratic)
-from test_exact_core import bracket_twin
+from test_exact_core import Counting, Plain, bracket_twin
+from test_kernel import _Refused, _refuse
 
 
 def per_pair_sweep(den_max_x, den_max_alpha, window):
@@ -265,6 +266,44 @@ SURD_STREAMS = {
 }
 
 
+class EPartials:
+    """The partial quotients 1, 2, 1, 1, 4, 1, ... of e = [2; 1, 2, 1, ...]."""
+
+    def __iter__(self):
+        k = 1
+        while True:
+            yield from (1, 2 * k, 1)
+            k += 1
+
+
+class SeededPartials:
+    """Partial quotients drawn afresh from random.Random(seed) on every walk:
+    restartable, not eventually periodic, and with large ones among them."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def __iter__(self):
+        rng = random.Random(self.seed)
+        while True:
+            yield rng.choice((1, 1, 2, 3, 7, 200, 5000))
+
+
+#: Every SURD_STREAMS entry on both engines, plus two streams without a surd.
+PROXY_STREAMS = [f"{name}@{engine}" for name in SURD_STREAMS
+                 for engine in ("surd", "brackets")] + ["e", "seeded"]
+
+
+def make_stream(key: str) -> CFStream:
+    if key == "e":
+        return CFStream(2, EPartials())
+    if key == "seeded":
+        return CFStream(-1, SeededPartials(26))
+    name, engine = key.split("@")
+    stream = SURD_STREAMS[name][0]()
+    return stream if engine == "surd" else bracket_twin(stream)
+
+
 class TestStreamReference:
     """(iii) and (iv) on streams against the unpruned surd references, on the
     surd engine and on the bracket engine of the same coefficients."""
@@ -290,14 +329,59 @@ class TestStreamReference:
             held += best
         assert held >= 4
 
+    @pytest.mark.parametrize("key", PROXY_STREAMS)
+    def test_farey_proxy(self, key):
+        # the proxy lemma: every form v*t - u with 1 <= v <= n has one
+        # nonzero sign at alpha and at p/q.  At each v, u <= floor(v*p/q)
+        # gives GT at p/q and u > it LT, and compare_real is monotone in u,
+        # so alpha's signs at m/v and (m + 1)/v decide every u/v at that v
+        alpha = make_stream(key)
+        for n in (1, 2, 3, 10, 57, 200):
+            p, q = verify._farey_proxy(alpha, n)
+            assert q > n, (key, n)
+            for v in range(1, n + 1):
+                m, r = divmod(v * p, q)
+                assert r != 0, (key, n, v)
+                assert compare_real(alpha, F(m, v)) == GT, (key, n, v)
+                assert compare_real(alpha, F(m + 1, v)) == LT, (key, n, v)
+
+    def test_rational_is_its_own_proxy(self, monkeypatch):
+        # no walk: a rational alpha is the kernels' own argument
+        monkeypatch.setattr(ExactReal, "coefficients", _refuse)
+        assert verify._farey_proxy(ExactReal(F(13, 8)), 10**6) == (13, 8)
+        assert is_best_approx_2nd(F(5, 3), F(13, 8)) is True
+        assert is_nearby(F(3, 2), F(13, 8)) is True
+
+    def test_ended_stream_is_rejected(self):
+        # [1; 2, 2] = 7/5 passed as a stream ends before any q > 2*b
+        bogus = CFStream(1, Plain((2, 2)))
+        for flag in (is_best_approx_2nd, is_nearby):
+            with pytest.raises(ValueError, match="finite expansions must be ExactReal"):
+                flag(F(7, 5), bogus)
+
     @pytest.mark.parametrize("engine", ["surd", "brackets"])
     @pytest.mark.parametrize("name", SURD_STREAMS)
-    def test_rival_signs(self, name, engine):
-        # the parity lemma of _rivals: s is the sign of d*alpha - c
-        make, _ = SURD_STREAMS[name]
+    def test_each_statement_without_the_others_search(self, monkeypatch, name, engine):
+        # (iii) and (iv) on a stream share only the proxy: each still matches
+        # its unpruned surd reference with the other's search made to raise
+        make, surd = SURD_STREAMS[name]
         alpha = make() if engine == "surd" else bracket_twin(make())
-        for c, d, s in verify._rivals(F(1, 200), alpha):
-            assert s == compare_real(alpha, F(c, d)), (name, c, d)
+        xs = list(reduced_fractions_in(F(alpha.b0 - 1), F(alpha.b0 + 2), 20))
+        pairs = [pair for pair in islice(alpha.convergent_pairs(), 8) if pair[1] <= 20]
+        a, b = pairs[-1]  # b >= 2, so each flag runs its own search
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernel, "_first_hit", _refuse)
+            with pytest.raises(_Refused):
+                is_best_approx_2nd(F(a, b), alpha)
+            for x in xs:
+                assert is_nearby(x, alpha) == reference.nearby_surd(x, surd), (name, x)
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernel, "_near_first", _refuse)
+            with pytest.raises(_Refused):
+                is_nearby(F(a, b), alpha)
+            for x in xs:
+                assert is_best_approx_2nd(x, alpha) == \
+                    reference.best_approx_surd(x, surd), (name, x)
 
     @staticmethod
     def stream_cases(statement):
@@ -316,9 +400,10 @@ class TestStreamReference:
         return cases
 
     def test_iii_squares_no_form(self, monkeypatch):
-        # (iii) on a stream makes only linear sign tests: with
-        # sign_of_quadratic refusing a quadratic term in both modules that
-        # (iii) reaches it through, its verdicts stand
+        # (iii) on a stream squares no form: it runs the integer residue
+        # search at the Farey proxy, so with sign_of_quadratic refusing a
+        # quadratic term in both modules that could reach it, its verdicts
+        # stand
         cases = self.stream_cases(is_best_approx_2nd)
 
         def linear_only(q2, q1, q0, alpha):
@@ -332,9 +417,10 @@ class TestStreamReference:
         assert sum(held for *_, held in cases) == 2 * (7 + 5 + 5 + 5)
 
     def test_iv_builds_no_radius(self, monkeypatch):
-        # (iv) on a stream makes one integer quadratic sign test per rival
-        # and builds no radius object: with QuadraticRadius refusing to be
-        # built, its verdicts stand on at most b sign tests per case
+        # (iv) on a stream builds no radius object and makes no sign test:
+        # it runs the integer descent at the Farey proxy, so with
+        # QuadraticRadius refusing to be built, its verdicts stand and
+        # sign_of_quadratic is never called
         cases = self.stream_cases(is_nearby)
 
         def refuse(radius):
@@ -348,12 +434,70 @@ class TestStreamReference:
             return sign_of_quadratic(q2, q1, q0, alpha)
 
         monkeypatch.setattr(QuadraticRadius, "__post_init__", refuse)
-        monkeypatch.setattr("fordcircles.verify.sign_of_quadratic", counted)
+        for module in ("fordcircles.real", "fordcircles.verify"):
+            monkeypatch.setattr(f"{module}.sign_of_quadratic", counted)
         for x, alpha, held in cases:
-            calls = 0
             assert is_nearby(x, alpha) == held, (alpha, x)
-            assert calls <= x.denominator, (alpha, x, calls)
+        assert calls == 0
         assert sum(held for *_, held in cases) == 2 * (7 + 5 + 5 + 5)
+
+
+#: The Fibonacci numbers F_0 = 0, F_1 = 1, ..., F_201; golden's convergents
+#: are F_(n+1)/F_n.
+FIB = [0, 1]
+while len(FIB) <= 201:
+    FIB.append(FIB[-1] + FIB[-2])
+
+
+class TestStreamSizes:
+    """(iii) and (iv) on a stream cost one convergent walk to denominator
+    2*b and one O(log q) kernel search, on either engine."""
+
+    @pytest.mark.parametrize("engine", ["surd", "brackets"])
+    def test_golden_far_beyond_any_scan(self, capsys, engine):
+        # a loop over every d <= F_200 could not finish
+        alpha = golden_ratio() if engine == "surd" else bracket_twin(golden_ratio())
+        x = F(FIB[201], FIB[200])
+        assert is_best_approx_2nd(x, alpha) is True
+        assert is_nearby(x, alpha) is True
+        # (F_201 - 2)/F_200 is reduced, (F_201 - 1)/F_200 is not, and
+        # (F_201 + 1)/F_200 reduces to the convergent F_101/F_100
+        assert F(FIB[201] + 1, FIB[200]) == F(FIB[101], FIB[100])
+        for k, held in ((-2, False), (-1, False), (1, True)):
+            y = F(FIB[201] + k, FIB[200])
+            assert is_best_approx_2nd(y, alpha) is held, y
+            assert is_nearby(y, alpha) is held, y
+        report = theorem_u_check(x, alpha)
+        assert report.consistent and report.stmt_i, report
+        assert main(["check", f"{FIB[201]}/{FIB[200]}", "golden"]) == 0
+        assert json.loads(capsys.readouterr().out)["consistent"] is True
+
+    @pytest.mark.parametrize("engine", ["surd", "brackets"])
+    def test_pulls_are_logarithmic_in_b(self, engine):
+        # each flag walks golden's convergents to B_k > 2*b, that is
+        # k < log_phi(2*b) + 2 coefficient pulls, within 2*bits(b) + 4
+        alpha = golden_ratio() if engine == "surd" else bracket_twin(golden_ratio())
+        alpha.partials = partials = Counting(alpha.partials)
+        for n in range(2, 201, 9):
+            for x in (F(FIB[n + 1], FIB[n]), F(FIB[n + 1] + 1, FIB[n])):
+                for flag in (is_best_approx_2nd, is_nearby):
+                    partials.pulls = 0
+                    flag(x, alpha)
+                    assert 1 <= partials.pulls <= 2 * x.denominator.bit_length() + 4, \
+                        (engine, flag, x, partials.pulls)
+
+    @pytest.mark.parametrize("engine", ["surd", "brackets"])
+    def test_flags_ignore_the_refinement_cap(self, monkeypatch, engine):
+        # the proxy walk is not bracket refinement, so a cap of 5 pulls
+        # that no bracket query at F_40/F_39 could meet does not apply
+        monkeypatch.setattr(real, "DEFAULT_MAX_PULLS", 5)
+        alpha = golden_ratio() if engine == "surd" else bracket_twin(golden_ratio())
+        x = F(FIB[40], FIB[39])
+        assert is_best_approx_2nd(x, alpha) is True
+        assert is_nearby(x, alpha) is True
+        if engine == "brackets":
+            with pytest.raises(real.RefinementExhausted):
+                compare_real(alpha, x)
 
 
 class TestStatementVWitness:
