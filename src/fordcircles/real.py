@@ -7,13 +7,14 @@ of a rational) and ``convergent_pairs()``.  Every query is decided in
 integers, by the engine the constructor fixes.  A rational p/q is the surd
 (p, 0, 0, q), and a stream on periodic or square-root partials is a
 quadratic irrational (Lagrange) with surd (P + S*sqrt(D))/Q, S = +-1, so a
-comparison against a rational, the sign of a rational quadratic or a floor
-is one integer sign test.  Any other stream reads its integer convergent
-pairs, which strictly straddle the value, until they decide; that
-terminates unless the quadratic vanishes at the stream value.  Such a
-stream keeps one table of its convergent pairs, shared by all its queries
-and grown on demand from one live ``convergent_pairs()`` walk, so each
-coefficient is pulled once per stream rather than once per query.  The
+comparison against a rational or the sign of a rational quadratic is one
+integer sign test, and the floor of a ratio of linear forms
+(``floor_ratio``) one closed form with ``isqrt``.  Any other stream reads
+its integer convergent pairs, which strictly straddle the value, until they
+decide; that terminates unless the quadratic vanishes at the stream value.
+Such a stream keeps one table of its convergent pairs, shared by all its
+queries and grown on demand from one live ``convergent_pairs()`` walk, so
+each coefficient is pulled once per stream rather than once per query.  The
 table is keyed on the ``partials`` object it was built from and rebuilt
 when that object is replaced; it lives as long as the stream and holds at
 most DEFAULT_MAX_PULLS + 1 pairs.  No floating-point value enters or leaves
@@ -337,24 +338,58 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
     raise AssertionError("unreachable: brackets() never returns normally")
 
 
-def floor_scaled(alpha: RealNumber | RationalLike, k: int) -> int:
-    """floor(k * alpha) for integer k >= 1, exactly: k*p // q for a rational
-    p/q, the surd formula below for a stream with a surd, and otherwise
-    k*a0 // b0 once it equals k*a1 // b1 at a convergent pair."""
-    if k < 1:
-        raise ValueError("scale factor must be >= 1")
+def floor_ratio(alpha: RealNumber | RationalLike, v1: int, u1: int, v2: int, u2: int) -> int:
+    """floor((v1*alpha + u1)/(v2*alpha + u2)) for integers v1, u1, v2, u2,
+    exactly; the denominator must be positive at alpha, else ValueError.
+
+    At a surd t = (p + s*sqrt(d))/q the ratio is (n + w*sqrt(d))/(m + e*sqrt(d))
+    with n = v1*p + u1*q, w = v1*s, m = v2*p + u2*q and e = v2*s.  For e = 0,
+    as at every rational (s = d = 0), it is (n + w*sqrt(d))/m with m > 0;
+    otherwise d is not a square and the conjugate m - e*sqrt(d) clears the
+    denominator to the nonzero integer m^2 - e^2*d.  Then the floor is one
+    integer division after floor(w*sqrt(d)).  On a stream without a surd the
+    map is monotone on any bracket where its denominator is positive at both
+    ends, so it decides at the first such convergent pair with one floor at
+    both ends; a denominator <= 0 at both ends is <= 0 at alpha.
+    """
     if not isinstance(alpha, RealNumber):
         alpha = as_real(alpha)
     surd = alpha.surd()
     if surd is not None:
-        # floor(k*s*sqrt(d)) is s*isqrt(k^2*d), less 1 when s < 0 (irrational)
         p, s, d, q = surd
-        return (k * p + s * isqrt(k * k * d) - (s < 0)) // q
+        n, w, m, e = v1 * p + u1 * q, v1 * s, v2 * p + u2 * q, v2 * s
+        if e:
+            norm = m * m - e * e * d
+            if (m if norm > 0 else e) <= 0:
+                raise ValueError("denominator must be positive at alpha")
+            n, w, m = n * m - w * e * d, w * m - n * e, norm
+            if m < 0:
+                n, w, m = -n, -w, -m
+        elif m <= 0:
+            raise ValueError("denominator must be positive at alpha")
+        # floor(w*sqrt(d)) is isqrt(w^2*d), less 1 when w < 0 (irrational)
+        if w > 0:
+            n += isqrt(w * w * d)
+        elif w < 0:
+            n -= isqrt(w * w * d) + 1
+        return n // m
     for (a0, b0), (a1, b1) in alpha.brackets():
-        lo = k * a0 // b0
-        if lo == k * a1 // b1:
-            return lo
+        m0, m1 = v2 * a0 + u2 * b0, v2 * a1 + u2 * b1
+        if m0 > 0 and m1 > 0:
+            lo = (v1 * a0 + u1 * b0) // m0
+            if lo == (v1 * a1 + u1 * b1) // m1:
+                return lo
+        elif m0 <= 0 and m1 <= 0:
+            raise ValueError("denominator must be positive at alpha")
     raise AssertionError("unreachable: brackets() never returns normally")
+
+
+def floor_scaled(alpha: RealNumber | RationalLike, k: int) -> int:
+    """floor(k * alpha) for integer k >= 1, exactly: floor_ratio's case
+    (k*alpha + 0)/(0*alpha + 1)."""
+    if k < 1:
+        raise ValueError("scale factor must be >= 1")
+    return floor_ratio(alpha, k, 0, 0, 1)
 
 
 class _SqrtPartials:

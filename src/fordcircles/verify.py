@@ -14,7 +14,9 @@ For non-integer x the five are equivalent; integer x satisfies (i) without
 (iii) whenever alpha lands in the upper half of the unit interval around it,
 so reports flag integers and skip the equivalence claim for them.
 
-(i) walks the convergent recurrence and (ii) the Ford packing's mediants.
+(i) walks the convergent recurrence.  (ii) descends the Ford packing's
+mediants a run at a time: one sign test and at most one exact floor and one
+more test per partial quotient.
 (iii) compares linear forms and (iv) horocircle radii, each by its own
 O(log q) search at a rational: a first-hit residue search for (iii), a
 Stern-Brocot descent on the squared forms for (iv).  Their verdicts at a
@@ -42,6 +44,7 @@ from .real import (
     _as_int,
     as_real,
     compare_real,
+    floor_ratio,
     floor_scaled,
     sign_of_quadratic,
 )
@@ -99,11 +102,21 @@ def _convergents_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
 
 def _chain_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
     """Statement (ii) up to a cap: the bases (a, b) with b <= max_den of the
-    chain of alpha, by a mediant descent of the Ford packing.  Between tangent
-    circles at a/b and c/d, one circle touches both and the axis, at the
-    mediant (Ford, 1938); the chain circles are where the descent towards
-    alpha turns (Series, 1985).  Mediant denominators grow by >= 1 per step,
-    and the step past the cap still decides its turn: <= max_den + 2 tests."""
+    chain of alpha, by a mediant descent of the Ford packing, a run at a time.
+
+    Between tangent circles at a/b and c/d, one circle touches both and the
+    axis, at the mediant (Ford, 1938); the chain circles are where the
+    descent towards alpha turns (Series, 1985).  While the end s/t on
+    alpha's side stays, the mediants M_j = (u + j*s)/(v + j*t) move
+    monotonically from the other end u/v towards it, so alpha stays beyond
+    M_j exactly for j < (v*alpha - u)/(s - t*alpha), both forms negated when
+    s/t is below: one exact floor f ends the run.  Taken a mediant at a
+    time, the descent keeps s/t past each M_j up to M_f, stops at
+    alpha == M_f, else keeps M_f and turns at M_(f+1), and stops after the
+    first step whose denominator passes the cap; that step still decides
+    its turn.  So a run costs one sign test at M_1, then at most one floor
+    and one sign test (alpha == M_f, for f >= 2 as M_1 was the probe).
+    """
     n = floor_scaled(alpha, 1)
     found = {(n, 1)}
     if sign_of_quadratic(0, 1, -n, alpha) == EQ:  # an integer is its own chain
@@ -112,13 +125,23 @@ def _chain_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
     while True:
         m, k = a + c, b + d
         side = sign_of_quadratic(0, k, -m, alpha)
-        if side != EQ:
-            found.add((c, d) if side == GT else (a, b))  # the end that stays
-        elif k <= max_den:
-            found.add((m, k))  # alpha = m/k ends the chain
-        if side == EQ or k > max_den:
+        if side == EQ:
+            if k <= max_den:
+                found.add((m, k))  # alpha = m/k ends the chain
             return found
-        a, b, c, d = (m, k, c, d) if side == GT else (a, b, m, k)
+        u, v, s, t = (a, b, c, d) if side == GT else (c, d, a, b)
+        found.add((s, t))  # the end that stays
+        cap = (max_den - v) // t + 1  # the first j with v + j*t > max_den
+        if cap == 1:
+            return found
+        f = floor_ratio(alpha, side * v, -side * u, -side * t, side * s)
+        if f >= cap:
+            return found
+        m, k = u + f * s, v + f * t
+        found.add((m, k))
+        if f + 1 == cap or f >= 2 and sign_of_quadratic(0, k, -m, alpha) == EQ:
+            return found
+        a, b, c, d = (m, k, m + s, k + t) if side == GT else (m + s, k + t, m, k)
 
 
 def _farey_proxy(alpha: RealNumber, n: int) -> tuple[int, int]:
@@ -257,7 +280,7 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     O(den_max_x) integer work for (v).  A pair outside all five statement
     sets is false on all five, hence consistent, so it is counted without
     being visited; the pairs inside are visited in the order of the x
-    enumeration.  Cost: O(|alphas| * den_max_x + |xs|), from (ii) and (v).
+    enumeration.  Cost: O(|alphas| * den_max_x + |xs|), from (v).
     The tests hold the sets against the references in tests/reference.py.
     """
     lo, hi = _as_fraction(window[0]), _as_fraction(window[1])

@@ -398,16 +398,24 @@ class TestReusedParser:
 class TestEntryPoint:
     """`python -m fordcircles.cli` in a fresh process."""
 
-    def run_module(self, *argv):
+    def run_module(self, *argv, timeout=60):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
         return subprocess.run([sys.executable, "-m", "fordcircles.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=env, timeout=timeout)
 
     def test_check(self):
         done = self.run_module("check", "1/2", "3/5")
         want = check_text("1/2", "3/5", False, [True] * 5, "2/3")
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
+    def test_check_at_a_huge_partial_quotient(self):
+        # x = alpha = [0; 3, 10^9]: statement (ii) descends the run of 10^9
+        # mediants with one floor, so the check ends well inside the limit
+        x = "1000000000/3000000001"
+        done = self.run_module("check", x, x, timeout=30)
+        want = check_text(x, x, False, [True] * 5, "1000000001/3000000004")
         assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
 
     def test_usage_error(self):

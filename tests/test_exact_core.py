@@ -50,6 +50,32 @@ def bracket_bounds(stream: CFStream):
         yield tuple(sorted(F(a, b) for a, b in pair))
 
 
+#: Streams with their surds (P, S, D, Q), the value (P + S*sqrt(D))/Q,
+#: worked out by hand from the period; a straddle test in test_verify.py
+#: checks each.
+SURD_STREAMS = {
+    "golden": (golden_ratio, (1, 1, 5, 2)),
+    "sqrt:2": (lambda: sqrt_real(2), (0, 1, 2, 1)),
+    "sqrt:3": (lambda: sqrt_real(3), (0, 1, 3, 1)),
+    "sqrt:7": (lambda: sqrt_real(7), (0, 1, 7, 1)),
+    "sqrt:13": (lambda: sqrt_real(13), (0, 1, 13, 1)),
+    "sqrt:94": (lambda: sqrt_real(94), (0, 1, 94, 1)),
+    # b0 on the partials of sqrt:n is b0 - isqrt(n) + sqrt(n)
+    "-2;sqrt:7": (lambda: CFStream(-2, sqrt_real(7).partials), (-4, 1, 7, 1)),
+    "5;sqrt:13": (lambda: CFStream(5, sqrt_real(13).partials), (2, 1, 13, 1)),
+    # the tail y = [1;3,1,3,...] solves 3y^2 - 3y - 1 = 0
+    "cf:1;2,(1,3)": (lambda: CFStream(1, PeriodicCoefficients((1, 3), (2,))),
+                     (9, 1, 21, 10)),
+    # the tail y = [2;5,1,...] solves 6y^2 - 8y - 11 = 0, and alpha = 1/y
+    "cf:0;(2,5,1)": (lambda: CFStream(0, PeriodicCoefficients((2, 5, 1))),
+                     (-4, 1, 82, 11)),
+    "cf:-3;(1)": (lambda: CFStream(-3, PeriodicCoefficients((1,))), (-7, 1, 5, 2)),
+    # 3 - sqrt(2) = [1;1,1,2,2,...], whose surd has S = -1
+    "cf:1;1,1,(2)": (lambda: CFStream(1, PeriodicCoefficients((2,), (1, 1))),
+                     (3, -1, 2, 1)),
+}
+
+
 class TestReducedFractionsIn:
     def test_farey_5(self):
         f5 = list(reduced_fractions_in(F(0), F(1), 5))
@@ -353,6 +379,89 @@ class TestFloorScaled:
     def test_matches_fraction_floor(self, q, k):
         import math
         assert floor_scaled(ExactReal(q), k) == math.floor(q * k)
+
+
+def floor_by_signs(alpha, v1, u1, v2, u2):
+    """floor((v1*alpha + u1)/(v2*alpha + u2)) for a positive denominator, by
+    galloping and bisecting on one linear sign test per step: the ratio is
+    >= f exactly when (v1 - f*v2)*alpha + (u1 - f*u2) is >= 0."""
+    def at_least(f):
+        return sign_of_quadratic(0, v1 - f * v2, u1 - f * u2, alpha) != LT
+
+    lo, hi = -1, 1
+    while not at_least(lo):
+        lo *= 2
+    while at_least(hi):
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if at_least(mid) else (lo, mid)
+    return lo
+
+
+@st.composite
+def floor_alphas(draw):
+    """A small rational, or a SURD_STREAMS entry on its surd or its bracket
+    twin."""
+    kind = draw(st.sampled_from(("rational", "surd", "brackets")))
+    if kind == "rational":
+        return ExactReal(draw(st.fractions(-4, 4, max_denominator=30)))
+    stream = SURD_STREAMS[draw(st.sampled_from(sorted(SURD_STREAMS)))][0]()
+    return stream if kind == "surd" else bracket_twin(stream)
+
+
+class TestFloorRatio:
+    """floor_ratio against a search by sign tests, on ExactReal, on the
+    SURD_STREAMS and on their bracket twins."""
+
+    SMALL = st.integers(-30, 30)
+
+    @settings(deadline=None, max_examples=300)
+    @given(floor_alphas(), SMALL, SMALL, SMALL, SMALL, st.data())
+    def test_matches_a_search_by_signs(self, alpha, v1, u1, v2, u2, data):
+        if data.draw(st.booleans(), label="near pole"):
+            # a convergent's form, barely above 0 at alpha: a huge ratio,
+            # and brackets that straddle the pole before they decide
+            pairs = list(islice(alpha.convergent_pairs(), 16))
+            a, b = pairs[data.draw(st.integers(0, len(pairs) - 1))]
+            v2, u2 = b, -a
+        side = sign_of_quadratic(0, v2, u2, alpha)
+        assume(side != EQ)
+        v2, u2 = side * v2, side * u2
+        if data.draw(st.booleans(), label="exact"):
+            # the ratio is the integer f: a form vanishing at a rational
+            # p/q is a multiple of (q, -p), at an irrational only 0
+            f, k = data.draw(st.integers(-50, 50)), data.draw(self.SMALL)
+            p, q = (alpha.value.numerator, alpha.value.denominator) \
+                if isinstance(alpha, ExactReal) else (0, 0)
+            v1, u1 = f * v2 + k * q, f * u2 - k * p
+            assert real.floor_ratio(alpha, v1, u1, v2, u2) == f
+        assert real.floor_ratio(alpha, v1, u1, v2, u2) == \
+            floor_by_signs(alpha, v1, u1, v2, u2)
+
+    @pytest.mark.parametrize("alpha, args, want", [
+        (ExactReal(F(3, 5)), (10, 4, 5, -2), 10),  # (6 + 4)/(3 - 2), exactly
+        (ExactReal(F(-7, 2)), (1, 0, 0, 1), -4),
+        (golden_ratio(), (6, 3, 2, 1), 3),  # a constant map
+        (bracket_twin(golden_ratio()), (-6, -3, 2, 1), -3),
+        (sqrt_real(2), (-1, 0, 0, 1), -2),  # -sqrt(2): the root's floor, less 1
+        (bracket_twin(sqrt_real(2)), (-1, 0, 0, 1), -2),
+        # 1/(99*sqrt(2) - 140) = (99*sqrt(2) + 140)/2, just above 140
+        (sqrt_real(2), (0, 1, 99, -140), 140),
+        (bracket_twin(sqrt_real(2)), (0, 1, 99, -140), 140),
+    ])
+    def test_examples(self, alpha, args, want):
+        assert real.floor_ratio(alpha, *args) == want
+
+    @pytest.mark.parametrize("alpha, v2, u2", [
+        *((alpha, v2, u2)
+          for alpha in (ExactReal(F(3, 5)), golden_ratio(), bracket_twin(golden_ratio()))
+          for v2, u2 in ((0, 0), (-1, 0), (0, -1), (1, -2))),
+        (ExactReal(F(3, 5)), 5, -3),  # zero at alpha
+    ])
+    def test_denominator_must_be_positive(self, alpha, v2, u2):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            real.floor_ratio(alpha, 1, 0, v2, u2)
 
 
 def minimal_polynomial(b0, period, initial):

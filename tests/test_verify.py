@@ -14,7 +14,6 @@ import pytest
 import reference
 from fordcircles import (
     CFStream,
-    PeriodicCoefficients,
     QuadraticRadius,
     are_tangent,
     cf_chain,
@@ -36,7 +35,7 @@ from fordcircles import _kernel, real, verify
 from fordcircles.cli import main, parse_real_spec
 from fordcircles.real import (GT, LT, ExactReal, RealNumber, as_real, compare_real,
                               sign_of_quadratic)
-from test_exact_core import Counting, Plain, bracket_twin
+from test_exact_core import SURD_STREAMS, Counting, Plain, bracket_twin
 from test_kernel import _Refused, _refuse
 
 
@@ -117,6 +116,9 @@ class TestChainDescent:
         yield from map(parse_real_spec, TestChainDescent.STREAMS)
         yield bracket_twin(golden_ratio())
         yield bracket_twin(sqrt_real(7))
+        # [10^6; (2*10^6)]: runs far longer than any cap below
+        yield sqrt_real(10**12 + 1)
+        yield bracket_twin(sqrt_real(10**12 + 1))
 
     def test_rationals_match_the_convergents(self):
         for alpha in reduced_fractions_in(F(-3), F(3), 40, include_hi=False):
@@ -140,7 +142,7 @@ class TestChainDescent:
                 assert are_tangent(F(a, b), F(c, d)), (alpha, (a, b), (c, d))
 
     @pytest.mark.parametrize("x,alpha,member,most", [
-        (F(1, 10**4), F(1, 10**4), True, 10**4 + 2),  # [0;10000]: a step per mediant
+        (F(1, 10**4), F(1, 10**4), True, 10**4 + 2),  # [0;10000]: one run of mediants
         (F(1, 10**8), F(0), False, 1),  # an integer alpha is decided by one test
     ])
     def test_sign_tests_are_bounded(self, monkeypatch, x, alpha, member, most):
@@ -153,6 +155,32 @@ class TestChainDescent:
         monkeypatch.setattr(verify, "sign_of_quadratic", counted)
         assert theorem_u_check(x, alpha).stmt_ii is member
         assert 1 <= len(calls) <= most
+
+    @pytest.mark.parametrize("x,alpha,member,most", [
+        # [0;1000000]: the floor and the integer test, then one run: its
+        # probe and its floor; M_(f+1) passes the cap, so M_f needs no test
+        (F(1, 10**6), F(1, 10**6), True, 4),
+        # [10^6; 2*10^6, ...]: the first run leaves the cap 10^6
+        (F(1, 10**6), sqrt_real(10**12 + 1), False, 4),
+        (F(1, 10**6), bracket_twin(sqrt_real(10**12 + 1)), False, 4),
+        # [0; 3, 10^9]: a run to 1/3 with its test of alpha == M_2, then the
+        # run of 10^9 - 1 mediants to alpha
+        (F(10**9, 3 * 10**9 + 1), F(10**9, 3 * 10**9 + 1), True, 7),
+        # golden: every run is one mediant, so a probe and a floor, and no
+        # test of alpha == M_1, which the probe already made
+        (F(6765, 4181), golden_ratio(), True, 20),
+    ])
+    def test_calls_per_run_are_bounded(self, monkeypatch, x, alpha, member, most):
+        # a run costs O(1) calls however long it is
+        calls = []
+        for name in ("sign_of_quadratic", "floor_ratio", "floor_scaled"):
+            def counted(*args, call=getattr(verify, name)):
+                calls.append(args)
+                return call(*args)
+
+            monkeypatch.setattr(verify, name, counted)
+        assert theorem_u_check(x, alpha).stmt_ii is member
+        assert len(calls) <= most
 
     @staticmethod
     def skip_convergent_3(monkeypatch):
@@ -239,31 +267,6 @@ class TestNearby:
         for alpha in alphas:
             for x in xs:
                 assert is_best_approx_2nd(x, alpha) == is_nearby(x, alpha)
-
-
-#: Streams with their surds (P, S, D, Q), the value (P + S*sqrt(D))/Q,
-#: worked out by hand from the period; the straddle test below checks each.
-SURD_STREAMS = {
-    "golden": (golden_ratio, (1, 1, 5, 2)),
-    "sqrt:2": (lambda: sqrt_real(2), (0, 1, 2, 1)),
-    "sqrt:3": (lambda: sqrt_real(3), (0, 1, 3, 1)),
-    "sqrt:7": (lambda: sqrt_real(7), (0, 1, 7, 1)),
-    "sqrt:13": (lambda: sqrt_real(13), (0, 1, 13, 1)),
-    "sqrt:94": (lambda: sqrt_real(94), (0, 1, 94, 1)),
-    # b0 on the partials of sqrt:n is b0 - isqrt(n) + sqrt(n)
-    "-2;sqrt:7": (lambda: CFStream(-2, sqrt_real(7).partials), (-4, 1, 7, 1)),
-    "5;sqrt:13": (lambda: CFStream(5, sqrt_real(13).partials), (2, 1, 13, 1)),
-    # the tail y = [1;3,1,3,...] solves 3y^2 - 3y - 1 = 0
-    "cf:1;2,(1,3)": (lambda: CFStream(1, PeriodicCoefficients((1, 3), (2,))),
-                     (9, 1, 21, 10)),
-    # the tail y = [2;5,1,...] solves 6y^2 - 8y - 11 = 0, and alpha = 1/y
-    "cf:0;(2,5,1)": (lambda: CFStream(0, PeriodicCoefficients((2, 5, 1))),
-                     (-4, 1, 82, 11)),
-    "cf:-3;(1)": (lambda: CFStream(-3, PeriodicCoefficients((1,))), (-7, 1, 5, 2)),
-    # 3 - sqrt(2) = [1;1,1,2,2,...], whose surd has S = -1
-    "cf:1;1,1,(2)": (lambda: CFStream(1, PeriodicCoefficients((2,), (1, 1))),
-                     (3, -1, 2, 1)),
-}
 
 
 class EPartials:
