@@ -2,15 +2,15 @@
 
 Statements (iii), (iv) and (v) for x = a/b against a rational alpha = p/q,
 in integers (scaled by q, or by 2*q*q for radii), per pair (the flags) and
-per alpha for every b <= X (the sets).  (iii) and (iv) each have one
-search, each its own way, for the first candidate (least d, there the
-nearest c) whose form is at most a threshold, in O(log q) steps: (iii) a
-first-hit residue search, (iv) a Stern-Brocot descent on the squared forms.
-A flag holds iff the first hit at x's own form is x.  A set collects the
-records, the d whose nearer candidate has a form below every one at
-smaller d: forms are integers, so each is the first hit at one below the
-last, and a set makes one search per record.  Only (v)'s set walks every
-b <= X.  The tests hold the kernels against tests/reference.py.
+per alpha for every b <= X (the sets).  (iii) and (iv) are record
+properties: x holds iff its form beats that of every earlier denominator.
+So each has one generator of its records (least d, there the nearest c)
+from a threshold, each its own way, in O(log q) steps per search: (iii) a
+first-hit residue search per record, (iv) one Stern-Brocot descent on the
+squared forms for all its records, resumed at each.  A flag holds iff the
+first record from x's own form is x; a set is every record from the
+widest threshold.  Only (v)'s set walks every b <= X.  The tests hold the
+kernels against tests/reference.py.
 
 Candidate pruning, one lemma for every real alpha (streams reach it via
 verify._farey_proxy): at a fixed d the form |d*alpha - c| and the radius
@@ -32,6 +32,7 @@ never a first hit, so the searches need no gcd.
 from __future__ import annotations
 
 from math import gcd, isqrt
+from typing import Iterator
 
 
 def backend_name() -> str:
@@ -76,18 +77,29 @@ def _first_hit(a: int, m: int, lo: int, hi: int) -> int | None:
     return k
 
 
-def _best_first(p: int, q: int, t: int) -> int:
-    """The least d >= 1 whose nearer candidate has a form t(c, d) <= t, for
-    0 <= t with 2*t < q.
+def _best_hits(p: int, q: int, t: int, max_den: int) -> Iterator[tuple[int, int]]:
+    """The records of (iii) from the threshold t, for 0 <= 2*t < q: each
+    (c, d) with d <= max_den, in order of d, whose nearer candidate c has a
+    form t(c, d) at most t and below the form of every earlier record.
 
-    That is the least d whose residue r = d*p mod q has min(r, q - r) <= t,
-    i.e. (d*p + t) mod q <= 2*t; as 2*t < q, no tie (form q/2) is a hit.
-    With d = k + 1 it is the first hit k of p*k mod q in
-    [(-p - t) mod q, that + 2*t]; a window reaching past q holds 0 (k = 0,
-    d = 1), and otherwise _first_hit finds k in O(log q) steps.  Some d <= q
-    has r = 0, so a hit exists."""
-    lo = (-p - t) % q
-    return 1 if lo + 2 * t >= q else 1 + _first_hit(p, q, lo, lo + 2 * t)
+    The first is the least d whose residue r = d*p mod q has
+    min(r, q - r) <= t, i.e. (d*p + t) mod q <= 2*t; as 2*t < q, no tie
+    (form q/2) is a hit.  With d = k + 1 it is the first hit k of p*k mod q
+    in [(-p - t) mod q, that + 2*t]; a window reaching past q holds 0
+    (k = 0, d = 1), and otherwise _first_hit finds k in O(log q) steps.
+    Some d <= q has r = 0, so a hit exists.  Forms are integers, so the next
+    record is the first hit at one below this one's form, where no smaller d
+    can hit: searching again from d = 1 is exact.  p/q (form 0) ends it."""
+    while t >= 0:
+        lo = (-p - t) % q
+        d = 1 if lo + 2 * t >= q else 1 + _first_hit(p, q, lo, lo + 2 * t)
+        if d > max_den:
+            return
+        c, t = divmod(d * p, q)
+        if 2 * t > q:
+            c, t = c + 1, q - t
+        yield c, d
+        t -= 1
 
 
 def best_flag(a: int, b: int, p: int, q: int) -> bool:
@@ -95,53 +107,62 @@ def best_flag(a: int, b: int, p: int, q: int) -> bool:
 
     Requires t(c, d) = |d*p - c*q| > t(a, b) = t for every reduced
     c/d != a/b with d <= b.  If 2*t >= q the nearer candidate at d = 1
-    (form <= q/2 <= t) refutes x.  Otherwise x holds iff _best_first at t
-    is b: at d = b the other candidates have forms >= q - t > t, so a is
-    the nearest."""
+    (form <= q/2 <= t) refutes x.  Otherwise x holds iff it is the first
+    record of _best_hits from t: at d = b the other candidates have forms
+    >= q - t > t, so a is the nearest."""
     t = abs(b * p - a * q)
-    return 2 * t < q and _best_first(p, q, t) == b
+    return 2 * t < q and next(_best_hits(p, q, t, b), None) == (a, b)
 
 
-def _near_first(p: int, q: int, rx: int, max_den: int) -> tuple[int, int] | None:
-    """The first (c, d), at the least d and there the nearest c, with
-    (d*p - c*q)^2 <= rx, for rx >= 0 and max_den >= 1, or None if it has
-    d > max_den.  At d = 1 the candidates are floor(p/q) and floor(p/q) + 1;
-    when their forms tie (2*r == q with r = p mod q), d = 1 has no hit.
+def _near_hits(p: int, q: int, rx: int, max_den: int) -> Iterator[tuple[int, int]]:
+    """The records of (iv) from the threshold rx >= 0: each (c, d) with
+    d <= max_den, in order of d and there the nearest c, whose squared form
+    (d*p - c*q)^2 is at most rx and below that of every earlier record.
+    At d = 1 the candidates are floor(p/q) and floor(p/q) + 1; when their
+    forms tie (2*r == q with r = p mod q), d = 1 has no hit.
 
     The lemma: the Stern-Brocot path to p/q starts at those two integers and
     goes on by mediants of its two ends, one on each side of p/q, until it
     reaches p/q, with d growing at every node.  A reduced c/d off the path
     has a path node u/v with v <= d strictly between c/d and p/q, so
-    v*|p/q - u/v| < d*|p/q - c/d|.  Hence the first hit is a path node.
+    v*|p/q - u/v| < d*|p/q - c/d|.  Hence the first hit at any threshold is
+    a path node, and the records are the path nodes that hit at one below
+    the last record's square (forms are integers).
 
     The descent, on |e| with e = d*p - c*q: the ends X (the larger |e|) and
     Y lie on opposite sides of p/q, so along the run M_j = X + j*Y the form
     e_X + j*e_Y moves monotonically to 0 and first changes sign, or vanishes,
     at J = ceil(|e_X|/|e_Y|).  For j < J its size is |e_X| - j*|e_Y|, so
     j = max(1, ceil((|e_X| - isqrt(rx))/|e_Y|)), which is at most J, is the
-    run's first hit if j < J, and otherwise only M_J can hit.  Without a hit
-    (so j = J) the ends become M_(J-1) and M_J, of sizes |e_Y| - |e_J| and
-    |e_J|: one Euclid step on (|e_X|, |e_Y|), so there are O(log q) runs.
-    p/q itself (e = 0) always hits, and the first node with d > max_den
-    ends the descent."""
+    run's next hit if j < J, and otherwise only M_J can hit.  A hit M_j with
+    j < J lies on X's side, so the ends become M_j and Y; otherwise they
+    become M_(J-1) and M_J, of sizes |e_Y| - |e_J| and |e_J|: one Euclid
+    step on (|e_X|, |e_Y|).  So one descent of O(log q) runs yields every
+    record, with rx one below the last record's square.  p/q itself
+    (e = 0) always hits and ends it, as does the first d > max_den."""
     c, r = divmod(p, q)
     near, far = (c, 1, r), (c + 1, 1, q - r)  # (c, d, |e|) at d = 1
     if 2 * r > q:
         near, far = far, near
     if 2 * r != q and near[2] * near[2] <= rx:
-        return near[:2]
-    root = isqrt(rx)
-    while True:
+        yield near[:2]
+        rx = near[2] * near[2] - 1
+    while rx >= 0:
+        root = isqrt(rx)
         (cx, dx, fx), (cy, dy, fy) = far, near
         j = max(1, -(-(fx - root) // fy))
         d = dx + j * dy
         if d > max_den:
-            return None
-        f = abs(fx - j * fy)
-        if f * f <= rx:
-            return cx + j * cy, d
-        far, near = (cx + (j - 1) * cy, d - dy, fy - f), (cx + j * cy, d, f)
-        if far[2] < f:
+            return
+        e = fx - j * fy
+        if e * e <= rx:
+            yield cx + j * cy, d
+            rx = e * e - 1
+        if e > 0:
+            far = (cx + j * cy, d, e)
+        else:
+            far, near = (cx + (j - 1) * cy, d - dy, fy + e), (cx + j * cy, d, -e)
+        if far[2] < near[2]:
             far, near = near, far
 
 
@@ -150,9 +171,8 @@ def near_flag(a: int, b: int, p: int, q: int) -> bool:
 
     Every circle C_{c/d} != C_x with d <= b (radius >= that of C_x) needs a
     larger tangent-horocircle radius (d*p - c*q)^2 / (2*q*q) at alpha.  So
-    x holds iff the first c/d with (d*p - c*q)^2 <= (b*p - a*q)^2, found by
-    _near_first, is a/b."""
-    return _near_first(p, q, (b * p - a * q) ** 2, b) == (a, b)
+    x holds iff the first record of _near_hits from (b*p - a*q)^2 is a/b."""
+    return next(_near_hits(p, q, (b * p - a * q) ** 2, b), None) == (a, b)
 
 
 def witness_flag(a: int, b: int, p: int, q: int) -> bool:
@@ -170,36 +190,16 @@ def witness_flag(a: int, b: int, p: int, q: int) -> bool:
 
 def best_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     """Statement (iii) at once: every reduced (a, b) with b <= max_den for
-    which best_flag(a, b, p, q) holds, i.e. every record of the forms: the
-    first hit below q/2, then each first hit below the form of the last,
-    down to p/q itself (form 0)."""
-    found: set[tuple[int, int]] = set()
-    t = (q - 1) // 2
-    while (d := _best_first(p, q, t)) <= max_den:
-        c, r = divmod(d * p, q)
-        if 2 * r > q:
-            c, r = c + 1, q - r
-        found.add((c, d))
-        if r == 0:
-            break
-        t = r - 1
-    return found
+    which best_flag(a, b, p, q) holds, i.e. every record of _best_hits from
+    the widest threshold, just below q/2."""
+    return set(_best_hits(p, q, (q - 1) // 2, max_den))
 
 
 def near_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     """Statement (iv) at once: every reduced (a, b) with b <= max_den for
-    which near_flag(a, b, p, q) holds, i.e. every record of the squared
-    forms: the first hit at q*q, then each first hit below the square of
-    the last, down to p/q itself (e = 0)."""
-    found: set[tuple[int, int]] = set()
-    rx = q * q
-    while (hit := _near_first(p, q, rx, max_den)) is not None:
-        found.add(hit)
-        e = hit[1] * p - hit[0] * q
-        if e == 0:
-            break
-        rx = e * e - 1
-    return found
+    which near_flag(a, b, p, q) holds, i.e. every record of _near_hits from
+    q*q, above every form at d = 1: one descent."""
+    return set(_near_hits(p, q, q * q, max_den))
 
 
 def witness_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:

@@ -92,9 +92,9 @@ def parse_window(text: str) -> tuple[Fraction, Fraction]:
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # let negative rationals (-7/2) and windows (-1..1) pass as values
+        # let negative rationals (-7/2, -1/-3) and windows (-1..1) pass as values
         self._negative_number_matcher = re.compile(
-            r"^-\d+(/\d+)?(\.\.-?\d+(/\d+)?)?$")
+            r"^-\d+(/-?\d+)?(\.\.-?\d+(/-?\d+)?)?$")
 
     def error(self, message: str):  # argparse defaults to exit code 2
         raise UsageError(message)

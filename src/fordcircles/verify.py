@@ -276,11 +276,12 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     convergent recurrence and (ii) the Ford packing, both capped at den_max_x.
 
     Statements (iii), (iv) and (v) for a whole alpha come from the kernel's
-    candidate sets: one O(log q) search per record for (iii) and (iv), and
-    O(den_max_x) integer work for (v).  A pair outside all five statement
-    sets is false on all five, hence consistent, so it is counted without
-    being visited; the pairs inside are visited in the order of the x
-    enumeration.  Cost: O(|alphas| * den_max_x + |xs|), from (v).
+    candidate sets, each statement's records from its own generator: one
+    O(log q) residue search per record for (iii), one O(log q) descent for
+    all of (iv)'s, and O(den_max_x) integer work for (v).  A pair outside
+    all five statement sets is false on all five, hence consistent, so it
+    is counted without being visited; the pairs inside are visited in the
+    order of the x enumeration.  Cost: O(|alphas| * den_max_x + |xs|), from (v).
     The tests hold the sets against the references in tests/reference.py.
     """
     lo, hi = _as_fraction(window[0]), _as_fraction(window[1])

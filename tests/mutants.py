@@ -1,0 +1,165 @@
+"""Mutation check of the integer kernels in src/fordcircles/_kernel.py.
+
+Each mutant is one small edit of _kernel.py.  The runner applies it to a
+temporary copy of the repository (src/, tests/ and pyproject.toml), runs
+tests/test_kernel.py and tests/test_acceptance.py there with -x and
+criterion 8 deselected (it fails on the unmutated code, see ROADMAP.md),
+and prints "killed" or "survived" with the time taken.  A mutant that runs
+past the timeout is killed: some mutants stay correct but take one step
+per unit of a partial quotient, so they hang rather than fail.  Each run
+is capped at 2 GiB of address space, and a mutant that dies on that cap is
+killed too.  Before the mutants it runs the unmutated copy, which must
+pass.
+
+Run from the repository root:
+
+    python tests/mutants.py                   # every mutant
+    python tests/mutants.py --timeout 60 near-hit-strict rx-not-lowered
+
+The exit code is 0 when every mutant not listed as equivalent is killed.
+Pytest does not collect this file: its name has no test_ prefix.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+KERNEL = Path("src/fordcircles/_kernel.py")
+TESTS = ["tests/test_kernel.py", "tests/test_acceptance.py"]
+DESELECT = "tests/test_acceptance.py::test_criterion_8_penultimate_construction"
+
+# (name, text in _kernel.py, its replacement); each text occurs exactly once,
+# and any lines beyond the changed one are context that makes it unique
+MUTANTS = [
+    # _first_hit and best_flag
+    ("first-hit-floor", "        k = -(-lo // a)\n", "        k = lo // a\n"),
+    ("first-hit-no-reflection", "        if 2 * a > m:\n", "        if False:\n"),
+    ("best-flag-tie", "    return 2 * t < q and next(", "    return 2 * t <= q and next("),
+    ("best-window-wrap", "lo + 2 * t >= q else", "lo + 2 * t > q else"),
+    # _best_hits, the (iii) records
+    ("best-threshold-kept", "        t -= 1\n", "        t -= 0\n"),
+    ("best-no-nearer-swap", "        if 2 * t > q:\n", "        if False:\n"),
+    ("best-exit-early",
+     "        if d > max_den:\n            return\n        c, t",
+     "        if d >= max_den:\n            return\n        c, t"),
+    ("best-set-from-half", "(q - 1) // 2, max_den", "q // 2, max_den"),
+    # _near_hits, the (iv) descent
+    ("near-d1-tie-guard", "    if 2 * r != q and near[2]", "    if near[2]"),
+    ("near-d1-rx-kept", "        rx = near[2] * near[2] - 1\n",
+     "        rx = near[2] * near[2]\n"),
+    ("near-run-floor", "j = max(1, -(-(fx - root) // fy))", "j = max(1, (fx - root) // fy)"),
+    ("near-run-no-max", "j = max(1, -(-(fx - root) // fy))", "j = -(-(fx - root) // fy)"),
+    ("near-ends-swapped", "(cx, dx, fx), (cy, dy, fy) = far, near",
+     "(cx, dx, fx), (cy, dy, fy) = near, far"),
+    ("near-exit-early",
+     "        if d > max_den:\n            return\n        e = ",
+     "        if d >= max_den:\n            return\n        e = "),
+    ("near-hit-strict", "        if e * e <= rx:\n", "        if e * e < rx:\n"),
+    ("near-set-from-quarter", "_near_hits(p, q, q * q, max_den)",
+     "_near_hits(p, q, q * q // 4 - 1, max_den)"),
+    # the resumed state of the descent
+    ("rx-not-lowered", "            rx = e * e - 1\n", "            rx = e * e\n"),
+    ("root-not-recomputed",
+     "    while rx >= 0:\n        root = isqrt(rx)\n",
+     "    root = isqrt(max(rx, 0))\n    while rx >= 0:\n"),
+    ("ends-kept-after-hit", "            far = (cx + j * cy, d, e)\n", "            far = far\n"),
+    ("hit-side-test-flipped", "        if e > 0:\n", "        if e < 0:\n"),
+    ("hit-side-test-at-zero", "        if e > 0:\n", "        if e >= 0:\n"),
+    ("end-order-at-a-tie", "        if far[2] < near[2]:\n", "        if far[2] <= near[2]:\n"),
+]
+
+# mutants that change no output, with the reason (see CHANGES.md)
+EQUIVALENT = {
+    "hit-side-test-at-zero": "e = 0 is p/q, a hit, after which rx = -1 ends the loop",
+    "end-order-at-a-tie": "with equal ends the next node is their sum either way",
+}
+
+
+def _limit_memory() -> None:
+    # a runaway mutant must fail inside its own process
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _run(tree: Path, timeout: float) -> tuple[str, float, str]:
+    """Run the kernel and acceptance tests on tree: (verdict, seconds, detail)."""
+    # no bytecode: two mutants of one size written within one second would
+    # otherwise share a stale .pyc
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           *TESTS, "--deselect", DESELECT]
+    started = time.perf_counter()
+    try:
+        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
+                              timeout=timeout, preexec_fn=_limit_memory)
+    except subprocess.TimeoutExpired:
+        return "killed", time.perf_counter() - started, f"timeout after {timeout:.0f} s"
+    elapsed = time.perf_counter() - started
+    if done.returncode == 0:
+        return "survived", elapsed, ""
+    failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+    if failed:
+        return "killed", elapsed, failed.group(1)
+    if done.returncode < 0:
+        return "killed", elapsed, f"signal {-done.returncode} (2 GiB memory cap)"
+    last = (done.stdout + done.stderr).strip().splitlines() or [""]
+    return "killed", elapsed, f"exit {done.returncode}: {last[-1][:80]}"
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--timeout", type=float, default=90.0,
+                        help="seconds per mutant before it counts as killed (default 90)")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - {name for name, _, _ in MUTANTS}
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
+
+    source = (ROOT / KERNEL).read_text(encoding="utf-8")
+    for name, old, _ in chosen:
+        if source.count(old) != 1:
+            raise SystemExit(f"{name}: its text occurs {source.count(old)} times in {KERNEL}")
+
+    with tempfile.TemporaryDirectory(prefix="fordcircles-mutants-") as scratch:
+        tree = Path(scratch)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+
+        verdict, seconds, detail = _run(tree, args.timeout)
+        print(f"{'unmutated':24} {verdict:9} {seconds:6.1f} s  {detail}", flush=True)
+        if verdict != "survived":
+            print("the unmutated tests fail; no mutant was run", file=sys.stderr)
+            return 1
+
+        killed, unexpected = 0, []
+        for name, old, new in chosen:
+            (tree / KERNEL).write_text(source.replace(old, new), encoding="utf-8")
+            verdict, seconds, detail = _run(tree, args.timeout)
+            killed += verdict == "killed"
+            if verdict == "survived":
+                detail = EQUIVALENT.get(name, "NOT KNOWN EQUIVALENT")
+                if name not in EQUIVALENT:
+                    unexpected.append(name)
+            print(f"{name:24} {verdict:9} {seconds:6.1f} s  {detail}", flush=True)
+        (tree / KERNEL).write_text(source, encoding="utf-8")
+
+    print(f"{killed} of {len(chosen)} killed; "
+          f"{len(chosen) - killed - len(unexpected)} survivors listed as equivalent")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

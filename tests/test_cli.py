@@ -337,6 +337,32 @@ class TestUsageErrors:
         assert code == 1 and "error:" in err
 
 
+class TestNegativeDenominators:
+    """A value with a leading minus and a negative denominator is a value,
+    not an option, in every value position."""
+
+    def test_check(self, capsys):
+        assert run(capsys, "check", "1/2", "-1/-3") == run(capsys, "check", "1/2", "1/3")
+        assert run(capsys, "check", "-1/-2", "-2/-3") == run(capsys, "check", "1/2", "2/3")
+
+    def test_render_witness(self, capsys):
+        code, out, err = run(capsys, "render", "witness", "-1/-2", "3/5")
+        assert (code, out, err) == run(capsys, "render", "witness", "1/2", "3/5")
+        assert code == 0 and out.startswith("<svg ")
+
+    def test_verify_window(self, capsys):
+        code, out, err = run(capsys, "verify", "--max-den-x", "3",
+                             "--max-den-alpha", "2", "--window", "-1/-2..1")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["params"]["window"] == "1/2..1"
+        code, out, _ = run(capsys, "verify", "--max-den-x", "3",
+                           "--max-den-alpha", "2", "--window", "1/2..-1/-1")
+        assert code == 0
+        assert {k: v for k, v in json.loads(out).items() if k != "elapsed"} == \
+            {k: v for k, v in report.items() if k != "elapsed"}
+
+
 class TestRealSpecParsing:
     @pytest.mark.parametrize("text,want", [
         ("3/5", F(3, 5)),

@@ -270,18 +270,24 @@ def _holds_on_pairs(flag, make_set, oracle):
 
 class TestIndependence:
     """(iii) and (iv) at a rational share no code: each statement's flag and
-    set still decide right with the other statement's search made to raise."""
+    set still decide right with the other statement's generator and search
+    made to raise, and each reaches its own."""
 
     def test_iv_reaches_no_residue_search(self, monkeypatch):
         monkeypatch.setattr(_kernel, "_first_hit", _refuse)
         with pytest.raises(_Refused):
             _kernel.best_set(2, 5, 3)
+        with pytest.raises(_Refused):
+            _kernel.best_flag(1, 2, 2, 5)
+        monkeypatch.setattr(_kernel, "_best_hits", _refuse)
         _holds_on_pairs(_kernel.near_flag, _kernel.near_set, reference.nearby)
 
     def test_iii_reaches_no_descent(self, monkeypatch):
-        monkeypatch.setattr(_kernel, "_near_first", _refuse)
+        monkeypatch.setattr(_kernel, "_near_hits", _refuse)
         with pytest.raises(_Refused):
             _kernel.near_set(2, 5, 3)
+        with pytest.raises(_Refused):
+            _kernel.near_flag(1, 2, 2, 5)
         _holds_on_pairs(_kernel.best_flag, _kernel.best_set, reference.best_approx)
 
 
@@ -316,31 +322,56 @@ class TestSizes:
     def test_one_search_per_record(self, monkeypatch):
         # the sets to max_den = q at F_201/F_200 = [1; 1, ..., 1, 2], whose
         # records are its convergents F_(n+1)/F_n up to n = 198 and alpha
-        # (F_200/F_199 ties with F_199/F_198), and at 1/10^40, whose records
-        # are 0/1 and alpha: each set makes at most one search more than it
+        # (F_200/F_199 ties with F_199/F_198), at P_100/P_101 = [0; 2, ..., 2]
+        # (Pell numbers), whose records are all its convergents P_n/P_(n+1),
+        # at 1/10^40, whose records are 0/1 and alpha, and at
+        # 10^30/(3*10^30 + 1) = [0; 3, 10^30], whose records 0/1, 1/3 and
+        # alpha lie around a run of 10^30 nodes, which the descent must cross
+        # in one step after the record 1/3 has lowered rx.  best_set runs its
+        # generator once and makes at most one residue search more than it
         # has records, so a threshold that failed to fall fails here rather
-        # than hang
-        fib = [0, 1]
+        # than hang.  near_set runs one descent, which yields each record once
+        # in order of d and takes at most one step (one isqrt) more: after a
+        # hit just before a crossing it goes on from the hit, not its run
+        fib, pell = [0, 1], [0, 1]
         while len(fib) <= 201:
             fib.append(fib[-1] + fib[-2])
+            pell.append(2 * pell[-1] + pell[-2])
         cases = [(fib[201], fib[200],
                   {(fib[n + 1], fib[n]) for n in range(2, 199)} | {(fib[201], fib[200])}),
-                 (1, 10**40, {(0, 1), (1, 10**40)})]
-        for name, make in (("_best_first", _kernel.best_set),
-                           ("_near_first", _kernel.near_set)):
-            search = getattr(_kernel, name)
-            for p, q, records in cases:
-                calls = 0
+                 (pell[100], pell[101], {(pell[n], pell[n + 1]) for n in range(101)}),
+                 (1, 10**40, {(0, 1), (1, 10**40)}),
+                 (10**30, 3 * 10**30 + 1, {(0, 1), (1, 3), (10**30, 3 * 10**30 + 1)})]
+        near_hits = _kernel._near_hits
+        for p, q, records in cases:
+            bounds = {"_first_hit": len(records) + 1, "isqrt": len(records) + 1,
+                      "_best_hits": 1, "_near_hits": 1}
+            calls = dict.fromkeys(bounds, 0)
+            yields: list[tuple[int, int]] = []
 
-                def counted(*args):
-                    nonlocal calls
-                    calls += 1
-                    if calls > len(records) + 1:
-                        raise AssertionError(f"{name} searched past the records")
+            def counted(name, search):
+                def call(*args):
+                    calls[name] += 1
+                    if calls[name] > bounds[name]:
+                        raise AssertionError(f"{name} called past its bound at {p}/{q}")
                     return search(*args)
+                return call
 
-                monkeypatch.setattr(_kernel, name, counted)
-                assert make(p, q, q) == records, (name, p, q)
+            def descent(*args):
+                for hit in near_hits(*args):
+                    yields.append(hit)
+                    if len(yields) > len(records):
+                        raise AssertionError(f"the descent yielded past the records at {p}/{q}")
+                    yield hit
+
+            with monkeypatch.context() as patch:
+                for name in ("_first_hit", "isqrt", "_best_hits"):
+                    patch.setattr(_kernel, name, counted(name, getattr(_kernel, name)))
+                patch.setattr(_kernel, "_near_hits", counted("_near_hits", descent))
+                assert _kernel.best_set(p, q, q) == records, (p, q)
+                assert _kernel.near_set(p, q, q) == records, (p, q)
+            assert calls["_best_hits"] == calls["_near_hits"] == 1, (p, q)
+            assert yields == sorted(records, key=lambda hit: hit[1]), (p, q)
 
     def test_alpha_against_itself(self):
         # x = alpha = [0; 3, 10^6], [0; 3, 10^30] and [0; 10^40]: a scan over

@@ -332,6 +332,28 @@ class TestStreamReference:
             held += best
         assert held >= 4
 
+    @pytest.mark.parametrize("engine", ["surd", "brackets"])
+    @pytest.mark.parametrize("name", SURD_STREAMS)
+    def test_record_sets_at_the_proxy(self, name, engine):
+        # by the proxy lemma the rational sets at _farey_proxy(alpha, 2*X)
+        # are alpha's (iii) and (iv) records up to X: every b <= X has
+        # 2*b <= 2*X, so each comparison has one sign at alpha and the proxy
+        make, surd = SURD_STREAMS[name]
+        alpha = make() if engine == "surd" else bracket_twin(make())
+        b0 = alpha.b0
+        for max_den in (1, 2, 3, 5, 8, 13, 20):
+            p, q = verify._farey_proxy(alpha, 2 * max_den)
+            best = _kernel.best_set(p, q, max_den)
+            near = _kernel.near_set(p, q, max_den)
+            for x in reduced_fractions_in(F(b0 - 1), F(b0 + 2), max_den):
+                pair = (x.numerator, x.denominator)
+                assert (pair in best) == reference.best_approx_surd(x, surd), \
+                    (name, max_den, x)
+                assert (pair in near) == reference.nearby_surd(x, surd), (name, max_den, x)
+            # every record lies in that window, so none escaped the comparison
+            assert {b for _, b in best | near} <= set(range(1, max_den + 1))
+            assert all(b0 - 1 <= F(a, b) <= b0 + 2 for a, b in best | near), (name, max_den)
+
     @pytest.mark.parametrize("key", PROXY_STREAMS)
     def test_farey_proxy(self, key):
         # the proxy lemma: every form v*t - u with 1 <= v <= n has one
@@ -366,7 +388,8 @@ class TestStreamReference:
     @pytest.mark.parametrize("name", SURD_STREAMS)
     def test_each_statement_without_the_others_search(self, monkeypatch, name, engine):
         # (iii) and (iv) on a stream share only the proxy: each still matches
-        # its unpruned surd reference with the other's search made to raise
+        # its unpruned surd reference with the other's record generator and
+        # search made to raise
         make, surd = SURD_STREAMS[name]
         alpha = make() if engine == "surd" else bracket_twin(make())
         xs = list(reduced_fractions_in(F(alpha.b0 - 1), F(alpha.b0 + 2), 20))
@@ -374,12 +397,13 @@ class TestStreamReference:
         a, b = pairs[-1]  # b >= 2, so each flag runs its own search
         with monkeypatch.context() as patch:
             patch.setattr(_kernel, "_first_hit", _refuse)
+            patch.setattr(_kernel, "_best_hits", _refuse)
             with pytest.raises(_Refused):
                 is_best_approx_2nd(F(a, b), alpha)
             for x in xs:
                 assert is_nearby(x, alpha) == reference.nearby_surd(x, surd), (name, x)
         with monkeypatch.context() as patch:
-            patch.setattr(_kernel, "_near_first", _refuse)
+            patch.setattr(_kernel, "_near_hits", _refuse)
             with pytest.raises(_Refused):
                 is_nearby(F(a, b), alpha)
             for x in xs:
