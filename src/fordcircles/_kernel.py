@@ -9,8 +9,8 @@ from a threshold, each its own way, in O(log q) steps per search: (iii) a
 first-hit residue search per record, (iv) one Stern-Brocot descent on the
 squared forms for all its records, resumed at each.  A flag holds iff the
 first record from x's own form is x; a set is every record from the
-widest threshold.  Only (v)'s set walks every b <= X.  The tests hold the
-kernels against tests/reference.py.
+widest threshold.  Only (v)'s set walks every b <= min(X, q).  The tests
+hold the kernels against tests/reference.py.
 
 Candidate pruning, one lemma for every real alpha (streams reach it via
 verify._farey_proxy): at a fixed d the form |d*alpha - c| and the radius
@@ -215,9 +215,12 @@ def witness_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     c0, r = divmod(b*p, q) the two candidates have |lhs| = r (a = c0) and
     q - r (a = c0 + 1); a candidate failing |lhs| * b < q is dropped before
     its gcd and its witness_flag call.
+
+    Scan bound: a witness x != p/q has |lhs| >= 1, so |lhs| * b < q gives
+    b < q, and x == p/q has b == q; so no b above q can hold.
     """
     found: set[tuple[int, int]] = set()
-    for b in range(1, max_den + 1):
+    for b in range(1, min(max_den, q) + 1):
         c0, r = divmod(b * p, q)
         if r * b < q and gcd(c0, b) == 1 and witness_flag(c0, b, p, q):
             found.add((c0, b))

@@ -9,8 +9,9 @@ scale and is inverted so the real axis sits at the bottom edge.
 Circles are computed in integers: the window end, the scale and the height
 are each one ratio of integers per figure, so every circle coordinate is an
 integer numerator over a common denominator, and the one rounding step is an
-integer division.  A circle's y and radius depend only on its denominator, so
-that part of the element is written once per denominator of the field.
+integer division.  The field is drawn a run of rational._reduced_runs (one
+denominator) at a time: the y and radius are written once per run, and each
+x costs one division of a numerator linear in the circle's numerator.
 """
 
 from __future__ import annotations
@@ -18,12 +19,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 from xml.sax.saxutils import escape
 
-from .rational import _reduced_pairs
+from .rational import _reduced_runs
 from .real import CFStream, ExactReal, RationalLike, RealNumber, _as_fraction, _as_int, as_real
 from .verify import cf_chain, statement_v_witness
 
@@ -78,8 +77,13 @@ def _fmt6(n: int, d: int) -> str:
     scaled, rem = divmod(n * 10**6, d)
     if 2 * rem > d or (2 * rem == d and scaled & 1):
         scaled += 1
-    whole, frac = divmod(abs(scaled), 10**6)
-    return f"{'-' if scaled < 0 else ''}{whole}.{frac:06d}"
+    return _digits6(scaled)
+
+
+def _digits6(v: int) -> str:
+    """The integer v over 10**6, written with six decimals."""
+    whole, frac = divmod(abs(v), 10**6)
+    return f"{'-' if v < 0 else ''}{whole}.{frac:06d}"
 
 
 def _approx_for_pixels(alpha: RealNumber) -> Fraction:
@@ -113,12 +117,12 @@ def _figure(spec: RenderSpec, field_stroke: str, highlights: Sequence[Fraction] 
     marker at a real, and meta plus the window, maxDen and widthPx as
     metadata.  The height fits the largest circle drawn."""
     lo, hi = map(_as_fraction, spec.window)
-    field = list(_reduced_pairs(lo, hi, spec.max_den))
+    field = list(_reduced_runs(lo, hi, spec.max_den))
     width = _as_fraction(spec.width_px)
     scale = width / (hi - lo)
     # the largest circle drawn, of radius 1/(2*b*b), has the least denominator
     # b, and the field is ordered by denominator; 1/2 when nothing is drawn
-    b_min = min([b for _, b in field[:1]] + [x.denominator for x in highlights], default=1)
+    b_min = min([b for b, _ in field[:1]] + [x.denominator for x in highlights], default=1)
     height = scale / (b_min * b_min)
     ln, ld = lo.numerator, lo.denominator
     sn, sd = scale.numerator, scale.denominator
@@ -127,24 +131,35 @@ def _figure(spec: RenderSpec, field_stroke: str, highlights: Sequence[Fraction] 
     def x_px(x: Fraction) -> Fraction:
         return (x - lo) * scale
 
-    def circles(pairs: Iterable[tuple[int, int]], stroke: str) -> Iterator[str]:
-        """The circle at a/b has cx = (a*ld - ln*b)*sn / (b*ld*sd),
-        r = sn/rd and cy = height - r = (hn*rd - sn*hd) / (hd*rd), where
-        rd = 2*b*b*sd; everything after cx is shared by the run of b."""
-        for b, run in groupby(pairs, key=itemgetter(1)):
+    def circles(runs: Iterable[tuple[int, list[int]]], stroke: str) -> Iterator[str]:
+        """The circles of each run (b, [a, ...]) as one string.  The circle
+        at a/b has cx = (a*ld - ln*b)*sn / (b*ld*sd), r = sn/rd and
+        cy = height - r = (hn*rd - sn*hd) / (hd*rd), where rd = 2*b*b*sd;
+        everything after cx is shared by the run.  v = floor(cx*10**6 + 1/2)
+        is a*step - shift over den, one divmod; an exact quotient is a tie,
+        which goes to the even neighbour as in _fmt6."""
+        step = 2 * ld * sn * 10**6
+        for b, run in runs:
             rd = 2 * b * b * sd
             tail = (f'" cy="{_fmt6(hn * rd - sn * hd, hd * rd)}" r="{_fmt6(sn, rd)}" '
                     f'fill="none" stroke="{stroke}" stroke-width="1"/>')
-            offset, den = ln * b, b * ld * sd
-            for a, _ in run:
-                yield f'<circle cx="{_fmt6((a * ld - offset) * sn, den)}{tail}'
+            den = 2 * b * ld * sd
+            shift = 2 * ln * b * sn * 10**6 - b * ld * sd
+            cxs = []
+            for a in run:
+                v, rem = divmod(a * step - shift, den)
+                if not rem and v & 1:
+                    v -= 1
+                s = str(v)
+                cxs.append(s[:-6] + "." + s[-6:] if v >= 10**6 else _digits6(v))
+            yield '<circle cx="' + (tail + '\n<circle cx="').join(cxs) + tail
 
     parts = [_line(Fraction(0), height, width, height, AXIS_STROKE, 1)]
     parts += circles(field, field_stroke)
     if segment is not None:
         parts.append(_line(x_px(segment[0]), height, x_px(segment[1]), height,
                            MARKER_STROKE, 3))
-    parts += circles([(x.numerator, x.denominator) for x in highlights], HIGHLIGHT_STROKE)
+    parts += circles([(x.denominator, [x.numerator]) for x in highlights], HIGHLIGHT_STROKE)
     if marker is not None:
         px = x_px(_approx_for_pixels(marker))
         parts.append(_line(px, height - height / 30, px, height, MARKER_STROKE, 2))

@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import _kernel
 from .cf import Convergent, cf_of_rational, convergents
 from .geometry import FordCircle
-from .rational import _reduced_pairs, reduced_fractions_in
+from .rational import _reduced_runs, reduced_fractions_in
 from .real import (
     EQ,
     GT,
@@ -278,10 +278,11 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     Statements (iii), (iv) and (v) for a whole alpha come from the kernel's
     candidate sets, each statement's records from its own generator: one
     O(log q) residue search per record for (iii), one O(log q) descent for
-    all of (iv)'s, and O(den_max_x) integer work for (v).  A pair outside
-    all five statement sets is false on all five, hence consistent, so it
-    is counted without being visited; the pairs inside are visited in the
-    order of the x enumeration.  Cost: O(|alphas| * den_max_x + |xs|), from (v).
+    all of (iv)'s, and O(min(den_max_x, q)) integer work for (v).  A pair
+    outside all five statement sets is false on all five, hence consistent,
+    so it is counted without being visited; the pairs inside are visited in
+    the order of the x enumeration.  With X = den_max_x and Y = den_max_alpha
+    the cost is O(|alphas| * min(X, Y) + |xs|), from (v).
     The tests hold the sets against the references in tests/reference.py.
     """
     lo, hi = _as_fraction(window[0]), _as_fraction(window[1])
@@ -292,8 +293,8 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
         raise ValueError("denominator caps must be >= 1")
     started = time.perf_counter()
 
-    xs = [(a, b) for a, b in _reduced_pairs(lo - 1, hi + 1, den_max_x, False, False)
-          if b > 1]
+    xs = [(a, b) for b, run in _reduced_runs(lo - 1, hi + 1, den_max_x, False, False)
+          if b > 1 for a in run]
     alphas = list(reduced_fractions_in(lo, hi, den_max_alpha, include_hi=False))
     position = {x: i for i, x in enumerate(xs)}
 

@@ -1,15 +1,15 @@
-"""Mutation check of the integer kernels in src/fordcircles/_kernel.py.
+"""Mutation check of the integer kernels, the enumerator and the renderer.
 
-Each mutant is one small edit of _kernel.py.  The runner applies it to a
-temporary copy of the repository (src/, tests/ and pyproject.toml), runs
-tests/test_kernel.py and tests/test_acceptance.py there with -x and
-criterion 8 deselected (it fails on the unmutated code, see ROADMAP.md),
-and prints "killed" or "survived" with the time taken.  A mutant that runs
-past the timeout is killed: some mutants stay correct but take one step
-per unit of a partial quotient, so they hang rather than fail.  Each run
-is capped at 2 GiB of address space, and a mutant that dies on that cap is
-killed too.  Before the mutants it runs the unmutated copy, which must
-pass.
+Each mutant is one small edit of src/fordcircles/_kernel.py, rational.py or
+render.py.  The runner applies it to a temporary copy of the repository
+(src/, tests/ and pyproject.toml) and runs that file's tests there (TESTS)
+with -x and criterion 8 deselected (it fails on the unmutated code, see
+ROADMAP.md), and prints "killed" or "survived" with the time taken.  A
+mutant that runs past the timeout is killed: some mutants stay correct but
+take one step per unit of a partial quotient, so they hang rather than
+fail.  Each run is capped at 2 GiB of address space, and a mutant that
+dies on that cap is killed too.  Before the mutants it runs the unmutated
+copy on each test set, which must pass.
 
 Run from the repository root:
 
@@ -35,12 +35,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNEL = Path("src/fordcircles/_kernel.py")
-TESTS = ["tests/test_kernel.py", "tests/test_acceptance.py"]
+RATIONAL = Path("src/fordcircles/rational.py")
+RENDER = Path("src/fordcircles/render.py")
+#: the tests each mutated file is checked by
+TESTS = {
+    KERNEL: ("tests/test_kernel.py", "tests/test_acceptance.py"),
+    RATIONAL: ("tests/test_render.py", "tests/test_verify.py"),
+    RENDER: ("tests/test_render.py", "tests/test_verify.py"),
+}
 DESELECT = "tests/test_acceptance.py::test_criterion_8_penultimate_construction"
 
-# (name, text in _kernel.py, its replacement); each text occurs exactly once,
+# (name, text in the file, its replacement); each text occurs exactly once,
 # and any lines beyond the changed one are context that makes it unique
-MUTANTS = [
+KERNEL_MUTANTS = [
     # _first_hit and best_flag
     ("first-hit-floor", "        k = -(-lo // a)\n", "        k = lo // a\n"),
     ("first-hit-no-reflection", "        if 2 * a > m:\n", "        if False:\n"),
@@ -76,12 +83,37 @@ MUTANTS = [
     ("hit-side-test-flipped", "        if e > 0:\n", "        if e < 0:\n"),
     ("hit-side-test-at-zero", "        if e > 0:\n", "        if e >= 0:\n"),
     ("end-order-at-a-tie", "        if far[2] < near[2]:\n", "        if far[2] <= near[2]:\n"),
+    # witness_set's scan bound
+    ("witness-scan-below-q", "range(1, min(max_den, q) + 1)", "range(1, min(max_den, q))"),
 ]
+
+RATIONAL_MUTANTS = [
+    ("include-lo-off-by-one", "-(-ln * b // ld) if include_lo", "-(-ln * b // ld) + 1 if include_lo"),
+    ("exclude-lo-off-by-one", "if include_lo else ln * b // ld + 1", "if include_lo else ln * b // ld"),
+    ("exclude-hi-off-by-one", "else -(-hn * b // hd) - 1", "else -(-hn * b // hd)"),
+    ("empty-run-kept", "        if run:\n", "        if True:\n"),
+]
+
+RENDER_MUTANTS = [
+    ("tie-step-dropped", "                if not rem and v & 1:\n", "                if False:\n"),
+    ("tie-step-inverted", "if not rem and v & 1:", "if not rem and not v & 1:"),
+    ("tie-step-up", "                    v -= 1\n", "                    v += 1\n"),
+    ("shift-half-sign", "10**6 - b * ld * sd", "10**6 + b * ld * sd"),
+    ("shift-sign", "divmod(a * step - shift, den)", "divmod(a * step + shift, den)"),
+    ("run-separator-no-newline", "(tail + '\\n<circle cx=\"')", "(tail + '<circle cx=\"')"),
+    ("wide-path-strict", "if v >= 10**6 else", "if v > 10**6 else"),
+]
+
+MUTANTS = [(name, path, old, new)
+           for path, group in ((KERNEL, KERNEL_MUTANTS), (RATIONAL, RATIONAL_MUTANTS),
+                               (RENDER, RENDER_MUTANTS))
+           for name, old, new in group]
 
 # mutants that change no output, with the reason (see CHANGES.md)
 EQUIVALENT = {
     "hit-side-test-at-zero": "e = 0 is p/q, a hit, after which rx = -1 ends the loop",
     "end-order-at-a-tie": "with equal ends the next node is their sum either way",
+    "wide-path-strict": "at v = 10**6 both paths write 1.000000",
 }
 
 
@@ -90,13 +122,13 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
 
-def _run(tree: Path, timeout: float) -> tuple[str, float, str]:
-    """Run the kernel and acceptance tests on tree: (verdict, seconds, detail)."""
+def _run(tree: Path, tests: tuple[str, ...], timeout: float) -> tuple[str, float, str]:
+    """Run the tests on tree: (verdict, seconds, detail)."""
     # no bytecode: two mutants of one size written within one second would
     # otherwise share a stale .pyc
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-           *TESTS, "--deselect", DESELECT]
+           *tests, "--deselect", DESELECT]
     started = time.perf_counter()
     try:
         done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True,
@@ -121,15 +153,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--timeout", type=float, default=90.0,
                         help="seconds per mutant before it counts as killed (default 90)")
     args = parser.parse_args(argv)
-    unknown = set(args.names) - {name for name, _, _ in MUTANTS}
+    unknown = set(args.names) - {m[0] for m in MUTANTS}
     if unknown:
         parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
     chosen = [m for m in MUTANTS if not args.names or m[0] in args.names]
 
-    source = (ROOT / KERNEL).read_text(encoding="utf-8")
-    for name, old, _ in chosen:
-        if source.count(old) != 1:
-            raise SystemExit(f"{name}: its text occurs {source.count(old)} times in {KERNEL}")
+    sources = {path: (ROOT / path).read_text(encoding="utf-8") for path in TESTS}
+    for name, path, old, _ in chosen:
+        if sources[path].count(old) != 1:
+            raise SystemExit(f"{name}: its text occurs {sources[path].count(old)} times in {path}")
 
     with tempfile.TemporaryDirectory(prefix="fordcircles-mutants-") as scratch:
         tree = Path(scratch)
@@ -138,23 +170,24 @@ def main(argv: list[str] | None = None) -> int:
             shutil.copytree(ROOT / part, tree / part, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
 
-        verdict, seconds, detail = _run(tree, args.timeout)
-        print(f"{'unmutated':24} {verdict:9} {seconds:6.1f} s  {detail}", flush=True)
-        if verdict != "survived":
-            print("the unmutated tests fail; no mutant was run", file=sys.stderr)
-            return 1
+        for tests in sorted({TESTS[m[1]] for m in chosen}):
+            verdict, seconds, detail = _run(tree, tests, args.timeout)
+            print(f"{'unmutated':24} {verdict:9} {seconds:6.1f} s  {' '.join(tests)}", flush=True)
+            if verdict != "survived":
+                print("the unmutated tests fail; no mutant was run", file=sys.stderr)
+                return 1
 
         killed, unexpected = 0, []
-        for name, old, new in chosen:
-            (tree / KERNEL).write_text(source.replace(old, new), encoding="utf-8")
-            verdict, seconds, detail = _run(tree, args.timeout)
+        for name, path, old, new in chosen:
+            (tree / path).write_text(sources[path].replace(old, new), encoding="utf-8")
+            verdict, seconds, detail = _run(tree, TESTS[path], args.timeout)
+            (tree / path).write_text(sources[path], encoding="utf-8")
             killed += verdict == "killed"
             if verdict == "survived":
                 detail = EQUIVALENT.get(name, "NOT KNOWN EQUIVALENT")
                 if name not in EQUIVALENT:
                     unexpected.append(name)
             print(f"{name:24} {verdict:9} {seconds:6.1f} s  {detail}", flush=True)
-        (tree / KERNEL).write_text(source, encoding="utf-8")
 
     print(f"{killed} of {len(chosen)} killed; "
           f"{len(chosen) - killed - len(unexpected)} survivors listed as equivalent")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction as F
 from itertools import islice, repeat
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,6 +26,7 @@ from fordcircles import (
     sqrt_real,
 )
 from fordcircles import real
+from fordcircles.rational import _reduced_runs
 
 
 class Plain:
@@ -127,6 +128,48 @@ class TestReducedFractionsIn:
         # the call raises before anything is iterated, not at the first next()
         with pytest.raises(error, match=match):
             reduced_fractions_in(*args)
+
+
+class TestReducedRuns:
+    """rational._reduced_runs, the one enumerator behind reduced_fractions_in,
+    the sweep and the renderer, against a brute-force enumerator: runs in
+    increasing order of b, each run increasing, and no run left empty."""
+
+    @staticmethod
+    def brute(lo, hi, max_den, include_lo, include_hi):
+        runs = []
+        for b in range(1, max_den + 1):
+            run = [a for a in range(int(lo * b) - 2, int(hi * b) + 3)
+                   if gcd(a, b) == 1
+                   and (lo <= F(a, b) if include_lo else lo < F(a, b))
+                   and (F(a, b) <= hi if include_hi else F(a, b) < hi)]
+            if run:
+                runs.append((b, run))
+        return runs
+
+    @pytest.mark.parametrize("include_lo", [True, False])
+    @pytest.mark.parametrize("include_hi", [True, False])
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=24),
+           st.fractions(min_value=F(1, 60), max_value=3, max_denominator=60),
+           st.integers(1, 16))
+    def test_matches_brute_force(self, include_lo, include_hi, lo, width, max_den):
+        hi = lo + width
+        # brute lists b and each run in increasing order and keeps no empty run
+        got = list(_reduced_runs(lo, hi, max_den, include_lo, include_hi))
+        assert got == self.brute(lo, hi, max_den, include_lo, include_hi)
+
+    @pytest.mark.parametrize("include_lo,include_hi,want", [
+        (True, True, [(3, [1]), (5, [2])]),
+        (False, True, [(5, [2])]),
+        (True, False, [(3, [1])]),
+        (False, False, []),
+    ])
+    def test_empty_runs_are_skipped(self, include_lo, include_hi, want):
+        # [1/3, 2/5] holds no reduced fraction over 1, 2, 4 or 6
+        assert list(_reduced_runs(F(1, 3), F(2, 5), 6, include_lo, include_hi)) == want
+        # its mirror [-2/5, -1/3], with the ends' flags swapped
+        neg = [(b, [-a for a in reversed(run)]) for b, run in want]
+        assert list(_reduced_runs(F(-2, 5), F(-1, 3), 6, include_hi, include_lo)) == neg
 
 
 class TestCompareReal:

@@ -247,6 +247,36 @@ class TestRecords:
                 assert reference.nearby(F(a, b), F(p, q)) == near_held, (a, b, p, q)
 
 
+class TestWitnessScanBound:
+    """witness_set scans b <= min(X, q) only.  The lemma: a witness x = a/b
+    != p/q has 1 <= |b*p - a*q| and |b*p - a*q| * b < q, so b < q, and
+    x == p/q has b == q.  Held against the unpruned witness_flag on every
+    reduced a/b with b <= X within 1 of alpha (a witness lies within 1/2),
+    with X far above q."""
+
+    @staticmethod
+    def by_flag(p, q, max_den):
+        c = p // q
+        return {(x.numerator, x.denominator)
+                for x in reduced_fractions_in(F(c - 1), F(c + 2), max_den)
+                if _kernel.witness_flag(x.numerator, x.denominator, p, q)}
+
+    def test_sweep_shape_75_5(self):
+        # verify 75/5: every alpha in [0, 1) with q <= 5 against b <= 75
+        for alpha in reduced_fractions_in(F(0), F(1), 5, include_hi=False):
+            p, q = alpha.numerator, alpha.denominator
+            assert _kernel.witness_set(p, q, 75) == self.by_flag(p, q, 75), alpha
+
+    def test_caps_around_and_far_above_q(self):
+        for alpha in reduced_fractions_in(F(-2), F(2), 9, include_hi=False):
+            p, q = alpha.numerator, alpha.denominator
+            full = self.by_flag(p, q, 45)
+            assert max(b for _, b in full) == q  # alpha itself
+            for cap in {1, q - 1 or 1, q, q + 1, 3 * q, 45}:
+                want = {(a, b) for a, b in full if b <= cap}
+                assert _kernel.witness_set(p, q, cap) == want, (alpha, cap)
+
+
 class _Refused(Exception):
     pass
 

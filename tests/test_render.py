@@ -6,19 +6,22 @@ import hashlib
 import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from fordcircles import (
     RenderSpec,
     fmt6,
     golden_ratio,
+    reduced_fractions_in,
     render_chain,
     render_ford_field,
     render_statement_v,
     sqrt_real,
 )
+from fordcircles import render
 from fordcircles.render import FIELD_STROKE, HIGHLIGHT_STROKE, MARKER_STROKE, _fmt6
 
 
@@ -99,6 +102,113 @@ class TestIntegerFmt6:
         # when extra == 0), so it rounds to an unsigned zero
         d = 2 * 10**6 * n + extra
         assert _fmt6(-k * n, k * d) == "0.000000"
+
+
+def reduced_by_filter(lo: F, hi: F, max_den: int) -> list[F]:
+    """The reduced fractions in [lo, hi] with denominator <= max_den, in
+    (denominator, numerator) order, by comparing every candidate."""
+    return [F(a, b) for b in range(1, max_den + 1)
+            for a in range(int(lo * b) - 2, int(hi * b) + 3)
+            if gcd(a, b) == 1 and lo <= F(a, b) <= hi]
+
+
+def exact_circles(svg: str, spec: RenderSpec) -> list[tuple[str, str, str]]:
+    """(cx, cy, r) of every circle the figure must draw, in document order:
+    the field, then the highlights its metadata names, each coordinate
+    formatted from its exact Fraction value by Fraction's own rounding."""
+    meta = metadata(svg)
+    highlights = {"field": [], "chain": meta.get("chain", []),
+                  "witness": [meta.get("x"), meta.get("witness")]}[meta["kind"]]
+    lo, hi = spec.window
+    drawn = reduced_by_filter(lo, hi, spec.max_den) + [F(x) for x in highlights]
+    scale = F(spec.width_px) / (hi - lo)
+    height = scale / min((x.denominator for x in drawn), default=1) ** 2
+    want = []
+    for x in drawn:
+        r = scale / (2 * x.denominator ** 2)
+        want.append(tuple(reference_fmt6(v.numerator, v.denominator)
+                          for v in ((x - lo) * scale, height - r, r)))
+    return want
+
+
+# lo = -3/(128*10**6) at 64 px per unit puts every circle whose x*64*10**6
+# is an integer exactly half a unit of the sixth decimal right of it: ties
+TIE_LO = F(-3, 128 * 10**6)
+
+
+@st.composite
+def figures(draw):
+    lo = draw(st.fractions(min_value=-6, max_value=6, max_denominator=1000))
+    width = draw(st.fractions(min_value=F(1, 40), max_value=3, max_denominator=40))
+    spec = RenderSpec(window=(lo, lo + width), max_den=draw(st.integers(1, 25)),
+                      width_px=draw(st.integers(64, 2000)))
+    kind = draw(st.sampled_from(["field", "chain", "witness"]))
+    if kind == "field":
+        return kind, spec, ()
+    if kind == "chain":
+        alpha = draw(st.sampled_from([golden_ratio(), sqrt_real(2)])
+                     | st.fractions(min_value=-8, max_value=8, max_denominator=60))
+        return kind, spec, (alpha, draw(st.integers(1, 4)))
+    # alpha within 1/(2*b*b) of x, on either side, has a tangent witness
+    x = draw(st.fractions(min_value=-8, max_value=8, max_denominator=30))
+    t = F(draw(st.integers(-99, 99)), 100)
+    return kind, spec, (x, x + t / (2 * x.denominator ** 2))
+
+
+class TestExactCoordinates:
+    """Every cx, cy and r of every figure, held against the exact Fraction
+    coordinate rounded by Fraction: random windows and widths, highlights
+    outside the window, circles less than a pixel from the edge or left of
+    it, and exact ties of the sixth decimal."""
+
+    @given(figures())
+    @example(("field", RenderSpec(window=(TIE_LO, TIE_LO + 2), max_den=8, width_px=128), ()))
+    @example(("chain", RenderSpec(window=(-1 - TIE_LO, -TIE_LO), max_den=8, width_px=64),
+              (F(-1), 1)))  # a tie left of the window: -1 at -0.0000015 px
+    @example(("field", RenderSpec(window=(F(-1, 10**5), F(1)), max_den=9, width_px=64), ()))
+    @example(("chain", RenderSpec(window=(F(-1), F(2)), max_den=5, width_px=64),
+              (F(-22, 7), 3)))  # -4 and -3 lie left of the window
+    @example(("witness", RenderSpec(window=(F(2, 3), F(4, 5)), max_den=12, width_px=97),
+              (F(3, 4), F(7, 9))))
+    def test_matches_fraction_rounding(self, figure):
+        kind, spec, args = figure
+        draw = {"field": render_ford_field, "chain": render_chain,
+                "witness": render_statement_v}[kind]
+        try:
+            svg = draw(*args, spec)
+        except ValueError:
+            assume(False)  # a chain deeper than a rational's expansion
+        got = [(e.get("cx"), e.get("cy"), e.get("r")) for e in circles(svg)]
+        assert got == exact_circles(svg, spec)
+
+    def test_the_tie_window_has_ties(self):
+        # 1/1 sits at 64.0000015 px, a tie rounded to the even 64.000002
+        svg = render_ford_field(RenderSpec(window=(TIE_LO, TIE_LO + 2), max_den=8,
+                                           width_px=128))
+        cxs = {e.get("cx") for e in circles(svg)}
+        assert {"0.000002", "32.000002", "64.000002"} <= cxs
+        # and the chain of -1 draws -1 at -0.0000015 px, rounded to -0.000002
+        svg = render_chain(F(-1), 1, RenderSpec(window=(-1 - TIE_LO, -TIE_LO), width_px=64))
+        assert circles(svg, HIGHLIGHT_STROKE)[0].get("cx") == "-0.000002"
+
+
+class TestFormattingCost:
+    def test_two_fmt6_calls_per_denominator(self, monkeypatch):
+        # a field's circles share their y and radius per denominator, and
+        # each cx is one division: _fmt6 formats the shared part only
+        calls = []
+
+        def counted(n, d):
+            calls.append((n, d))
+            return _fmt6(n, d)
+
+        monkeypatch.setattr(render, "_fmt6", counted)
+        lo, hi = F(-7, 3), F(-4, 3)
+        svg = render_ford_field(RenderSpec(window=(lo, hi), max_den=60, width_px=801))
+        dens = {x.denominator for x in reduced_fractions_in(lo, hi, 60)}
+        assert len(circles(svg)) > 10 * len(dens)
+        # the axis line's four coordinates and the document's width and height
+        assert len(calls) <= 2 * len(dens) + 6
 
 
 class TestFordField:

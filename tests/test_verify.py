@@ -685,6 +685,28 @@ class TestVerifySweep:
         for alpha, (n, expected) in true_counts.items():
             assert n == expected, alpha
 
+    @pytest.mark.parametrize("caps,window", [
+        ((5, 5), (F(0), F(1))),
+        ((7, 5), (F(-1, 2), F(3, 4))),
+        ((9, 4), (F(-7, 3), F(-4, 3))),
+        ((4, 7), (F(2, 5), F(5, 2))),
+    ])
+    def test_total_checked_by_brute_force(self, caps, window):
+        # xs open on (lo - 1, hi + 1) without integers, alphas on [lo, hi),
+        # counted by comparing every candidate fraction
+        (den_max_x, den_max_alpha), (lo, hi) = caps, window
+
+        def count(den_max, keep):
+            return sum(1 for b in range(1, den_max + 1)
+                       for a in range(int(lo * b) - 2 * b - 2, int(hi * b) + 2 * b + 3)
+                       if gcd(a, b) == 1 and keep(F(a, b)))
+
+        n_x = count(den_max_x, lambda x: x.denominator > 1 and lo - 1 < x < hi + 1)
+        n_alpha = count(den_max_alpha, lambda alpha: lo <= alpha < hi)
+        report = verify_sweep(den_max_x, den_max_alpha, window)
+        assert report["totalChecked"] == n_x * n_alpha > 0
+        assert report["inconsistencies"] == []
+
     def test_backends_agree(self):
         per_pair = per_pair_sweep(8, 8, (F(0), F(1)))
         report = verify_sweep(8, 8, (F(0), F(1)))
