@@ -8,17 +8,20 @@ integers, by the engine the constructor fixes.  A rational p/q is the surd
 (p, 0, 0, q), and a stream on periodic or square-root partials is a
 quadratic irrational (Lagrange) with surd (P + S*sqrt(D))/Q, S = +-1, so a
 comparison against a rational or the sign of a rational quadratic is one
-integer sign test, and the floor of a ratio of linear forms
-(``floor_ratio``) one closed form with ``isqrt``.  Any other stream reads
-its integer convergent pairs, which strictly straddle the value, until they
-decide; that terminates unless the quadratic vanishes at the stream value.
-Such a stream keeps one table of its convergent pairs, shared by all its
-queries and grown on demand from one live ``convergent_pairs()`` walk, so
-each coefficient is pulled once per stream rather than once per query.  The
-table is keyed on the ``partials`` object it was built from and rebuilt
-when that object is replaced; it lives as long as the stream and holds at
-most DEFAULT_MAX_PULLS + 1 pairs.  No floating-point value enters or leaves
-this module.
+integer sign test, and the floor of a ratio of linear forms, with whether
+it is exact (``floor_ratio_exact``), one closed form with ``isqrt``.  Any
+other stream reads its integer convergent pairs, which strictly straddle the
+value, until they decide; that terminates unless the quadratic vanishes at
+the stream value.  Such a stream keeps one table of its convergent pairs,
+shared by all its queries and grown on demand from one live
+``convergent_pairs()`` walk, so each coefficient is pulled once per stream
+rather than once per query, and a mark, the deepest bracket at which a query
+was decided, where the next query starts: brackets nest, so a decision at
+one bracket is the same decision at every later one.  The table is keyed on
+the ``partials`` object it was built from and rebuilt, with the mark back at
+bracket 1, when that object is replaced; it lives as long as the stream and
+holds at most DEFAULT_MAX_PULLS + 1 pairs.  No floating-point value enters
+or leaves this module.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Iterable, Iterator, Union
 
 LT, EQ, GT = -1, 0, 1
 
-#: Hard cap on the bracket index of refinement, read by ``CFStream.brackets``
+#: Hard cap on the bracket index of refinement, read by ``CFStream._numbered``
 #: at each call: a query not decided by bracket n = DEFAULT_MAX_PULLS raises
 #: RefinementExhausted, even when the stream's table already holds deeper
 #: pairs, and the table never grows past that many coefficient pulls.  A query
@@ -146,6 +149,22 @@ class CFStream(RealNumber):
     the next query walks again and raises the same error.  It lives as long
     as the stream and holds at most DEFAULT_MAX_PULLS + 1 pairs.
 
+    Next to the table the stream keeps the mark, the deepest bracket index
+    at which a query was decided; the sign tests and floors start there
+    instead of at bracket 1.  A rebuilt table puts it back at 1, and a query
+    that raises RefinementExhausted leaves it as it was.  The lemma: as
+    integer pairs, C_(n+1) = b_(n+1)*C_n + C_(n-1) is a positive combination
+    of bracket n's ends, so brackets nest, and a decision at bracket n holds,
+    with the same answer, at every later bracket:
+      - a sign test, where the quadratic has one strict sign at both ends and
+        its homogenised derivative keeps its sign: both are then so on the
+        whole cone between the ends, which holds the later ends;
+      - a floor, where the denominator is positive at both ends and both ends
+        give the same floor: the map is monotone on the cone;
+      - a denominator that is non-positive at both ends, as it is then on
+        the cone.
+    The cap is unchanged, because the index still counts from 1.
+
     For periodic partials, with A/B and A'/B' the last two convergents of
     the period block, the purely periodic tail y = (A*y + A')/(B*y + B') is
     the root > 1 of B*y^2 + (B' - A)*y - A' = 0, and the last two
@@ -153,7 +172,7 @@ class CFStream(RealNumber):
     (C*y + C')/(E*y + E').
     """
 
-    __slots__ = ("b0", "partials", "label", "_source", "_pairs", "_walk")
+    __slots__ = ("b0", "partials", "label", "_source", "_pairs", "_walk", "_mark")
 
     def __init__(self, b0: int, partials: Iterable[int], label: str | None = None):
         self.b0 = _as_int(b0)
@@ -205,19 +224,32 @@ class CFStream(RealNumber):
         The two convergents strictly straddle the value (even-indexed below,
         odd-indexed above), and A_n*B_{n-1} - A_{n-1}*B_n = +-1 makes the
         open bracket between them 1/(B_{n-1}*B_n) wide, shrinking to zero, so
-        any question decidable from a rational neighbourhood terminates.  The
-        pairs come from the stream's table, which this loop extends by one
-        pull of the live walk when a query reaches its end.  A question that
-        is not decided by bracket DEFAULT_MAX_PULLS raises
-        RefinementExhausted, however deep the table already is; this is the
-        only loop that holds the cap.
+        any question decidable from a rational neighbourhood terminates.  This
+        walk starts at bracket 1 whatever the mark; the queries start at the
+        mark (``_numbered``).
+        """
+        for _, lo, hi in self._numbered(False):
+            yield lo, hi
+
+    def _numbered(self, from_mark: bool) -> Iterator[tuple[int, tuple[int, int],
+                                                          tuple[int, int]]]:
+        """(n, (A_{n-1}, B_{n-1}), (A_n, B_n)) from bracket n = the mark, or
+        from n = 1.
+
+        The pairs come from the stream's table, which this loop extends by one
+        pull of the live walk when it reaches the table's end; a rebuilt table
+        puts the mark back at 1.  A question that is not decided by bracket
+        DEFAULT_MAX_PULLS raises RefinementExhausted, however deep the table
+        already is and wherever the walk started; this is the only loop that
+        holds the cap.
         """
         if self._source is not self.partials:
             self._source = self.partials
             self._walk = convergent_pairs(self.coefficients())
             self._pairs = [next(self._walk)]  # (b0, 1) pulls no partial
+            self._mark = 1
         pairs, walk = self._pairs, self._walk
-        n = 1
+        n = self._mark if from_mark else 1
         while True:
             if n > DEFAULT_MAX_PULLS:
                 raise RefinementExhausted(
@@ -237,7 +269,7 @@ class CFStream(RealNumber):
                             "coefficient stream ended; finite expansions must be ExactReal"
                         ) from None
                     raise
-            yield pairs[n - 1], pairs[n]
+            yield n, pairs[n - 1], pairs[n]
             n += 1
 
 
@@ -306,9 +338,10 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
     surd t = (p + s*sqrt(d))/q, q^2 times the value is r + w*sqrt(d) with
     integers r and w; as s = d = 0 or d is not a square, r^2 == w^2*d only
     when both are 0, and otherwise the larger term sets the sign.  On a stream without
-    a surd, f(a, b) = c2*a^2 + c1*a*b + c0*b^2 decides at a convergent pair
-    once it has one strict sign at both ends and the derivative 2*c2*a + c1*b
-    does not change sign strictly inside, so f is monotone on the bracket.
+    a surd, f(a, b) = c2*a^2 + c1*a*b + c0*b^2 decides at a convergent pair,
+    from the stream's mark on, once it has one strict sign at both ends and
+    the derivative 2*c2*a + c1*b does not change sign strictly inside, so f
+    is monotone on the bracket.
     That terminates unless the quadratic vanishes at alpha, which raises
     RefinementExhausted after DEFAULT_MAX_PULLS coefficient pulls.
     """
@@ -330,27 +363,40 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
         r = c2 * (p * p + d) + (c1 * p + c0 * q) * q
         w = s * (2 * c2 * p + c1 * q)
         return _sign(r) if r * r > w * w * d else _sign(w)
-    for (a0, b0), (a1, b1) in alpha.brackets():
+    for n, (a0, b0), (a1, b1) in alpha._numbered(True):
         f0 = (c2 * a0 + c1 * b0) * a0 + c0 * b0 * b0
         f1 = (c2 * a1 + c1 * b1) * a1 + c0 * b1 * b1
         if f0 * f1 > 0 and (2 * c2 * a0 + c1 * b0) * (2 * c2 * a1 + c1 * b1) >= 0:
+            alpha._mark = n
             return _sign(f0)
-    raise AssertionError("unreachable: brackets() never returns normally")
+    raise AssertionError("unreachable: brackets never end")
 
 
 def floor_ratio(alpha: RealNumber | RationalLike, v1: int, u1: int, v2: int, u2: int) -> int:
     """floor((v1*alpha + u1)/(v2*alpha + u2)) for integers v1, u1, v2, u2,
     exactly; the denominator must be positive at alpha, else ValueError.
+    ``floor_ratio_exact``'s floor."""
+    return floor_ratio_exact(alpha, v1, u1, v2, u2)[0]
+
+
+def floor_ratio_exact(alpha: RealNumber | RationalLike,
+                      v1: int, u1: int, v2: int, u2: int) -> tuple[int, bool]:
+    """(f, exact): f = floor((v1*alpha + u1)/(v2*alpha + u2)) for integers
+    v1, u1, v2, u2, and whether the ratio equals f; the denominator must be
+    positive at alpha, else ValueError.  This is the one floor path.
 
     At a surd t = (p + s*sqrt(d))/q the ratio is (n + w*sqrt(d))/(m + e*sqrt(d))
     with n = v1*p + u1*q, w = v1*s, m = v2*p + u2*q and e = v2*s.  For e = 0,
     as at every rational (s = d = 0), it is (n + w*sqrt(d))/m with m > 0;
     otherwise d is not a square and the conjugate m - e*sqrt(d) clears the
     denominator to the nonzero integer m^2 - e^2*d.  Then the floor is one
-    integer division after floor(w*sqrt(d)).  On a stream without a surd the
-    map is monotone on any bracket where its denominator is positive at both
-    ends, so it decides at the first such convergent pair with one floor at
-    both ends; a denominator <= 0 at both ends is <= 0 at alpha.
+    integer division after floor(w*sqrt(d)), and the ratio is exact iff
+    w == 0 and m divides n.  On a stream without a surd the map is monotone
+    on any bracket where its denominator is positive at both ends, so it
+    decides at the first such convergent pair from the stream's mark on
+    with one floor at both ends; a denominator <= 0 at both ends is <= 0 at
+    alpha.  The value is irrational there, so the ratio is exact only for a
+    constant map (v1*u2 == u1*v2) with an integer value.
     """
     if not isinstance(alpha, RealNumber):
         alpha = as_real(alpha)
@@ -367,21 +413,27 @@ def floor_ratio(alpha: RealNumber | RationalLike, v1: int, u1: int, v2: int, u2:
                 n, w, m = -n, -w, -m
         elif m <= 0:
             raise ValueError("denominator must be positive at alpha")
+        if not w:
+            f, r = divmod(n, m)
+            return f, not r
         # floor(w*sqrt(d)) is isqrt(w^2*d), less 1 when w < 0 (irrational)
         if w > 0:
             n += isqrt(w * w * d)
-        elif w < 0:
+        else:
             n -= isqrt(w * w * d) + 1
-        return n // m
-    for (a0, b0), (a1, b1) in alpha.brackets():
+        return n // m, False
+    for k, (a0, b0), (a1, b1) in alpha._numbered(True):
         m0, m1 = v2 * a0 + u2 * b0, v2 * a1 + u2 * b1
         if m0 > 0 and m1 > 0:
-            lo = (v1 * a0 + u1 * b0) // m0
-            if lo == (v1 * a1 + u1 * b1) // m1:
-                return lo
+            n0 = v1 * a0 + u1 * b0
+            f = n0 // m0
+            if f == (v1 * a1 + u1 * b1) // m1:
+                alpha._mark = k
+                return f, v1 * u2 == u1 * v2 and f * m0 == n0
         elif m0 <= 0 and m1 <= 0:
+            alpha._mark = k
             raise ValueError("denominator must be positive at alpha")
-    raise AssertionError("unreachable: brackets() never returns normally")
+    raise AssertionError("unreachable: brackets never end")
 
 
 def floor_scaled(alpha: RealNumber | RationalLike, k: int) -> int:

@@ -15,8 +15,8 @@ For non-integer x the five are equivalent; integer x satisfies (i) without
 so reports flag integers and skip the equivalence claim for them.
 
 (i) walks the convergent recurrence.  (ii) descends the Ford packing's
-mediants a run at a time: one sign test and at most one exact floor and one
-more test per partial quotient.
+mediants a run at a time: one exact floor per partial quotient, whose
+exactness ends the chain, and no sign test.
 (iii) compares linear forms and (iv) horocircle radii, each by its own
 O(log q) search at a rational: a first-hit residue search for (iii), a
 Stern-Brocot descent on the squared forms for (iv).  Their verdicts at a
@@ -35,7 +35,6 @@ from .geometry import FordCircle
 from .rational import _reduced_runs, reduced_fractions_in
 from .real import (
     EQ,
-    GT,
     LT,
     ExactReal,
     RationalLike,
@@ -44,9 +43,7 @@ from .real import (
     _as_int,
     as_real,
     compare_real,
-    floor_ratio,
-    floor_scaled,
-    sign_of_quadratic,
+    floor_ratio_exact,
 )
 
 
@@ -104,44 +101,35 @@ def _chain_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
     """Statement (ii) up to a cap: the bases (a, b) with b <= max_den of the
     chain of alpha, by a mediant descent of the Ford packing, a run at a time.
 
-    Between tangent circles at a/b and c/d, one circle touches both and the
+    Between tangent circles at u/v and s/t, one circle touches both and the
     axis, at the mediant (Ford, 1938); the chain circles are where the
-    descent towards alpha turns (Series, 1985).  While the end s/t on
-    alpha's side stays, the mediants M_j = (u + j*s)/(v + j*t) move
-    monotonically from the other end u/v towards it, so alpha stays beyond
-    M_j exactly for j < (v*alpha - u)/(s - t*alpha), both forms negated when
-    s/t is below: one exact floor f ends the run.  Taken a mediant at a
-    time, the descent keeps s/t past each M_j up to M_f, stops at
-    alpha == M_f, else keeps M_f and turns at M_(f+1), and stops after the
-    first step whose denominator passes the cap; that step still decides
-    its turn.  So a run costs one sign test at M_1, then at most one floor
-    and one sign test (alpha == M_f, for f >= 2 as M_1 was the probe).
+    descent towards alpha turns (Series, 1985).  Keep a moving end u/v, a
+    staying end s/t and the side e, +1 when s/t < alpha and -1 when above.
+    While s/t stays, the mediants M_j = (u + j*s)/(v + j*t) move
+    monotonically from u/v towards it: M_j is on u/v's side of alpha for
+    j < R = (e*u - e*v*alpha)/(e*t*alpha - e*s) and is alpha at j = R.  So
+    one exact floor f = floor(R) ends the run at M_f, where the descent
+    turns, and the floor is exact iff alpha == M_f, which ends the chain.
+    Otherwise alpha lies strictly between M_f and M_(f+1), the mediant of
+    M_f and s/t, so the next run moves from s/t towards M_f, which is on
+    the other side: (u/v, s/t, e) becomes (s/t, M_f, -e), and that run's
+    first mediant is M_(f+1), already known to lie on the side it starts
+    from.  The descent starts at u/v = 1/0, s/t = floor(alpha)/1, whose
+    exactness says that alpha is an integer, its own chain, and stops at the
+    first M_f whose denominator passes the cap.  So a partial quotient costs
+    one exact floor and no sign test.
     """
-    n = floor_scaled(alpha, 1)
+    n, exact = floor_ratio_exact(alpha, 1, 0, 0, 1)
     found = {(n, 1)}
-    if sign_of_quadratic(0, 1, -n, alpha) == EQ:  # an integer is its own chain
-        return found
-    a, b, c, d = n, 1, n + 1, 1  # the tangent ends a/b < alpha < c/d
-    while True:
-        m, k = a + c, b + d
-        side = sign_of_quadratic(0, k, -m, alpha)
-        if side == EQ:
-            if k <= max_den:
-                found.add((m, k))  # alpha = m/k ends the chain
-            return found
-        u, v, s, t = (a, b, c, d) if side == GT else (c, d, a, b)
-        found.add((s, t))  # the end that stays
-        cap = (max_den - v) // t + 1  # the first j with v + j*t > max_den
-        if cap == 1:
-            return found
-        f = floor_ratio(alpha, side * v, -side * u, -side * t, side * s)
-        if f >= cap:
-            return found
+    u, v, s, t, e = 1, 0, n, 1, 1
+    while not exact:
+        f, exact = floor_ratio_exact(alpha, -e * v, e * u, e * t, -e * s)
         m, k = u + f * s, v + f * t
+        if k > max_den:
+            break
         found.add((m, k))
-        if f + 1 == cap or f >= 2 and sign_of_quadratic(0, k, -m, alpha) == EQ:
-            return found
-        a, b, c, d = (m, k, m + s, k + t) if side == GT else (m + s, k + t, m, k)
+        u, v, s, t, e = s, t, m, k, -e
+    return found
 
 
 def _farey_proxy(alpha: RealNumber, n: int) -> tuple[int, int]:

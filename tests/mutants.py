@@ -1,7 +1,8 @@
-"""Mutation check of the integer kernels, the enumerator and the renderer.
+"""Mutation check of the integer kernels, the enumerator, the renderer, the
+exact reals and statement (ii)'s descent.
 
-Each mutant is one small edit of src/fordcircles/_kernel.py, rational.py or
-render.py.  The runner applies it to a temporary copy of the repository
+Each mutant is one small edit of src/fordcircles/_kernel.py, rational.py,
+render.py, real.py or verify.py.  The runner applies it to a temporary copy of the repository
 (src/, tests/ and pyproject.toml) and runs that file's tests there (TESTS)
 with -x and criterion 8 deselected (it fails on the unmutated code, see
 ROADMAP.md), and prints "killed" or "survived" with the time taken.  A
@@ -37,11 +38,15 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNEL = Path("src/fordcircles/_kernel.py")
 RATIONAL = Path("src/fordcircles/rational.py")
 RENDER = Path("src/fordcircles/render.py")
+REAL = Path("src/fordcircles/real.py")
+VERIFY = Path("src/fordcircles/verify.py")
 #: the tests each mutated file is checked by
 TESTS = {
     KERNEL: ("tests/test_kernel.py", "tests/test_acceptance.py"),
     RATIONAL: ("tests/test_render.py", "tests/test_verify.py"),
     RENDER: ("tests/test_render.py", "tests/test_verify.py"),
+    REAL: ("tests/test_verify.py", "tests/test_exact_core.py"),
+    VERIFY: ("tests/test_verify.py", "tests/test_exact_core.py"),
 }
 DESELECT = "tests/test_acceptance.py::test_criterion_8_penultimate_construction"
 
@@ -104,9 +109,39 @@ RENDER_MUTANTS = [
     ("wide-path-strict", "if v >= 10**6 else", "if v > 10**6 else"),
 ]
 
+REAL_MUTANTS = [
+    # floor_ratio_exact, the one floor path
+    ("floor-root-no-minus-one", "            n -= isqrt(w * w * d) + 1\n",
+     "            n -= isqrt(w * w * d)\n"),
+    ("floor-surd-always-exact", "            return f, not r\n", "            return f, True\n"),
+    ("floor-bracket-any-sign", "        if m0 > 0 and m1 > 0:\n", "        if True:\n"),
+    ("floor-bracket-nonzero", "        if m0 > 0 and m1 > 0:\n", "        if m0 and m1:\n"),
+    ("floor-bracket-exact-at-an-end", "return f, v1 * u2 == u1 * v2 and f * m0 == n0",
+     "return f, f * m0 == n0"),
+    # the mark: where a query's bracket walk starts
+    ("mark-raised-by-exhaustion",
+     "            if n > DEFAULT_MAX_PULLS:\n",
+     "            if n > DEFAULT_MAX_PULLS:\n                self._mark = n - 1\n"),
+    ("mark-kept-on-rebuild", "            self._mark = 1\n",
+     "            self._mark = getattr(self, '_mark', 1)\n"),
+    ("mark-plus-one", "n = self._mark if from_mark else 1", "n = self._mark + 1 if from_mark else 1"),
+    ("brackets-from-mark", "        for _, lo, hi in self._numbered(False):\n",
+     "        for _, lo, hi in self._numbered(True):\n"),
+]
+
+VERIFY_MUTANTS = [
+    # _chain_upto's runs
+    ("chain-side-not-flipped", "u, v, s, t, e = s, t, m, k, -e", "u, v, s, t, e = s, t, m, k, e"),
+    ("chain-exactness-ignored", "    while not exact:\n", "    while True:\n"),
+    ("chain-cap-inclusive", "        if k > max_den:\n            break\n",
+     "        if k >= max_den:\n            break\n"),
+    ("chain-start-swapped", "u, v, s, t, e = 1, 0, n, 1, 1", "u, v, s, t, e = n, 1, 1, 0, 1"),
+]
+
 MUTANTS = [(name, path, old, new)
            for path, group in ((KERNEL, KERNEL_MUTANTS), (RATIONAL, RATIONAL_MUTANTS),
-                               (RENDER, RENDER_MUTANTS))
+                               (RENDER, RENDER_MUTANTS), (REAL, REAL_MUTANTS),
+                               (VERIFY, VERIFY_MUTANTS))
            for name, old, new in group]
 
 # mutants that change no output, with the reason (see CHANGES.md)

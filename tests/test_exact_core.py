@@ -726,12 +726,14 @@ class TestConvergentTable:
             assert len(stream._pairs) <= real.DEFAULT_MAX_PULLS + 1
             assert partials.pulls <= real.DEFAULT_MAX_PULLS
 
-    @pytest.mark.parametrize("coeffs, error, match", [
+    BAD_WALKS = [
         ((1, 1, 1, 0, 1, 1), ValueError, "coefficient 0 at index 4 is < 1"),
         ((1, 1, 1, 1.5, 1), TypeError, "floating-point"),
         ((1, 1, 1, F(3, 2), 1), TypeError, "cannot be interpreted as an integer"),
         ((1, 1), ValueError, "coefficient stream ended"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("coeffs, error, match", BAD_WALKS)
     def test_errors_repeat_on_every_query(self, coeffs, error, match):
         # the first three brackets are golden's, and 832040/514229 lies inside
         # every golden bracket, so each query reaches the bad coefficient
@@ -742,9 +744,65 @@ class TestConvergentTable:
         # a query decided before the bad coefficient still is
         assert compare_real(stream, F(1)) == GT
 
-    @settings(deadline=None)
-    @given(PERIODIC, st.data())
-    def test_order_independence(self, spec, data):
+    @pytest.mark.parametrize("coeffs, error, match", BAD_WALKS)
+    def test_failed_walk_resets_the_mark(self, coeffs, error, match):
+        stream = CFStream(1, Plain(coeffs))
+        assert compare_real(stream, F(1)) == GT  # an end of bracket 1
+        assert stream._mark == 2
+        with pytest.raises(error, match=match):
+            compare_real(stream, F(832040, 514229))
+        assert compare_real(stream, F(-7, 2)) == GT
+        assert stream._mark == 1
+
+    def test_queries_start_at_the_mark(self):
+        partials = Counting(PeriodicCoefficients((1,)))
+        stream = CFStream(1, partials)
+        assert compare_real(stream, F(-7, 2)) == GT
+        assert (stream._mark, partials.pulls) == (1, 1)
+        # 832040/514229 is the convergent of index 28, an end of brackets
+        # 28 and 29, so bracket 30 decides it
+        assert compare_real(stream, F(832040, 514229)) == GT
+        assert (stream._mark, partials.pulls) == (30, 30)
+        # a question bracket 1 decides is decided at the mark, with no pull
+        for query in (("floor", 1), ("compare", F(-7, 2)), ("quad", (1, 0, -3))):
+            assert answer(query, stream) == answer(query, golden_ratio())
+        assert (stream._mark, partials.pulls) == (30, 30)
+        # the walk itself still starts at bracket 1
+        assert next(stream.brackets()) == ((1, 1), (2, 1))
+
+    def test_exhausted_query_leaves_the_mark(self, monkeypatch):
+        monkeypatch.setattr(real, "DEFAULT_MAX_PULLS", 5)
+        partials = Counting(PeriodicCoefficients((1,)))
+        stream = CFStream(1, partials)
+        assert compare_real(stream, F(3, 2)) == GT  # 3/2 is C_2: bracket 4
+        assert stream._mark == 4
+        with pytest.raises(RefinementExhausted, match="after 5 coefficient pulls"):
+            compare_real(stream, F(832040, 514229))
+        assert stream._mark == 4 and partials.pulls == 5
+        assert compare_real(stream, F(-7, 2)) == GT
+        assert stream._mark == 4 and partials.pulls == 5
+
+    def test_cap_holds_at_a_high_mark(self, monkeypatch):
+        monkeypatch.setattr(real, "DEFAULT_MAX_PULLS", 40)
+        stream = bracket_twin(golden_ratio())
+        assert compare_real(stream, F(832040, 514229)) == GT
+        assert stream._mark == 30
+        # x^2 - x - 1 vanishes at golden: no bracket decides it
+        with pytest.raises(RefinementExhausted, match="after 40 coefficient pulls"):
+            sign_of_quadratic(1, -1, -1, stream)
+        assert stream._mark == 30 and len(stream._pairs) == 41
+
+    def test_replaced_partials_reset_the_mark(self):
+        stream = CFStream(1, Counting(PeriodicCoefficients((1,))))
+        assert compare_real(stream, F(832040, 514229)) == GT
+        assert stream._mark == 30
+        stream.partials = Plain(sqrt_real(2).partials)
+        # sqrt(2): 3/2 is C_1, an end of brackets 1 and 2
+        assert compare_real(stream, F(3, 2)) == LT
+        assert stream._mark == 3
+
+    @staticmethod
+    def order_independence(spec, data, deepen):
         # one memoised stream answers any mix of queries in any order as a
         # fresh stream per query does, and as the surd does
         b0, period, initial = spec
@@ -761,7 +819,24 @@ class TestConvergentTable:
             st.tuples(st.just("compare"), near),
             st.tuples(st.just("quad"), quad)), min_size=1, max_size=12))
         memo = bracket_twin(stream)
+        if deepen:
+            # a convergent C_k of denominator above 10^30 is an end of
+            # brackets k and k + 1, so bracket k + 2 decides it
+            k, deep = next((k, pair) for k, pair in enumerate(memo.convergent_pairs())
+                           if pair[1] > 10**30)
+            assert compare_real(memo, F(*deep)) == compare_real(stream, F(*deep))
+            assert memo._mark == k + 2
         order = data.draw(st.permutations(range(len(queries))))
         got = {i: answer(queries[i], memo) for i in order}
         for i, query in enumerate(queries):
             assert got[i] == answer(query, bracket_twin(stream)) == answer(query, stream)
+
+    @settings(deadline=None)
+    @given(PERIODIC, st.data())
+    def test_order_independence(self, spec, data):
+        self.order_independence(spec, data, deepen=False)
+
+    @settings(deadline=None)
+    @given(PERIODIC, st.data())
+    def test_order_independence_past_a_deep_mark(self, spec, data):
+        self.order_independence(spec, data, deepen=True)

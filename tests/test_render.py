@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, strategies as st
 
 from fordcircles import (
     RenderSpec,
+    compare_real,
     fmt6,
     golden_ratio,
     reduced_fractions_in,
@@ -23,6 +24,7 @@ from fordcircles import (
 )
 from fordcircles import render
 from fordcircles.render import FIELD_STROKE, HIGHLIGHT_STROKE, MARKER_STROKE, _fmt6
+from test_exact_core import bracket_twin
 
 
 def farey_ascending(n: int):
@@ -358,6 +360,26 @@ class TestStatementV:
         spec = RenderSpec()
         assert render_statement_v(F(1, 2), F(3, 5), spec) == \
             render_statement_v(F(1, 2), F(3, 5), spec)
+
+
+class TestDeepTable:
+    """The marker is the midpoint of the first bracket narrower than
+    1/MARKER_DEN, read from bracket 1, so a stream whose table and mark a
+    query took deep draws the same bytes as a fresh one."""
+
+    @pytest.mark.parametrize("make, x, window", [
+        (golden_ratio, F(8, 5), (F(1), F(2))),
+        (lambda: sqrt_real(7), F(8, 3), (F(2), F(3))),
+    ], ids=["golden", "sqrt7"])
+    def test_same_bytes_as_a_fresh_twin(self, make, x, window):
+        deep = bracket_twin(make())
+        pair = next(pair for pair in deep.convergent_pairs() if pair[1] > 10**30)
+        compare_real(deep, F(*pair))
+        assert deep._mark > 60
+        spec = RenderSpec(window=window, max_den=12)
+        assert render_chain(deep, 5, spec) == render_chain(bracket_twin(make()), 5, spec)
+        assert render_statement_v(x, deep, spec) == \
+            render_statement_v(x, bracket_twin(make()), spec)
 
 
 class TestPinnedDigests:

@@ -10,6 +10,7 @@ from itertools import islice
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
 from fordcircles import (
@@ -141,46 +142,81 @@ class TestChainDescent:
             for (a, b), (c, d) in zip(bases, bases[1:]):
                 assert are_tangent(F(a, b), F(c, d)), (alpha, (a, b), (c, d))
 
+    #: real's deciding functions, each counted where verify binds it
+    DECIDERS = ("sign_of_quadratic", "floor_ratio", "floor_scaled", "floor_ratio_exact")
+
+    @classmethod
+    def count_decisions(cls, monkeypatch) -> list:
+        calls = []
+        for name in cls.DECIDERS:
+            if hasattr(verify, name):
+                def counted(*args, call=getattr(verify, name)):
+                    calls.append(args)
+                    return call(*args)
+
+                monkeypatch.setattr(verify, name, counted)
+        return calls
+
+    @staticmethod
+    def floors_expected(x, alpha) -> int:
+        """One exact floor for the integer part and one per run up to the
+        cap b: a run per convergent after the first, and one more whose M_f
+        passes the cap unless the chain ended at alpha first."""
+        convs = verify._convergents_upto(alpha, x.denominator)
+        ended = isinstance(alpha, ExactReal) and \
+            (alpha.value.numerator, alpha.value.denominator) in convs
+        return len(convs) + (not ended)
+
     @pytest.mark.parametrize("x,alpha,member,most", [
-        (F(1, 10**4), F(1, 10**4), True, 10**4 + 2),  # [0;10000]: one run of mediants
-        (F(1, 10**8), F(0), False, 1),  # an integer alpha is decided by one test
+        (F(1, 10**4), F(1, 10**4), True, 10**4 + 2),  # [0;10000]: 2 floors
+        (F(1, 10**8), F(0), False, 1),  # an integer alpha: its floor is exact
     ])
     def test_sign_tests_are_bounded(self, monkeypatch, x, alpha, member, most):
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return sign_of_quadratic(*args)
-
-        monkeypatch.setattr(verify, "sign_of_quadratic", counted)
+        # the bound is the unit descent's; the count is the floors', exactly
+        calls = self.count_decisions(monkeypatch)
         assert theorem_u_check(x, alpha).stmt_ii is member
         assert 1 <= len(calls) <= most
+        assert len(calls) == self.floors_expected(x, as_real(alpha))
 
     @pytest.mark.parametrize("x,alpha,member,most", [
-        # [0;1000000]: the floor and the integer test, then one run: its
-        # probe and its floor; M_(f+1) passes the cap, so M_f needs no test
+        # [0;1000000]: the floor of alpha, then one run, whose exact floor
+        # ends the chain: 2 floors
         (F(1, 10**6), F(1, 10**6), True, 4),
-        # [10^6; 2*10^6, ...]: the first run leaves the cap 10^6
+        # [10^6; 2*10^6, ...]: the first run's M_f leaves the cap 10^6: 2
         (F(1, 10**6), sqrt_real(10**12 + 1), False, 4),
         (F(1, 10**6), bracket_twin(sqrt_real(10**12 + 1)), False, 4),
-        # [0; 3, 10^9]: a run to 1/3 with its test of alpha == M_2, then the
-        # run of 10^9 - 1 mediants to alpha
+        # [0; 3, 10^9]: a run to 1/3, then the run of 10^9 mediants to
+        # alpha: 3 floors
         (F(10**9, 3 * 10**9 + 1), F(10**9, 3 * 10**9 + 1), True, 7),
-        # golden: every run is one mediant, so a probe and a floor, and no
-        # test of alpha == M_1, which the probe already made
+        # golden: every run is one mediant, so 19 runs to 6765/4181, one
+        # past it and the integer part: 20 floors
         (F(6765, 4181), golden_ratio(), True, 20),
     ])
     def test_calls_per_run_are_bounded(self, monkeypatch, x, alpha, member, most):
-        # a run costs O(1) calls however long it is
-        calls = []
-        for name in ("sign_of_quadratic", "floor_ratio", "floor_scaled"):
-            def counted(*args, call=getattr(verify, name)):
-                calls.append(args)
-                return call(*args)
-
-            monkeypatch.setattr(verify, name, counted)
+        # a run costs O(1) calls however long it is: one exact floor
+        calls = self.count_decisions(monkeypatch)
         assert theorem_u_check(x, alpha).stmt_ii is member
-        assert len(calls) <= most
+        assert 1 <= len(calls) <= most
+        assert len(calls) == self.floors_expected(x, as_real(alpha))
+
+    def test_chain_makes_no_sign_test(self, monkeypatch):
+        # (ii) decides every turn by its floors' exactness alone
+        def refused(*args):
+            raise AssertionError("statement (ii) made a sign test")
+
+        monkeypatch.setattr(real, "sign_of_quadratic", refused)
+        for alpha in [*self.streams(), *map(ExactReal, (F(355, 113), F(-7, 2), F(3)))]:
+            verify._chain_upto(alpha, 10**6)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.fractions(-10**6, 10**6, max_denominator=10**12),
+           st.one_of(st.integers(1, 50), st.integers(1, 10**13)), st.data())
+    def test_rationals_up_to_10_to_12(self, alpha, cap, data):
+        q = alpha.denominator
+        cap = data.draw(st.sampled_from((cap, max(1, q - 1), q, q + 1)), label="cap")
+        real_alpha = ExactReal(alpha)
+        assert verify._chain_upto(real_alpha, cap) == \
+            verify._convergents_upto(real_alpha, cap)
 
     @staticmethod
     def skip_convergent_3(monkeypatch):
@@ -437,8 +473,9 @@ class TestStreamReference:
             assert q2 == 0, "a squared form"
             return sign_of_quadratic(q2, q1, q0, alpha)
 
-        for module in ("fordcircles.real", "fordcircles.verify"):
-            monkeypatch.setattr(f"{module}.sign_of_quadratic", linear_only)
+        for module in (real, verify):  # wherever it is bound
+            if hasattr(module, "sign_of_quadratic"):
+                monkeypatch.setattr(module, "sign_of_quadratic", linear_only)
         for x, alpha, held in cases:
             assert is_best_approx_2nd(x, alpha) == held, (alpha, x)
         assert sum(held for *_, held in cases) == 2 * (7 + 5 + 5 + 5)
@@ -461,8 +498,9 @@ class TestStreamReference:
             return sign_of_quadratic(q2, q1, q0, alpha)
 
         monkeypatch.setattr(QuadraticRadius, "__post_init__", refuse)
-        for module in ("fordcircles.real", "fordcircles.verify"):
-            monkeypatch.setattr(f"{module}.sign_of_quadratic", counted)
+        for module in (real, verify):  # wherever it is bound
+            if hasattr(module, "sign_of_quadratic"):
+                monkeypatch.setattr(module, "sign_of_quadratic", counted)
         for x, alpha, held in cases:
             assert is_nearby(x, alpha) == held, (alpha, x)
         assert calls == 0
