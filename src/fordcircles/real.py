@@ -372,13 +372,6 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
     raise AssertionError("unreachable: brackets never end")
 
 
-def floor_ratio(alpha: RealNumber | RationalLike, v1: int, u1: int, v2: int, u2: int) -> int:
-    """floor((v1*alpha + u1)/(v2*alpha + u2)) for integers v1, u1, v2, u2,
-    exactly; the denominator must be positive at alpha, else ValueError.
-    ``floor_ratio_exact``'s floor."""
-    return floor_ratio_exact(alpha, v1, u1, v2, u2)[0]
-
-
 def floor_ratio_exact(alpha: RealNumber | RationalLike,
                       v1: int, u1: int, v2: int, u2: int) -> tuple[int, bool]:
     """(f, exact): f = floor((v1*alpha + u1)/(v2*alpha + u2)) for integers
@@ -437,11 +430,11 @@ def floor_ratio_exact(alpha: RealNumber | RationalLike,
 
 
 def floor_scaled(alpha: RealNumber | RationalLike, k: int) -> int:
-    """floor(k * alpha) for integer k >= 1, exactly: floor_ratio's case
-    (k*alpha + 0)/(0*alpha + 1)."""
+    """floor(k * alpha) for integer k >= 1, exactly: the floor of
+    floor_ratio_exact's case (k*alpha + 0)/(0*alpha + 1)."""
     if k < 1:
         raise ValueError("scale factor must be >= 1")
-    return floor_ratio(alpha, k, 0, 0, 1)
+    return floor_ratio_exact(alpha, k, 0, 0, 1)[0]
 
 
 class _SqrtPartials:

@@ -268,9 +268,12 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     O(log q) residue search per record for (iii), one O(log q) descent for
     all of (iv)'s, and O(min(den_max_x, q)) integer work for (v).  A pair
     outside all five statement sets is false on all five, hence consistent,
-    so it is counted without being visited; the pairs inside are visited in
-    the order of the x enumeration.  With X = den_max_x and Y = den_max_alpha
-    the cost is O(|alphas| * min(X, Y) + |xs|), from (v).
+    so it is counted without being visited; the pairs inside, all reduced,
+    are visited in (b, a) order, which is the order of the x enumeration,
+    and the xs are counted a run at a time.  With X = den_max_x and
+    Y = den_max_alpha the cost is O(|alphas| * min(X, Y) + |xs|) time, from
+    (v) and the count, but the memory is only the largest run, not the list
+    of xs.
     The tests hold the sets against the references in tests/reference.py.
     """
     lo, hi = _as_fraction(window[0]), _as_fraction(window[1])
@@ -281,10 +284,8 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
         raise ValueError("denominator caps must be >= 1")
     started = time.perf_counter()
 
-    xs = [(a, b) for b, run in _reduced_runs(lo - 1, hi + 1, den_max_x, False, False)
-          if b > 1 for a in run]
+    (ln, ld), (hn, hd) = (lo - 1).as_integer_ratio(), (hi + 1).as_integer_ratio()
     alphas = list(reduced_fractions_in(lo, hi, den_max_alpha, include_hi=False))
-    position = {x: i for i, x in enumerate(xs)}
 
     inconsistencies: list[dict] = []
     for alpha in alphas:
@@ -296,8 +297,9 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
         near_set = _kernel.near_set(p, q, den_max_x)
         witness_set = _kernel.witness_set(p, q, den_max_x)
         candidates = conv_set | chain_set | best_set | near_set | witness_set
-        for i in sorted(position[x] for x in candidates if x in position):
-            x = xs[i]
+        for b, a in sorted((b, a) for a, b in candidates
+                           if 1 < b <= den_max_x and ln * b < a * ld and a * hd < hn * b):
+            x = (a, b)
             stmts = (x in conv_set, x in chain_set,
                      x in best_set, x in near_set, x in witness_set)
             if any(stmts) and not all(stmts):
@@ -314,7 +316,9 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
             "maxDenAlpha": den_max_alpha,
             "window": f"{lo}..{hi}",
         },
-        "totalChecked": len(alphas) * len(xs),
+        "totalChecked": len(alphas) * sum(
+            len(run) for b, run in _reduced_runs(lo - 1, hi + 1, den_max_x, False, False)
+            if b > 1),
         "inconsistencies": inconsistencies,
         "elapsed": time.perf_counter() - started,
     }

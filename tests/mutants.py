@@ -136,6 +136,14 @@ VERIFY_MUTANTS = [
     ("chain-cap-inclusive", "        if k > max_den:\n            break\n",
      "        if k >= max_den:\n            break\n"),
     ("chain-start-swapped", "u, v, s, t, e = 1, 0, n, 1, 1", "u, v, s, t, e = n, 1, 1, 0, 1"),
+    # verify_sweep's window filter, its order and its count
+    ("sweep-lo-inclusive", "ln * b < a * ld", "ln * b <= a * ld"),
+    ("sweep-hi-inclusive", "a * hd < hn * b", "a * hd <= hn * b"),
+    ("sweep-integers-visited", "if 1 < b <= den_max_x", "if 1 <= b <= den_max_x"),
+    ("sweep-cap-dropped", "if 1 < b <= den_max_x and", "if 1 < b and"),
+    ("sweep-order-a-b", "for b, a in sorted((b, a) for a, b in candidates",
+     "for a, b in sorted((a, b) for a, b in candidates"),
+    ("count-integers", "            if b > 1),\n", "            if True),\n"),
 ]
 
 MUTANTS = [(name, path, old, new)

@@ -454,8 +454,8 @@ def floor_alphas(draw):
 
 
 class TestFloorRatio:
-    """floor_ratio against a search by sign tests, on ExactReal, on the
-    SURD_STREAMS and on their bracket twins."""
+    """floor_ratio_exact's floor against a search by sign tests, on
+    ExactReal, on the SURD_STREAMS and on their bracket twins."""
 
     SMALL = st.integers(-30, 30)
 
@@ -478,8 +478,8 @@ class TestFloorRatio:
             p, q = (alpha.value.numerator, alpha.value.denominator) \
                 if isinstance(alpha, ExactReal) else (0, 0)
             v1, u1 = f * v2 + k * q, f * u2 - k * p
-            assert real.floor_ratio(alpha, v1, u1, v2, u2) == f
-        assert real.floor_ratio(alpha, v1, u1, v2, u2) == \
+            assert real.floor_ratio_exact(alpha, v1, u1, v2, u2) == (f, True)
+        assert real.floor_ratio_exact(alpha, v1, u1, v2, u2)[0] == \
             floor_by_signs(alpha, v1, u1, v2, u2)
 
     @pytest.mark.parametrize("alpha, args, want", [
@@ -494,7 +494,7 @@ class TestFloorRatio:
         (bracket_twin(sqrt_real(2)), (0, 1, 99, -140), 140),
     ])
     def test_examples(self, alpha, args, want):
-        assert real.floor_ratio(alpha, *args) == want
+        assert real.floor_ratio_exact(alpha, *args)[0] == want
 
     @pytest.mark.parametrize("alpha, v2, u2", [
         *((alpha, v2, u2)
@@ -504,7 +504,7 @@ class TestFloorRatio:
     ])
     def test_denominator_must_be_positive(self, alpha, v2, u2):
         with pytest.raises(ValueError, match="denominator must be positive"):
-            real.floor_ratio(alpha, 1, 0, v2, u2)
+            real.floor_ratio_exact(alpha, 1, 0, v2, u2)
 
 
 def minimal_polynomial(b0, period, initial):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction as F
 from itertools import islice
 from math import gcd
@@ -143,7 +144,7 @@ class TestChainDescent:
                 assert are_tangent(F(a, b), F(c, d)), (alpha, (a, b), (c, d))
 
     #: real's deciding functions, each counted where verify binds it
-    DECIDERS = ("sign_of_quadratic", "floor_ratio", "floor_scaled", "floor_ratio_exact")
+    DECIDERS = ("sign_of_quadratic", "floor_scaled", "floor_ratio_exact")
 
     @classmethod
     def count_decisions(cls, monkeypatch) -> list:
@@ -745,6 +746,23 @@ class TestVerifySweep:
         assert report["totalChecked"] == n_x * n_alpha > 0
         assert report["inconsistencies"] == []
 
+    def test_wide_grid_is_counted_not_listed(self):
+        # 146,031 xs on (-1, 2) against one alpha: the xs are counted a run
+        # at a time, so the peak holds one run, not a list of the grid
+        phi = list(range(401))
+        for n in range(2, 401):
+            if phi[n] == n:
+                for m in range(n, 401, n):
+                    phi[m] -= phi[m] // n
+        tracemalloc.start()
+        try:
+            report = verify_sweep(400, 1, (F(0), F(1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["totalChecked"] == 3 * sum(phi[2:]) == 146031
+        assert peak < 2 << 20
+
     def test_backends_agree(self):
         per_pair = per_pair_sweep(8, 8, (F(0), F(1)))
         report = verify_sweep(8, 8, (F(0), F(1)))
@@ -821,27 +839,70 @@ class TestCandidateSets:
         assert per_pair["totalChecked"] == report["totalChecked"] > 0
         assert per_pair["inconsistencies"] == report["inconsistencies"] == []
 
-    def test_engines_report_the_same_inconsistencies(self, monkeypatch):
-        # flip statement (v) on three candidate pairs, two true and one false
-        flipped = {(1, 3, 1, 4), (1, 2, 3, 5), (2, 3, 3, 5)}
-        reference = _kernel.witness_flag
+    @pytest.mark.parametrize("window, flipped, expected", [
+        # three candidate pairs, two true and one false
+        ((F(0), F(1)), {(1, 3, 1, 4), (1, 2, 3, 5), (2, 3, 3, 5)}, [
+            ("1/3", "1/4", (False, False, False, False, True)),
+            ("1/2", "3/5", (True, True, True, True, False)),
+            ("2/3", "3/5", (False, False, False, False, True)),
+        ]),
+        # two convergents and a false pair of -8/5 = [-2; 2, 2], whose
+        # numerators fall as the denominators rise
+        ((F(-7, 3), F(-4, 3)), {(-3, 2, -8, 5), (-5, 3, -8, 5), (-8, 5, -8, 5)}, [
+            ("-3/2", "-8/5", (True, True, True, True, False)),
+            ("-5/3", "-8/5", (False, False, False, False, True)),
+            ("-8/5", "-8/5", (True, True, True, True, False)),
+        ]),
+        # false pairs of 1/2 that witness_set's prefilter skips, one near
+        # hi + 1, and a convergent of 7/3 past the integer 2
+        ((F(2, 5), F(5, 2)), {(1, 4, 1, 2), (2, 3, 1, 2), (10, 3, 1, 2), (7, 3, 7, 3)}, [
+            ("2/3", "1/2", (False, False, False, False, True)),
+            ("10/3", "1/2", (False, False, False, False, True)),
+            ("1/4", "1/2", (False, False, False, False, True)),
+            ("7/3", "7/3", (True, True, True, True, False)),
+        ]),
+    ], ids=["unit", "negative", "wide"])
+    def test_engines_report_the_same_inconsistencies(self, monkeypatch, window, flipped,
+                                                     expected):
+        # statement (v) flipped on the pairs (a, b, p, q) in both engines;
+        # the reports list them in (b, a) order within each alpha
+        reference_flag, reference_set = _kernel.witness_flag, _kernel.witness_set
 
         def witness_flag(a, b, p, q):
-            return reference(a, b, p, q) != ((a, b, p, q) in flipped)
+            return reference_flag(a, b, p, q) != ((a, b, p, q) in flipped)
+
+        def witness_set(p, q, max_den):
+            # the set calls the flag on the pairs its prefilter keeps, and
+            # takes the flipped pairs that it skips as well
+            return reference_set(p, q, max_den) | {
+                (a, b) for a, b, pp, qq in flipped
+                if (pp, qq) == (p, q) and b <= max_den and witness_flag(a, b, p, q)}
 
         monkeypatch.setattr(_kernel, "witness_flag", witness_flag)
-        per_pair = per_pair_sweep(8, 8, (F(0), F(1)))
-        report = verify_sweep(8, 8, (F(0), F(1)))
-
-        def entry(x, alpha, stmts):
-            names = ("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv", "stmt_v")
-            return {"x": x, "alpha": alpha, **dict(zip(names, stmts))}
-
+        monkeypatch.setattr(_kernel, "witness_set", witness_set)
+        per_pair = per_pair_sweep(8, 8, window)
+        report = verify_sweep(8, 8, window)
+        names = ("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv", "stmt_v")
         assert per_pair["inconsistencies"] == report["inconsistencies"] == [
-            entry("1/3", "1/4", (False, False, False, False, True)),
-            entry("1/2", "3/5", (True, True, True, True, False)),
-            entry("2/3", "3/5", (False, False, False, False, True)),
-        ]
+            {"x": x, "alpha": alpha, **dict(zip(names, stmts))}
+            for x, alpha, stmts in expected]
+
+    @pytest.mark.parametrize("window, extra", [
+        # lo - 1 and hi + 1, an integer in the window, and a pair past den_max_x
+        ((F(2, 5), F(5, 2)), {(-3, 5), (7, 2), (1, 1), (4, 9)}),
+        ((F(-7, 3), F(-4, 3)), {(-10, 3), (-1, 3), (-2, 1), (-20, 9)}),
+    ], ids=["wide", "negative"])
+    def test_off_grid_pairs_are_never_reported(self, monkeypatch, window, extra):
+        # a (iii) set holding pairs off the x grid would make each of them
+        # an inconsistency, were it visited
+        unpatched = verify_sweep(8, 8, window)
+        reference_set = _kernel.best_set
+        monkeypatch.setattr(_kernel, "best_set",
+                            lambda p, q, max_den: reference_set(p, q, max_den) | extra)
+        report = verify_sweep(8, 8, window)
+        del unpatched["elapsed"], report["elapsed"]
+        assert report == unpatched
+        assert report["totalChecked"] > 0
 
 
 class TestPenultimatePair:
