@@ -9,8 +9,10 @@ from a threshold, each its own way, in O(log q) steps per search: (iii) a
 first-hit residue search per record, (iv) one Stern-Brocot descent on the
 squared forms for all its records, resumed at each.  A flag holds iff the
 first record from x's own form is x; a set is every record from the
-widest threshold.  Only (v)'s set walks every b <= min(X, q).  The tests
-hold the kernels against tests/reference.py.
+widest threshold.  (v)'s set splits its candidates by a hyperbola,
+b <= sqrt(q) or |b*p - a*q| < sqrt(q), in O(sqrt(q)) steps and with no
+(iii) or (iv) code.  The tests hold the kernels against
+tests/reference.py.
 
 Candidate pruning, one lemma for every real alpha (streams reach it via
 verify._farey_proxy): at a fixed d the form |d*alpha - c| and the radius
@@ -204,26 +206,35 @@ def near_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
 
 def witness_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     """Statement (v) at once: every reduced (a, b) with b <= max_den for
-    which witness_flag(a, b, p, q) holds.
+    which witness_flag(a, b, p, q) holds, in O(sqrt(q)) steps.
 
     A witness y at x = a/b has den(y) = d > b and |alpha - x| < 1/(b*d),
-    so |b*alpha - a| < 1/d < 1: only a = floor(b*p/q) and a = floor(b*p/q) + 1
-    can qualify, and witness_flag decides those two.
+    i.e. |lhs| * d < q with lhs = b*p - a*q.  So |lhs| * b < q is
+    necessary, and as |lhs| < q only a = floor(b*p/q) (lhs = r = b*p mod q)
+    and a + 1 (lhs = r - q) can qualify.
 
-    Prefilter lemma: witness_flag holds iff |lhs| * d < q with
-    lhs = b*p - a*q, and d > b, so |lhs| * b < q is necessary.  With
-    c0, r = divmod(b*p, q) the two candidates have |lhs| = r (a = c0) and
-    q - r (a = c0 + 1); a candidate failing |lhs| * b < q is dropped before
-    its gcd and its witness_flag call.
-
-    Scan bound: a witness x != p/q has |lhs| >= 1, so |lhs| * b < q gives
-    b < q, and x == p/q has b == q; so no b above q can hold.
+    Hyperbola split, with s = isqrt(q): x = p/q is the one witness with
+    lhs = 0 (b = q, as p/q is reduced), and any other has |lhs| >= 1 and
+    |lhs| * d < q with d >= b + 1.  So b <= s, or d >= s + 2 and
+    |lhs| < q/(s + 2) <= s, as q <= (s + 1)^2 - 1 = s*(s + 2).  So scan the
+    b <= min(X, s), and for each r in 1..s-1 and each sign take the one b
+    in (0, q) with b*p = +-r mod q, that is +-r * p^-1 mod q, when
+    s < b <= X; its a is (b*p -+ r) / q.  A candidate that passes the
+    necessary bound and gcd is decided by witness_flag.  No (iii) or (iv)
+    code is reached.
     """
-    found: set[tuple[int, int]] = set()
-    for b in range(1, min(max_den, q) + 1):
+    s = isqrt(q)
+    candidates = [(p, q)] if q <= max_den else []  # |b*p - a*q| * b < q
+    for b in range(1, min(max_den, s) + 1):
         c0, r = divmod(b * p, q)
-        if r * b < q and gcd(c0, b) == 1 and witness_flag(c0, b, p, q):
-            found.add((c0, b))
-        if (q - r) * b < q and gcd(c0 + 1, b) == 1 and witness_flag(c0 + 1, b, p, q):
-            found.add((c0 + 1, b))
-    return found
+        if r * b < q:
+            candidates.append((c0, b))
+        if (q - r) * b < q:
+            candidates.append((c0 + 1, b))
+    if max_den > s:
+        inverse = pow(p, -1, q)
+        for r in range(1, s):
+            for b, lhs in ((r * inverse % q, r), (-r * inverse % q, -r)):
+                if s < b <= max_den and r * b < q:
+                    candidates.append(((b * p - lhs) // q, b))
+    return {(a, b) for a, b in candidates if gcd(a, b) == 1 and witness_flag(a, b, p, q)}

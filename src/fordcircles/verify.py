@@ -32,7 +32,7 @@ from fractions import Fraction
 from . import _kernel
 from .cf import Convergent, cf_of_rational, convergents
 from .geometry import FordCircle
-from .rational import _reduced_runs, reduced_fractions_in
+from .rational import reduced_fractions_in
 from .real import (
     EQ,
     LT,
@@ -254,6 +254,36 @@ def penultimate_pair(alpha: RationalLike) -> tuple[Convergent, Convergent, int, 
     return prev, last, last.num - prev.num, last.den - prev.den
 
 
+def _count_xs(lo: Fraction, hi: Fraction, max_den: int) -> int:
+    """The number of reduced a/b with 1 < b <= max_den strictly between lo
+    and hi, without listing them.
+
+    At each b the numerators are the a in (A, B] with A = floor(lo*b) and
+    B = ceil(hi*b) - 1, and by inclusion-exclusion over the primes of b
+    those coprime to b number the sum over d | rad(b) of
+    mu(d) * (B//d - A//d).  The primes come from one sieve that keeps a
+    prime factor of every m <= max_den (the largest: each prime overwrites
+    its multiples in turn): O(max_den log log max_den) steps and a list of
+    max_den + 1 entries, then 2^omega(b) terms at each b.
+    """
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    factor = [0] * (max_den + 1)
+    for m in range(2, max_den + 1):
+        if not factor[m]:
+            factor[m::m] = [m] * (max_den // m)
+    total = 0
+    for b in range(2, max_den + 1):
+        low, high = ln * b // ld, -(-hn * b // hd) - 1
+        terms, m = [(1, 1)], b
+        while m > 1:
+            f = factor[m]
+            terms += [(d * f, -mu) for d, mu in terms]
+            while m % f == 0:
+                m //= f
+        total += sum(mu * (high // d - low // d) for d, mu in terms)
+    return total
+
+
 def verify_sweep(den_max_x: int, den_max_alpha: int,
                  window: tuple[RationalLike, RationalLike]) -> dict:
     """Check the five-way equivalence over a rational grid and report.
@@ -266,14 +296,17 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     Statements (iii), (iv) and (v) for a whole alpha come from the kernel's
     candidate sets, each statement's records from its own generator: one
     O(log q) residue search per record for (iii), one O(log q) descent for
-    all of (iv)'s, and O(min(den_max_x, q)) integer work for (v).  A pair
+    all of (iv)'s, and an O(sqrt(q)) hyperbola split for (v).  A pair
     outside all five statement sets is false on all five, hence consistent,
-    so it is counted without being visited; the pairs inside, all reduced,
-    are visited in (b, a) order, which is the order of the x enumeration,
-    and the xs are counted a run at a time.  With X = den_max_x and
-    Y = den_max_alpha the cost is O(|alphas| * min(X, Y) + |xs|) time, from
-    (v) and the count, but the memory is only the largest run, not the list
-    of xs.
+    so it is counted without being visited.  The sets can differ at b = 1
+    only on the integers n = floor(alpha) and n + 1, which are never
+    visited; with those two set aside, five equal sets hold no
+    inconsistency, so the alpha costs one comparison.  Otherwise the pairs
+    inside, all reduced, are visited in (b, a) order, the order of the x
+    enumeration.  The xs are counted by inclusion-exclusion (_count_xs),
+    never listed.  With X = den_max_x and Y = den_max_alpha the cost is
+    O(|alphas| * sqrt(Y) + X log log X + sum over b <= X of 2^omega(b))
+    time, plus the O(log Y) sets, and O(X) memory for the count's sieve.
     The tests hold the sets against the references in tests/reference.py.
     """
     lo, hi = _as_fraction(window[0]), _as_fraction(window[1])
@@ -296,6 +329,11 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
         best_set = _kernel.best_set(p, q, den_max_x)
         near_set = _kernel.near_set(p, q, den_max_x)
         witness_set = _kernel.witness_set(p, q, den_max_x)
+        integers = {(p // q, 1), (p // q + 1, 1)}
+        for found in (conv_set, chain_set, best_set, near_set, witness_set):
+            found.difference_update(integers)
+        if conv_set == chain_set == best_set == near_set == witness_set:
+            continue
         candidates = conv_set | chain_set | best_set | near_set | witness_set
         for b, a in sorted((b, a) for a, b in candidates
                            if 1 < b <= den_max_x and ln * b < a * ld and a * hd < hn * b):
@@ -316,9 +354,7 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
             "maxDenAlpha": den_max_alpha,
             "window": f"{lo}..{hi}",
         },
-        "totalChecked": len(alphas) * sum(
-            len(run) for b, run in _reduced_runs(lo - 1, hi + 1, den_max_x, False, False)
-            if b > 1),
+        "totalChecked": len(alphas) * _count_xs(lo - 1, hi + 1, den_max_x),
         "inconsistencies": inconsistencies,
         "elapsed": time.perf_counter() - started,
     }

@@ -88,8 +88,12 @@ KERNEL_MUTANTS = [
     ("hit-side-test-flipped", "        if e > 0:\n", "        if e < 0:\n"),
     ("hit-side-test-at-zero", "        if e > 0:\n", "        if e >= 0:\n"),
     ("end-order-at-a-tie", "        if far[2] < near[2]:\n", "        if far[2] <= near[2]:\n"),
-    # witness_set's scan bound
-    ("witness-scan-below-q", "range(1, min(max_den, q) + 1)", "range(1, min(max_den, q))"),
+    # witness_set's hyperbola split
+    ("witness-low-b-short", "range(1, min(max_den, s) + 1)",
+     "range(1, min(max_den, s - 1) + 1)"),
+    ("witness-r-range-short", "for r in range(1, s):", "for r in range(1, s - 1):"),
+    ("witness-r-range-to-s", "for r in range(1, s):", "for r in range(1, s + 1):"),
+    ("witness-halves-overlap", "if s < b <= max_den and", "if s <= b <= max_den and"),
 ]
 
 RATIONAL_MUTANTS = [
@@ -143,7 +147,15 @@ VERIFY_MUTANTS = [
     ("sweep-cap-dropped", "if 1 < b <= den_max_x and", "if 1 < b and"),
     ("sweep-order-a-b", "for b, a in sorted((b, a) for a, b in candidates",
      "for a, b in sorted((a, b) for a, b in candidates"),
-    ("count-integers", "            if b > 1),\n", "            if True),\n"),
+    # the skip of an alpha whose five sets agree
+    ("sweep-integers-kept", "            found.difference_update(integers)\n",
+     "            pass\n"),
+    ("skip-ignores-v", "near_set == witness_set:\n            continue",
+     "near_set:\n            continue"),
+    # _count_xs, the inclusion-exclusion count
+    ("count-integers", "    for b in range(2, max_den + 1):\n        low",
+     "    for b in range(1, max_den + 1):\n        low"),
+    ("count-sign", "(d * f, -mu) for d, mu in terms", "(d * f, mu) for d, mu in terms"),
 ]
 
 MUTANTS = [(name, path, old, new)
@@ -157,6 +169,11 @@ EQUIVALENT = {
     "hit-side-test-at-zero": "e = 0 is p/q, a hit, after which rx = -1 ends the loop",
     "end-order-at-a-tie": "with equal ends the next node is their sum either way",
     "wide-path-strict": "at v = 10**6 both paths write 1.000000",
+    "witness-r-range-to-s": "|lhs| = s at b > s needs d >= s + 2, and s*(s + 2) >= q: "
+                            "no witness",
+    "witness-halves-overlap": "b = s is then a candidate of both halves, and the set keeps it once",
+    "sweep-integers-kept": "the sets then differ at b = 1 more often, and the visit that follows "
+                           "never reports a b = 1 pair",
 }
 
 

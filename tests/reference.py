@@ -1,5 +1,6 @@
 """Unpruned references for statements (iii) and (iv), at a rational alpha and
-at a quadratic irrational alpha given by its surd.
+at a quadratic irrational alpha given by its surd, and for (v)'s set at a
+rational alpha.
 
 The package prunes by one lemma for every real (see _kernel.py): at a
 fixed denominator d only the integer nearest d*alpha can beat x, since the
@@ -17,6 +18,9 @@ A rational alpha is a Fraction and the arithmetic is plain Fraction.  An
 irrational alpha is a surd (P, S, D, Q), the value (P + S*sqrt(D))/Q with
 Q > 0, S = +-1 and D > 0 not a square, and every decision is the sign of
 u + v*sqrt(D) in integers, read from isqrt.
+
+(v)'s set is a scan of every b <= min(max_den, q), in plain integers, with
+no split of the candidates by size.
 """
 
 from __future__ import annotations
@@ -51,6 +55,29 @@ def nearby(x: Fraction, alpha: Fraction) -> bool:
     x, alpha = Fraction(x), Fraction(alpha)
     radius = (x.denominator * alpha - x.numerator) ** 2 / 2
     return all((d * alpha - c) ** 2 / 2 > radius for c, d in _rivals(x, alpha))
+
+
+def witness_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
+    """Statement (v) at alpha = p/q for every reduced a/b with b <= max_den:
+    alpha == x, or alpha lies strictly inside (x, y) for the tangent
+    neighbour y = c/d of x on alpha's side (c*b - d*a = +-1) with the least
+    d > b, that is |b*p - a*q| * d < q.  Such a d is in (b, 2b], as the
+    neighbours' denominators form one residue class mod b.  Only
+    a = floor(b*p/q) and a + 1 are tried, as a witness has
+    |b*alpha - a| < 1/d < 1, and no b > q, as a witness other than alpha has
+    1 <= |b*p - a*q| < q/d < q/b."""
+    found = set()
+    for b in range(1, min(max_den, q) + 1):
+        c0 = b * p // q
+        for a in (c0, c0 + 1):
+            lhs = b * p - a * q
+            if gcd(a, b) != 1:
+                continue
+            side = 1 if lhs > 0 else -1
+            d = 2 if b == 1 else (-side * pow(a, -1, b)) % b + b
+            if lhs == 0 or abs(lhs) * d < q:
+                found.add((a, b))
+    return found
 
 
 def _sign_sqrt(u: int, v: int, n: int) -> int:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -248,11 +248,11 @@ class TestRecords:
 
 
 class TestWitnessScanBound:
-    """witness_set scans b <= min(X, q) only.  The lemma: a witness x = a/b
-    != p/q has 1 <= |b*p - a*q| and |b*p - a*q| * b < q, so b < q, and
-    x == p/q has b == q.  Held against the unpruned witness_flag on every
-    reduced a/b with b <= X within 1 of alpha (a witness lies within 1/2),
-    with X far above q."""
+    """witness_set holds no b above q.  The lemma: a witness x = a/b != p/q
+    has 1 <= |b*p - a*q| and |b*p - a*q| * b < q, so b < q, and x == p/q
+    has b == q.  Held against the unpruned witness_flag on every reduced
+    a/b with b <= X within 1 of alpha (a witness lies within 1/2), with X
+    far above q."""
 
     @staticmethod
     def by_flag(p, q, max_den):
@@ -275,6 +275,59 @@ class TestWitnessScanBound:
             for cap in {1, q - 1 or 1, q, q + 1, 3 * q, 45}:
                 want = {(a, b) for a, b in full if b <= cap}
                 assert _kernel.witness_set(p, q, cap) == want, (alpha, cap)
+
+
+class TestWitnessHyperbola:
+    """witness_set splits its candidates at s = isqrt(q): b <= s, or
+    |b*p - a*q| < s.  Held against the scan of every b <= min(X, q) in
+    tests/reference.py at the caps around s and q, where a bound off by one
+    in either half shows, and at perfect squares q = s*s."""
+
+    @staticmethod
+    def caps(q):
+        s = isqrt(q)
+        return {cap for cap in (s - 1, s, s + 1, q - 1, q) if cap >= 1}
+
+    def test_every_alpha_up_to_q_60(self):
+        for q in range(1, 61):
+            for p in range(-q, 2 * q):
+                if gcd(p, q) == 1:
+                    for cap in self.caps(q):
+                        assert _kernel.witness_set(p, q, cap) == \
+                            reference.witness_set(p, q, cap), (p, q, cap)
+
+    def test_perfect_squares(self):
+        rng = random.Random(11)
+        for s in [*range(2, 41), 99, 100]:
+            q = s * s
+            for p in {1, q - 1, q + 1, s - 1, s + 1,
+                      *(rng.randrange(-q, 2 * q) for _ in range(4))}:
+                if gcd(p, q) == 1:
+                    for cap in self.caps(q):
+                        assert _kernel.witness_set(p, q, cap) == \
+                            reference.witness_set(p, q, cap), (p, q, cap)
+
+    def test_random_alphas(self):
+        rng = random.Random(12)
+        for _ in range(40):
+            q = rng.randint(2, 10000)
+            p = rng.randint(-q, 3 * q)
+            if gcd(p, q) == 1:
+                for cap in self.caps(q) | {rng.randint(1, q)}:
+                    assert _kernel.witness_set(p, q, cap) == \
+                        reference.witness_set(p, q, cap), (p, q, cap)
+
+    def test_reaches_no_other_statement(self, monkeypatch):
+        # (v)'s set with (iii)'s residue search and generator and (iv)'s
+        # descent made to raise
+        for name in ("_first_hit", "_best_hits", "_near_hits"):
+            monkeypatch.setattr(_kernel, name, _refuse)
+        for q in range(1, 40):
+            for p in range(-q, 2 * q):
+                if gcd(p, q) == 1:
+                    for cap in self.caps(q) | {3 * q}:
+                        assert _kernel.witness_set(p, q, cap) == \
+                            reference.witness_set(p, q, cap), (p, q, cap)
 
 
 class _Refused(Exception):

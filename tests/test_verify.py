@@ -686,6 +686,24 @@ class TestTheoremUCheck:
         assert '"alpha": "golden"' in text
 
 
+def count_unit_grid(n):
+    """The xs with 1 < b <= n on (-1, 2), 3 * sum(phi(b)) by a totient
+    sieve, then verify_sweep(n, 1, (0, 1))'s totalChecked and its
+    tracemalloc peak in bytes."""
+    phi = list(range(n + 1))
+    for m in range(2, n + 1):
+        if phi[m] == m:
+            for k in range(m, n + 1, m):
+                phi[k] -= phi[k] // m
+    tracemalloc.start()
+    try:
+        report = verify_sweep(n, 1, (F(0), F(1)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return 3 * sum(phi[2:]), report["totalChecked"], peak
+
+
 class TestVerifySweep:
     def test_small_sweep_clean(self):
         report = verify_sweep(5, 5, (F(0), F(1)))
@@ -747,21 +765,19 @@ class TestVerifySweep:
         assert report["inconsistencies"] == []
 
     def test_wide_grid_is_counted_not_listed(self):
-        # 146,031 xs on (-1, 2) against one alpha: the xs are counted a run
-        # at a time, so the peak holds one run, not a list of the grid
-        phi = list(range(401))
-        for n in range(2, 401):
-            if phi[n] == n:
-                for m in range(n, 401, n):
-                    phi[m] -= phi[m] // n
-        tracemalloc.start()
-        try:
-            report = verify_sweep(400, 1, (F(0), F(1)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert report["totalChecked"] == 3 * sum(phi[2:]) == 146031
+        # 146,031 xs on (-1, 2) against one alpha: the xs are counted, so
+        # the peak holds no list of the grid
+        expected, total, peak = count_unit_grid(400)
+        assert total == expected == 146031
         assert peak < 2 << 20
+
+    def test_count_by_inclusion_exclusion(self):
+        # 364,771,185 xs on (-1, 2) against one alpha, counted at each b
+        # from the primes of b, with no run built: the peak stays below the
+        # 2.4 MB of the longest run, at b = 19,997
+        expected, total, peak = count_unit_grid(20000)
+        assert total == expected == 364771185
+        assert peak < 1 << 20
 
     def test_backends_agree(self):
         per_pair = per_pair_sweep(8, 8, (F(0), F(1)))
@@ -784,7 +800,7 @@ class TestVerifySweep:
 class TestCandidateSets:
     """The per-alpha candidate sets against the per-pair kernels: the search
     of (iii) and of (iv), run once at x's form by a flag and at falling
-    thresholds by a set, and (v)'s walk over every b against its flag."""
+    thresholds by a set, and (v)'s hyperbola split against its flag."""
 
     @staticmethod
     def random_alphas(seed: int, count: int):
@@ -853,7 +869,7 @@ class TestCandidateSets:
             ("-5/3", "-8/5", (False, False, False, False, True)),
             ("-8/5", "-8/5", (True, True, True, True, False)),
         ]),
-        # false pairs of 1/2 that witness_set's prefilter skips, one near
+        # false pairs of 1/2 that fail witness_set's prefilter, one near
         # hi + 1, and a convergent of 7/3 past the integer 2
         ((F(2, 5), F(5, 2)), {(1, 4, 1, 2), (2, 3, 1, 2), (10, 3, 1, 2), (7, 3, 7, 3)}, [
             ("2/3", "1/2", (False, False, False, False, True)),
@@ -886,6 +902,50 @@ class TestCandidateSets:
         assert per_pair["inconsistencies"] == report["inconsistencies"] == [
             {"x": x, "alpha": alpha, **dict(zip(names, stmts))}
             for x, alpha, stmts in expected]
+
+    @pytest.mark.parametrize("window", [
+        (F(0), F(1)), (F(-7, 3), F(-4, 3)), (F(2, 5), F(5, 2))], ids=["unit", "negative", "wide"])
+    @pytest.mark.parametrize("step", [0, 1], ids=["n", "n+1"])
+    def test_integer_pairs_change_no_report(self, monkeypatch, window, step):
+        # negative control: a (iv) set flipped only at an integer beside
+        # alpha, n = floor(alpha) or n + 1, which the sweep never visits
+        unpatched = verify_sweep(8, 8, window)
+        reference_set = _kernel.near_set
+        monkeypatch.setattr(_kernel, "near_set", lambda p, q, max_den:
+                            reference_set(p, q, max_den) ^ {(p // q + step, 1)})
+        report = verify_sweep(8, 8, window)
+        del unpatched["elapsed"], report["elapsed"]
+        assert report == unpatched
+
+    @pytest.mark.parametrize("window", [
+        (F(0), F(1)), (F(-7, 3), F(-4, 3)), (F(2, 5), F(5, 2))], ids=["unit", "negative", "wide"])
+    def test_witness_set_needs_no_other_statement(self, monkeypatch, window):
+        # (iii)'s residue search and generator and (iv)'s descent raise,
+        # (iii) and (iv) come from the unpruned references, and (v)'s set,
+        # held against its reference at every alpha, gives the same report
+        unpatched = verify_sweep(8, 8, window)
+        for name in ("_first_hit", "_best_hits", "_near_hits"):
+            monkeypatch.setattr(_kernel, name, _refuse)
+        witness_set = _kernel.witness_set
+
+        def by_reference(oracle):
+            def make(p, q, max_den):
+                return {(a, b) for b in range(1, max_den + 1)
+                        for a in range(b * p // q - 1, b * p // q + 3)
+                        if gcd(a, b) == 1 and oracle(F(a, b), F(p, q))}
+            return make
+
+        def checked(p, q, max_den):
+            found = witness_set(p, q, max_den)
+            assert found == reference.witness_set(p, q, max_den), (p, q, max_den)
+            return found
+
+        monkeypatch.setattr(_kernel, "best_set", by_reference(reference.best_approx))
+        monkeypatch.setattr(_kernel, "near_set", by_reference(reference.nearby))
+        monkeypatch.setattr(_kernel, "witness_set", checked)
+        report = verify_sweep(8, 8, window)
+        del unpatched["elapsed"], report["elapsed"]
+        assert report == unpatched
 
     @pytest.mark.parametrize("window, extra", [
         # lo - 1 and hi + 1, an integer in the window, and a pair past den_max_x
