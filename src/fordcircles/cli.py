@@ -3,6 +3,13 @@ sweeps, and SVG rendering.
 
 Exit status: 0 on success and on consistent checks or sweeps, 2 when an
 inconsistency is found, 1 on usage errors.
+
+Parsing: when the first argument names a command, that command's own parser
+(one of the subparsers of the top parser) parses the rest, and the namespace
+gets ``command`` as the top parser would have set it.  Every other argument
+list (none, ``-h``, an option first, an unknown command) goes to the top
+parser.  Both routes end in argparse, so help, usage errors and exit codes
+are argparse's own; the direct route only skips the top parser's pass.
 """
 
 from __future__ import annotations
@@ -21,6 +28,11 @@ from .render import RenderSpec, render_chain, render_ford_field, render_statemen
 from .verify import theorem_u_check, verify_sweep
 
 REAL_SPEC_GRAMMAR = "<p>/<q> | golden | sqrt:<n> | cf:<b0>;<b1>,<b2>,...[,(<periodic block>)]"
+
+#: json.dumps(report, indent=2) of a flat report is "{\n  " + this encoder's
+#: output without its braces + "\n}"; this one runs on the C encoder, which
+#: json.dumps skips whenever indent is set
+_FLAT_REPORT = json.JSONEncoder(separators=(",\n  ", ": "))
 
 
 class UsageError(Exception):
@@ -90,6 +102,9 @@ def parse_window(text: str) -> tuple[Fraction, Fraction]:
 
 
 class _Parser(argparse.ArgumentParser):
+    #: the top parser's command parsers by name, set by _build_parser
+    commands: dict[str, argparse.ArgumentParser]
+
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # let negative rationals (-7/2, -1/-3) and windows (-1..1) pass as values
@@ -102,8 +117,11 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="fordcircles", description=__doc__)
+    # the help text leaves out the docstring's paragraph on parsing
+    parser = _Parser(prog="fordcircles",
+                     description=__doc__ and __doc__.partition("\n\nParsing:")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p_cf = sub.add_parser("cf", help="print the continued fraction expansion")
     p_cf.add_argument("real", help=f"value ({REAL_SPEC_GRAMMAR})")
@@ -174,7 +192,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "check":
         report = theorem_u_check(parse_rational(args.x), parse_real_spec(args.real))
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print("{\n  " + _FLAT_REPORT.encode(report.to_json_dict())[1:-1] + "\n}")
         return 0 if report.consistent else 2
 
     if args.command == "verify":
@@ -196,11 +214,23 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the top parser gives for argv, parsed by the command's
+    own parser when argv[0] names a command (see the module docstring)."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args = command.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; a usage error or a library ValueError is reported
     here, and only here, as ``error: ...`` on stderr with exit code 1."""
     try:
-        return _run(_build_parser().parse_args(argv))
+        return _run(_parse(sys.argv[1:] if argv is None else argv))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

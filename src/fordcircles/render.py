@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
-from xml.sax.saxutils import escape
 
 from .rational import _reduced_runs
 from .real import CFStream, ExactReal, RationalLike, RealNumber, _as_fraction, _as_int, as_real
@@ -165,7 +164,9 @@ def _figure(spec: RenderSpec, field_stroke: str, highlights: Sequence[Fraction] 
         parts.append(_line(px, height - height / 30, px, height, MARKER_STROKE, 2))
     meta.update(window=[_frac_str(lo), _frac_str(hi)], maxDen=spec.max_den,
                 widthPx=spec.width_px)
-    text = escape(json.dumps(meta, sort_keys=True, separators=(",", ":")))
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":"))
+    # xml.sax.saxutils.escape, whose import would load urllib, http and email
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     w, h = fmt6(width), fmt6(height)
     return (f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {w} {h}" '
             f'width="{w}" height="{h}">\n<metadata>{text}</metadata>\n'

@@ -1,8 +1,8 @@
 """Mutation check of the integer kernels, the enumerator, the renderer, the
-exact reals and statement (ii)'s descent.
+exact reals, statement (ii)'s descent and the command-line parsing.
 
 Each mutant is one small edit of src/fordcircles/_kernel.py, rational.py,
-render.py, real.py or verify.py.  The runner applies it to a temporary copy of the repository
+render.py, real.py, verify.py or cli.py.  The runner applies it to a temporary copy of the repository
 (src/, tests/ and pyproject.toml) and runs that file's tests there (TESTS)
 with -x and criterion 8 deselected (it fails on the unmutated code, see
 ROADMAP.md), and prints "killed" or "survived" with the time taken.  A
@@ -40,6 +40,7 @@ RATIONAL = Path("src/fordcircles/rational.py")
 RENDER = Path("src/fordcircles/render.py")
 REAL = Path("src/fordcircles/real.py")
 VERIFY = Path("src/fordcircles/verify.py")
+CLI = Path("src/fordcircles/cli.py")
 #: the tests each mutated file is checked by
 TESTS = {
     KERNEL: ("tests/test_kernel.py", "tests/test_acceptance.py"),
@@ -47,6 +48,7 @@ TESTS = {
     RENDER: ("tests/test_render.py", "tests/test_verify.py"),
     REAL: ("tests/test_verify.py", "tests/test_exact_core.py"),
     VERIFY: ("tests/test_verify.py", "tests/test_exact_core.py"),
+    CLI: ("tests/test_cli.py",),
 }
 DESELECT = "tests/test_acceptance.py::test_criterion_8_penultimate_construction"
 
@@ -111,6 +113,9 @@ RENDER_MUTANTS = [
     ("shift-sign", "divmod(a * step - shift, den)", "divmod(a * step + shift, den)"),
     ("run-separator-no-newline", "(tail + '\\n<circle cx=\"')", "(tail + '<circle cx=\"')"),
     ("wide-path-strict", "if v >= 10**6 else", "if v > 10**6 else"),
+    ("escape-amp-last",
+     'replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")',
+     'replace("<", "&lt;").replace(">", "&gt;").replace("&", "&amp;")'),
 ]
 
 REAL_MUTANTS = [
@@ -158,10 +163,18 @@ VERIFY_MUTANTS = [
     ("count-sign", "(d * f, -mu) for d, mu in terms", "(d * f, mu) for d, mu in terms"),
 ]
 
+CLI_MUTANTS = [
+    # the check report's writer and the route of a command to its parser
+    ("report-separator", 'separators=(",\\n  ", ": ")', 'separators=(",\\n ", ": ")'),
+    ("command-not-set", "    args.command = argv[0]\n", ""),
+    ("route-all-to-top", "command = parser.commands.get(argv[0]) if argv else None",
+     "command = None"),
+]
+
 MUTANTS = [(name, path, old, new)
            for path, group in ((KERNEL, KERNEL_MUTANTS), (RATIONAL, RATIONAL_MUTANTS),
                                (RENDER, RENDER_MUTANTS), (REAL, REAL_MUTANTS),
-                               (VERIFY, VERIFY_MUTANTS))
+                               (VERIFY, VERIFY_MUTANTS), (CLI, CLI_MUTANTS))
            for name, old, new in group]
 
 # mutants that change no output, with the reason (see CHANGES.md)

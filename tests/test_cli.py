@@ -11,14 +11,16 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from itertools import islice
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fordcircles.cli import UsageError, main, parse_real_spec, parse_window
+from fordcircles import cli
+from fordcircles.cli import UsageError, main, parse_rational, parse_real_spec, parse_window
 from fordcircles.real import CFStream, ExactReal
+from fordcircles.verify import theorem_u_check
 
 
 def same_stream(a: CFStream, b: CFStream, terms: int = 12) -> bool:
@@ -266,6 +268,151 @@ class TestPinnedOutputs:
         assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
+def cf_text(b0, initial, period=None):
+    terms = [str(b) for b in initial]
+    if period is not None:
+        terms.append("(" + ",".join(map(str, period)) + ")")
+    return f"cf:{b0};" + ",".join(terms)
+
+
+CHECK_SPEC = st.one_of(
+    st.builds("{}/{}".format, st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+    st.integers(-50, 50).map(str),
+    st.just("golden"),
+    st.integers(2, 10**4).filter(lambda n: isqrt(n) ** 2 != n).map("sqrt:{}".format),
+    st.builds(cf_text, st.integers(-5, 5), st.lists(st.integers(1, 9), min_size=1, max_size=6)),
+    st.builds(cf_text, st.integers(-5, 5), st.lists(st.integers(1, 9), max_size=3),
+              st.lists(st.integers(1, 9), min_size=1, max_size=3)),
+)
+CHECK_X = st.builds("{}/{}".format, st.integers(-3 * 10**6, 3 * 10**6), st.integers(1, 10**6))
+
+
+class TestCheckReportWriter:
+    """`check` writes its flat report without json.dumps's indent; the bytes
+    must be exactly those of json.dumps(report, indent=2)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(CHECK_X, CHECK_SPEC)
+    @example("7/5", "golden")  # witness null, every statement false
+    @example("832040/514229", "golden")  # every statement true
+    @example("-3", "-7/2")  # a negative integer x
+    @example("1", "1")  # isInteger true
+    @example("3/2", "cf:1;(\u0662)")  # a label that ensure_ascii escapes
+    @example("-999999/1000000", "cf:-1;(1,999)")
+    def test_stdout_is_json_dumps_indent_2(self, x, spec):
+        report = theorem_u_check(parse_rational(x), parse_real_spec(spec))
+        want = json.dumps(report.to_json_dict(), indent=2) + "\n"
+        assert TestPinnedOutputs.captured(["check", x, spec]) == \
+            (0 if report.consistent else 2, want, "")
+
+
+def parse_outcome(parse, argv):
+    """What parse does with argv: its namespace, its usage error or its exit,
+    with everything it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = ("vars", vars(parse(list(argv))))
+        except UsageError as exc:
+            result = ("usage", str(exc))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+RENDER_OPTIONS = ["--window", "-1..1", "--max-den", "7", "--width", "90", "-o", "f.svg"]
+#: (argv, how both routes end: "vars", "usage" or "exit")
+ARGV_CORPUS = [
+    ([], "usage"),
+    (["-h"], "exit"),
+    (["--help"], "exit"),
+    (["--window", "0..1", "check", "1/2", "3/5"], "usage"),
+    (["-h", "check", "1/2", "3/5"], "exit"),
+    (["frobnicate"], "usage"),
+    (["frobnicate", "1/2"], "usage"),
+    (["Check", "1/2", "3/5"], "usage"),
+    (["cf", "3/5"], "vars"),
+    (["cf", "-7/2"], "vars"),
+    (["cf"], "usage"),
+    (["cf", "3/5", "7"], "usage"),
+    (["cf", "-h"], "exit"),
+    (["convergents", "golden", "-n", "5"], "vars"),
+    (["convergents", "-n", "-2", "sqrt:2"], "vars"),
+    (["convergents", "golden", "--count=3"], "vars"),
+    (["convergents", "golden"], "usage"),
+    (["convergents", "golden", "-n", "x"], "usage"),
+    (["convergents", "--help"], "exit"),
+    (["check", "1/2", "3/5"], "vars"),
+    (["check", "-7/2", "1/-3"], "vars"),
+    (["check", "-1/-2", "-2/-3"], "vars"),
+    (["check", "--", "-1", "golden"], "vars"),
+    (["check", "1/2"], "usage"),
+    (["check", "1/2", "3/5", "7/8"], "usage"),
+    (["check", "1/2", "3/5", "--window", "0..1"], "usage"),
+    (["check", "-x", "1/2", "3/5"], "usage"),
+    (["check", "-h"], "exit"),
+    (["check", "1/2", "-h"], "exit"),
+    (["verify", "--max-den-x", "5", "--max-den-alpha", "4", "--window", "-1..1"], "vars"),
+    (["verify", "--max-den-x", "5", "--max-den-alpha", "4", "--window=-1/2..1/-3"], "vars"),
+    (["verify", "--max-den-alpha", "4", "--max-den-x", "5", "--window", "1/3..5/2"], "vars"),
+    (["verify", "--max-den-x", "5"], "usage"),
+    (["verify", "--max-den-x", "five", "--max-den-alpha", "4", "--window", "0..1"], "usage"),
+    (["verify", "--max-den-x", "5", "--max-den-alpha", "4", "--window", "0..1", "--backend",
+      "pure"], "usage"),
+    (["verify", "--max-den", "5", "--max-den-alpha", "4", "--window", "0..1"], "usage"),
+    (["verify", "-h"], "exit"),
+    (["render", "field"], "vars"),
+    (["render", "field", *RENDER_OPTIONS], "vars"),
+    (["render", "field", "--output", "f.svg", "--width=64"], "vars"),
+    (["render", "chain", "golden", "--depth", "4"], "vars"),
+    (["render", "chain", "-7/2", "--depth", "2", *RENDER_OPTIONS], "vars"),
+    (["render", "witness", "1/2", "3/5"], "vars"),
+    (["render", "witness", "-1/-2", "-7/2", *RENDER_OPTIONS], "vars"),
+    (["render"], "usage"),
+    (["render", "circles"], "usage"),
+    (["render", "field", "1/2"], "usage"),
+    (["render", "field", "--bogus"], "usage"),
+    (["render", "field", "--max-den", "x"], "usage"),
+    (["render", "chain", "golden"], "usage"),
+    (["render", "chain", "--depth", "3"], "usage"),
+    (["render", "witness", "1/2"], "usage"),
+    (["render", "witness", "1/2", "3/5", "4/5"], "usage"),
+    (["render", "--window", "0..1", "field"], "usage"),
+    (["render", "-h"], "exit"),
+    (["render", "field", "-h"], "exit"),
+    (["render", "chain", "-h"], "exit"),
+    (["render", "witness", "--help"], "exit"),
+]
+
+
+class TestParseRoute:
+    """A command named first is parsed by its own parser; the result must be
+    the top parser's, to the byte of every help text and usage error."""
+
+    @pytest.mark.parametrize("argv,kind", ARGV_CORPUS,
+                             ids=[" ".join(argv) or "(empty)" for argv, _ in ARGV_CORPUS])
+    def test_same_outcome_as_the_top_parser(self, argv, kind):
+        routed = parse_outcome(cli._parse, argv)
+        assert routed == parse_outcome(cli._build_parser().parse_args, argv)
+        (result, detail), out, err = routed
+        assert result == kind and err == ""
+        if kind == "exit":
+            assert detail == 0 and out.startswith("usage: fordcircles")
+        elif kind == "vars":
+            assert detail["command"] == argv[0] and out == ""
+
+    def test_known_command_skips_the_top_parser(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top parser was used")
+        top = cli._build_parser()
+        monkeypatch.setattr(top, "parse_args", refuse)
+        monkeypatch.setattr(top, "parse_known_args", refuse)
+        assert vars(cli._parse(["check", "1/2", "3/5"])) == \
+            {"command": "check", "x": "1/2", "real": "3/5"}
+        with pytest.raises(AssertionError, match="top parser"):
+            cli._parse(["frobnicate"])
+
+
 class TestRender:
     def test_field_stdout(self, capsys):
         code, out, _ = run(capsys, "render", "field", "--max-den", "5")
@@ -447,3 +594,15 @@ class TestEntryPoint:
     def test_usage_error(self):
         done = self.run_module("check", "1/0", "3/5")
         assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: zero denominator\n")
+
+    def test_import_loads_no_xml_or_network_modules(self):
+        # -S: a site .pth file may import such modules itself (urllib.parse)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = ("import sys; import fordcircles.cli; "
+                "print(' '.join(sorted({m.partition('.')[0] for m in sys.modules})))")
+        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        loaded = set(done.stdout.split())
+        assert "fordcircles" in loaded
+        assert loaded.isdisjoint({"xml", "urllib", "http", "email", "ssl", "socket"})

@@ -7,11 +7,14 @@ import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction as F
 from math import gcd
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from fordcircles import (
+    CFStream,
+    PeriodicCoefficients,
     RenderSpec,
     compare_real,
     fmt6,
@@ -360,6 +363,25 @@ class TestStatementV:
         spec = RenderSpec()
         assert render_statement_v(F(1, 2), F(3, 5), spec) == \
             render_statement_v(F(1, 2), F(3, 5), spec)
+
+
+class TestMetadataEscaping:
+    """The metadata is escaped as xml.sax.saxutils.escape escapes it, which
+    the package no longer imports."""
+
+    LABEL = 'a<b>&"c'
+
+    @pytest.mark.parametrize("draw", [
+        lambda alpha: render_chain(alpha, 3, RenderSpec()),
+        lambda alpha: render_statement_v(F(2, 5), alpha, RenderSpec()),
+    ], ids=["chain", "witness"])
+    def test_as_saxutils_escape(self, draw):
+        alpha = CFStream(0, PeriodicCoefficients((2,)), label=self.LABEL)  # sqrt(2) - 1
+        svg = draw(alpha)
+        text = svg.split("<metadata>", 1)[1].split("</metadata>", 1)[0]
+        meta = metadata(svg)
+        assert meta["alpha"] == self.LABEL
+        assert text == escape(json.dumps(meta, sort_keys=True, separators=(",", ":")))
 
 
 class TestDeepTable:
