@@ -17,20 +17,6 @@ from .cf import (
     convergents,
     value,
 )
-from .geometry import (
-    FordCircle,
-    GapRelation,
-    QuadraticRadius,
-    are_tangent,
-    compare_radii,
-    ford_circle,
-    ford_radius,
-    gap_relation,
-    generic_tangent_radius,
-    lemma_q_check,
-    lemma_x_check,
-    tangent_horocircle_radius,
-)
 from .rational import reduced_fractions_in
 from .real import (
     EQ,
@@ -48,13 +34,6 @@ from .real import (
     sign_of_quadratic,
     sqrt_real,
 )
-from .render import (
-    RenderSpec,
-    fmt6,
-    render_chain,
-    render_ford_field,
-    render_statement_v,
-)
 from .verify import (
     TheoremUReport,
     cf_chain,
@@ -67,6 +46,40 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
+
+#: Public names of the modules that load on first use, each with its module.
+#: No check, cf or verify run needs geometry or render, so importing the
+#: package leaves both unloaded; the modules themselves resolve here as well.
+_LAZY = {
+    name: module
+    for module, names in (
+        ("geometry", ("geometry", "FordCircle", "GapRelation", "QuadraticRadius",
+                      "are_tangent", "compare_radii", "ford_circle", "ford_radius",
+                      "gap_relation", "generic_tangent_radius", "lemma_q_check",
+                      "lemma_x_check", "tangent_horocircle_radius")),
+        ("render", ("render", "RenderSpec", "fmt6", "render_chain", "render_ford_field",
+                    "render_statement_v")),
+    )
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __all__ = [
     "ContinuedFraction", "Convergent", "cf_of_rational",

@@ -33,8 +33,8 @@ never a first hit, so the searches need no gcd.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from math import gcd, isqrt
-from typing import Iterator
 
 
 def backend_name() -> str:

@@ -3,10 +3,10 @@ and exact value, and the convergents of any finite expansion or real."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Sequence
 
 from .real import (
     EQ,
@@ -22,13 +22,11 @@ from .real import (
 )
 
 
-@dataclass(frozen=True)
-class Convergent:
-    """One convergent A_n/B_n of an expansion; num and den are coprime."""
+class Convergent(namedtuple("Convergent", "index num den")):
+    """One convergent A_n/B_n of an expansion: integers index = n, num = A_n
+    and den = B_n, with num and den coprime."""
 
-    index: int
-    num: int
-    den: int
+    __slots__ = ()
 
     @property
     def value(self) -> Fraction:

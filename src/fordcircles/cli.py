@@ -24,7 +24,6 @@ from itertools import islice
 
 from .cf import ContinuedFraction, cf_of_rational, convergents, value
 from .real import CFStream, ExactReal, PeriodicCoefficients, RealNumber, golden_ratio, sqrt_real
-from .render import RenderSpec, render_chain, render_ford_field, render_statement_v
 from .verify import theorem_u_check, verify_sweep
 
 REAL_SPEC_GRAMMAR = "<p>/<q> | golden | sqrt:<n> | cf:<b0>;<b1>,<b2>,...[,(<periodic block>)]"
@@ -202,6 +201,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0 if not report["inconsistencies"] else 2
 
     assert args.command == "render"
+    from .render import RenderSpec, render_chain, render_ford_field, render_statement_v
+
     spec = RenderSpec(window=parse_window(args.window), max_den=args.max_den,
                       width_px=args.width)
     if args.figure == "field":

@@ -10,9 +10,9 @@ generator yields the run of reduced numerators at each denominator, which
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
 
 from .real import _as_fraction, _as_int
 

@@ -27,9 +27,9 @@ or leaves this module.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Union
 
 LT, EQ, GT = -1, 0, 1
 
@@ -43,7 +43,7 @@ LT, EQ, GT = -1, 0, 1
 #: handful of convergents, and queries on a surd never refine brackets at all.
 DEFAULT_MAX_PULLS = 10_000
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 #: (P, S, D, Q) stands for (P + S*sqrt(D))/Q.
 Surd = tuple[int, int, int, int]

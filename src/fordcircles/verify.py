@@ -26,12 +26,11 @@ stream are those at its Farey proxy, a convergent of denominator > 2*b.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import _kernel
 from .cf import Convergent, cf_of_rational, convergents
-from .geometry import FordCircle
 from .rational import reduced_fractions_in
 from .real import (
     EQ,
@@ -47,18 +46,13 @@ from .real import (
 )
 
 
-@dataclass(frozen=True)
-class TheoremUReport:
-    x: Fraction
-    alpha: str
-    is_integer: bool
-    stmt_i: bool
-    stmt_ii: bool
-    stmt_iii: bool
-    stmt_iv: bool
-    stmt_v: bool
-    witness: Fraction | None
-    consistent: bool
+class TheoremUReport(namedtuple("TheoremUReport", "x alpha is_integer stmt_i stmt_ii stmt_iii "
+                                                 "stmt_iv stmt_v witness consistent")):
+    """theorem_u_check's report: the Fraction x, alpha's label, whether x is
+    an integer, the verdicts (i)-(v), the statement-(v) witness Fraction or
+    None, and whether the verdicts agree."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """Report with the frozen field names of the machine interface."""
@@ -83,6 +77,8 @@ def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[FordCircle]:
     Consecutive circles are tangent because consecutive convergents are
     unimodular; radii never increase and decrease strictly from index 1 on.
     """
+    from .geometry import FordCircle  # only here: a check never loads geometry
+
     return [FordCircle(c.value) for c in convergents(as_real(alpha), count)]
 
 

@@ -161,6 +161,12 @@ VERIFY_MUTANTS = [
     ("count-integers", "    for b in range(2, max_den + 1):\n        low",
      "    for b in range(1, max_den + 1):\n        low"),
     ("count-sign", "(d * f, -mu) for d, mu in terms", "(d * f, mu) for d, mu in terms"),
+    # _farey_proxy and the order each oracle asks of it
+    ("proxy-cap-inclusive", "        if pair[1] > n:\n", "        if pair[1] >= n:\n"),
+    ("best-proxy-order-b", "best_flag(a, b, *_farey_proxy(as_real(alpha), 2 * b))",
+     "best_flag(a, b, *_farey_proxy(as_real(alpha), b))"),
+    ("near-proxy-order-b", "near_flag(a, b, *_farey_proxy(as_real(alpha), 2 * b))",
+     "near_flag(a, b, *_farey_proxy(as_real(alpha), b))"),
 ]
 
 CLI_MUTANTS = [

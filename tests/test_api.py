@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,56 @@ def test_every_exported_name_resolves_once():
     namespace: dict = {}
     exec("from fordcircles import *", namespace)
     assert set(names) <= set(namespace)
+
+
+#: Each runs in a fresh interpreter, where geometry and render are not yet
+#: loaded (in this process other tests have loaded them already).
+LAZY_SURFACE = {
+    "every-name": """
+names = fordcircles.__all__
+assert set(names) <= set(dir(fordcircles)), set(names) - set(dir(fordcircles))
+assert [name for name in names if not hasattr(fordcircles, name)] == []
+assert fordcircles.FordCircle is fordcircles.geometry.FordCircle
+assert fordcircles.fmt6 is fordcircles.render.fmt6
+""",
+    "from-import": """
+from fordcircles import FordCircle, RenderSpec
+from fordcircles.geometry import FordCircle as geometry_circle
+from fordcircles.render import RenderSpec as render_spec
+assert (FordCircle, RenderSpec) == (geometry_circle, render_spec)
+""",
+    "module-attribute": """
+module = fordcircles.geometry
+assert module is sys.modules["fordcircles.geometry"]
+assert fordcircles.render is sys.modules["fordcircles.render"]
+assert fordcircles.ford_circle is module.ford_circle
+""",
+    "missing-name": """
+try:
+    fordcircles.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'fordcircles' has no attribute 'no_such_name'", str(exc)
+else:
+    raise AssertionError("no AttributeError")
+""",
+    "star-import": """
+namespace = {}
+exec("from fordcircles import *", namespace)
+assert set(fordcircles.__all__) <= set(namespace), set(fordcircles.__all__) - set(namespace)
+assert namespace["RenderSpec"] is fordcircles.render.RenderSpec
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAZY_SURFACE))
+def test_lazy_names_in_a_fresh_process(case):
+    prelude = ("import sys\nimport fordcircles\n"
+               "assert {'fordcircles.geometry', 'fordcircles.render'}.isdisjoint(sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-S", "-c", prelude + LAZY_SURFACE[case]],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_removed_names_are_gone():

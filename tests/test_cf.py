@@ -143,6 +143,29 @@ class TestConvergents:
         ]
 
 
+class TestConvergentValue:
+    """A Convergent is an immutable value: compared, hashed and printed by
+    its fields."""
+
+    def test_repr_and_keyword_construction(self):
+        conv = convergents(golden_ratio(), 1)[0]
+        assert repr(conv) == "Convergent(index=0, num=1, den=1)"
+        assert conv == Convergent(index=0, num=1, den=1)
+        assert (conv.index, conv.num, conv.den, str(conv), conv.value) == (0, 1, 1, "1/1", 1)
+
+    def test_equality_and_hash(self):
+        a, b = convergents(cf_of_rational(F(3, 5)), 4)[2], Convergent(2, 1, 2)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != Convergent(3, 1, 2) and a != Convergent(2, 2, 4)
+
+    def test_fields_are_read_only(self):
+        conv = Convergent(1, 2, 3)
+        for field in ("index", "num", "den"):
+            with pytest.raises(AttributeError):
+                setattr(conv, field, 5)
+        assert conv == Convergent(1, 2, 3)
+
+
 class TestValue:
     @pytest.mark.parametrize("terms,expected", [
         ([0, 1, 1, 2], F(3, 5)),

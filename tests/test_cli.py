@@ -595,14 +595,31 @@ class TestEntryPoint:
         done = self.run_module("check", "1/0", "3/5")
         assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: zero denominator\n")
 
-    def test_import_loads_no_xml_or_network_modules(self):
-        # -S: a site .pth file may import such modules itself (urllib.parse)
+    def run_isolated(self, code):
+        # -S: a site .pth file may import modules itself (urllib.parse)
         src = str(Path(__file__).resolve().parents[1] / "src")
-        code = ("import sys; import fordcircles.cli; "
-                "print(' '.join(sorted({m.partition('.')[0] for m in sys.modules})))")
-        done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+        return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+    def test_import_loads_no_xml_or_network_modules(self):
+        done = self.run_isolated(
+            "import sys; import fordcircles.cli; "
+            "print(' '.join(sorted({m.partition('.')[0] for m in sys.modules})))")
         assert (done.returncode, done.stderr) == (0, "")
         loaded = set(done.stdout.split())
         assert "fordcircles" in loaded
         assert loaded.isdisjoint({"xml", "urllib", "http", "email", "ssl", "socket"})
+
+    def test_import_loads_only_what_check_runs(self):
+        # geometry and render load on first use, and cf and verify's value
+        # types need neither dataclasses (with inspect) nor typing
+        done = self.run_isolated(
+            "import sys; from fordcircles.cli import main; "
+            "print(' '.join(sorted(sys.modules))); "
+            "sys.exit(main(['render', 'field', '--max-den', '5']))")
+        assert (done.returncode, done.stderr) == (0, "")
+        modules, _, svg = done.stdout.partition("\n")
+        assert "fordcircles.cli" in modules.split()
+        assert set(modules.split()).isdisjoint({"dataclasses", "inspect", "typing",
+                                                "fordcircles.geometry", "fordcircles.render"})
+        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")

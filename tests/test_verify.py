@@ -17,6 +17,7 @@ import reference
 from fordcircles import (
     CFStream,
     QuadraticRadius,
+    TheoremUReport,
     are_tangent,
     cf_chain,
     cf_of_rational,
@@ -684,6 +685,24 @@ class TestTheoremUCheck:
         report = theorem_u_check(F(1, 2), golden_ratio())
         text = json.dumps(report.to_json_dict())
         assert '"alpha": "golden"' in text
+
+    def test_value_semantics(self):
+        report = theorem_u_check(F(1, 2), F(3, 5))
+        assert repr(report) == (
+            "TheoremUReport(x=Fraction(1, 2), alpha='3/5', is_integer=False, stmt_i=True, "
+            "stmt_ii=True, stmt_iii=True, stmt_iv=True, stmt_v=True, "
+            "witness=Fraction(2, 3), consistent=True)")
+        fields = dict(x=F(1, 2), alpha="3/5", is_integer=False, stmt_i=True, stmt_ii=True,
+                      stmt_iii=True, stmt_iv=True, stmt_v=True, witness=F(2, 3),
+                      consistent=True)
+        twin = TheoremUReport(**fields)
+        assert report == twin and hash(report) == hash(twin) and len({report, twin}) == 1
+        assert report != TheoremUReport(**{**fields, "witness": None})
+        assert twin.to_json_dict() == report.to_json_dict()
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(report, field, None)
+        assert report == twin
 
 
 def count_unit_grid(n):
