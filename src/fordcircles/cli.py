@@ -4,23 +4,37 @@ sweeps, and SVG rendering.
 Exit status: 0 on success and on consistent checks or sweeps, 2 when an
 inconsistency is found, 1 on usage errors.
 
-Parsing: when the first argument names a command, that command's own parser
-(one of the subparsers of the top parser) parses the rest, and the namespace
-gets ``command`` as the top parser would have set it.  Every other argument
-list (none, ``-h``, an option first, an unknown command) goes to the top
-parser.  Both routes end in argparse, so help, usage errors and exit codes
-are argparse's own; the direct route only skips the top parser's pass.
+Parsing: three routes, each giving the namespace the top parser would give.
+
+1. ``check`` and ``cf`` take positionals only (``_POSITIONALS``).  When argv
+   is one of them followed by exactly that many values, the namespace is
+   built from argv and argparse is never imported.  A value is a token that
+   does not start with ``-`` or that matches ``_NEGATIVE_NUMBER``, the
+   pattern the parsers use as well.  The lemma: argparse 3.11's
+   ``_parse_optional`` returns None (a positional) for such a token when the
+   parser has no negative-number-like option strings (the ``check`` and
+   ``cf`` parsers have only ``-h`` and ``--help``), and positionals with no
+   ``type`` or ``choices`` are stored unchanged and in order.
+2. Any other argv whose first argument names a command (options, ``--``,
+   ``-h``, the wrong number of values, the other commands) is parsed by that
+   command's own parser, one of the subparsers of the top parser, and the
+   namespace gets ``command`` as the top parser would have set it.
+3. Every other argv (none, ``-h``, an option first, an unknown command) goes
+   to the top parser.
+
+Route 1 takes only argv that argparse would accept, and the others are
+argparse, so help, usage errors and exit codes are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 from fractions import Fraction
 from itertools import islice
+from types import SimpleNamespace
 
 from .cf import ContinuedFraction, cf_of_rational, convergents, value
 from .real import CFStream, ExactReal, PeriodicCoefficients, RealNumber, golden_ratio, sqrt_real
@@ -32,6 +46,17 @@ REAL_SPEC_GRAMMAR = "<p>/<q> | golden | sqrt:<n> | cf:<b0>;<b1>,<b2>,...[,(<peri
 #: output without its braces + "\n}"; this one runs on the C encoder, which
 #: json.dumps skips whenever indent is set
 _FLAT_REPORT = json.JSONEncoder(separators=(",\n  ", ": "))
+
+#: the tokens starting with "-" that every parser takes as values: negative
+#: rationals (-7/2, -1/-3) and windows (-1..1)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/-?\d+)?(\.\.-?\d+(/-?\d+)?)?$")
+
+#: the commands whose parsers take only positionals: each one's (name, help)
+#: in order
+_POSITIONALS = {
+    "cf": (("real", f"value ({REAL_SPEC_GRAMMAR})"),),
+    "check": (("x", "reduced fraction a/b"), ("real", f"alpha ({REAL_SPEC_GRAMMAR})")),
+}
 
 
 class UsageError(Exception):
@@ -100,22 +125,21 @@ def parse_window(text: str) -> tuple[Fraction, Fraction]:
     return window
 
 
-class _Parser(argparse.ArgumentParser):
-    #: the top parser's command parsers by name, set by _build_parser
-    commands: dict[str, argparse.ArgumentParser]
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # let negative rationals (-7/2, -1/-3) and windows (-1..1) pass as values
-        self._negative_number_matcher = re.compile(
-            r"^-\d+(/-?\d+)?(\.\.-?\d+(/-?\d+)?)?$")
-
-    def error(self, message: str):  # argparse defaults to exit code 2
-        raise UsageError(message)
-
-
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser():
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        #: the top parser's command parsers by name
+        commands: dict[str, argparse.ArgumentParser]
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = _NEGATIVE_NUMBER
+
+        def error(self, message: str):  # argparse defaults to exit code 2
+            raise UsageError(message)
+
     # the help text leaves out the docstring's paragraph on parsing
     parser = _Parser(prog="fordcircles",
                      description=__doc__ and __doc__.partition("\n\nParsing:")[0])
@@ -123,15 +147,16 @@ def _build_parser() -> _Parser:
     parser.commands = sub.choices
 
     p_cf = sub.add_parser("cf", help="print the continued fraction expansion")
-    p_cf.add_argument("real", help=f"value ({REAL_SPEC_GRAMMAR})")
+    for name, text in _POSITIONALS["cf"]:
+        p_cf.add_argument(name, help=text)
 
     p_conv = sub.add_parser("convergents", help="print the first K convergents")
     p_conv.add_argument("real", help=f"value ({REAL_SPEC_GRAMMAR})")
     p_conv.add_argument("-n", "--count", type=int, required=True, metavar="K")
 
     p_check = sub.add_parser("check", help="five-way equivalence report for one pair")
-    p_check.add_argument("x", help="reduced fraction a/b")
-    p_check.add_argument("real", help=f"alpha ({REAL_SPEC_GRAMMAR})")
+    for name, text in _POSITIONALS["check"]:
+        p_check.add_argument(name, help=text)
 
     p_verify = sub.add_parser("verify", help="equivalence sweep over a rational grid")
     p_verify.add_argument("--max-den-x", type=int, required=True, metavar="X")
@@ -174,7 +199,7 @@ def _emit(text: str, output: str | None) -> None:
         raise UsageError(f"cannot write {output!r}: {exc.strerror}") from None
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(args) -> int:
     if args.command == "cf":
         alpha = parse_real_spec(args.real)
         if isinstance(alpha, ExactReal):
@@ -215,9 +240,15 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace the top parser gives for argv, parsed by the command's
-    own parser when argv[0] names a command (see the module docstring)."""
+def _parse(argv: list[str]):
+    """The namespace the top parser gives for argv: built from argv when it
+    is ``check`` or ``cf`` with values only, else parsed by the command's own
+    parser when argv[0] names a command (see the module docstring)."""
+    positionals = _POSITIONALS.get(argv[0]) if argv else None
+    if positionals is not None and len(argv) == len(positionals) + 1 and all(
+            not token.startswith("-") or _NEGATIVE_NUMBER.match(token) for token in argv[1:]):
+        return SimpleNamespace(command=argv[0], **{
+            name: token for (name, _), token in zip(positionals, argv[1:])})
     parser = _build_parser()
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:

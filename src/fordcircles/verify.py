@@ -25,6 +25,7 @@ stream are those at its Farey proxy, a convergent of denominator > 2*b.
 
 from __future__ import annotations
 
+import sys
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -71,7 +72,12 @@ class TheoremUReport(namedtuple("TheoremUReport", "x alpha is_integer stmt_i stm
         }
 
 
-def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[FordCircle]:
+#: this package: cf_chain's return annotation names FordCircle through its lazy
+#: names, so resolving the annotation loads geometry and importing verify does not
+_package = sys.modules[__package__]
+
+
+def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[_package.FordCircle]:
     """The first count circles of the continued fraction chain of alpha.
 
     Consecutive circles are tangent because consecutive convergents are

@@ -175,6 +175,12 @@ CLI_MUTANTS = [
     ("command-not-set", "    args.command = argv[0]\n", ""),
     ("route-all-to-top", "command = parser.commands.get(argv[0]) if argv else None",
      "command = None"),
+    # the route that builds the namespace of a values-only check or cf itself
+    ("route-any-dash", 'not token.startswith("-") or _NEGATIVE_NUMBER.match(token) for',
+     "True for"),
+    ("route-dash-only", 'not token.startswith("-") or _NEGATIVE_NUMBER.match(token) for',
+     'not token.startswith("-") for'),
+    ("route-arity", "len(argv) == len(positionals) + 1", "len(argv) >= len(positionals) + 1"),
 ]
 
 MUTANTS = [(name, path, old, new)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import typing
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -53,6 +54,19 @@ def test_every_exported_name_resolves_once():
     namespace: dict = {}
     exec("from fordcircles import *", namespace)
     assert set(names) <= set(namespace)
+
+
+def test_every_exported_callable_has_resolvable_hints():
+    # an annotation may name only what its module binds, or reaches lazily
+    unresolved = []
+    for name in fordcircles.__all__:
+        obj = getattr(fordcircles, name)
+        if callable(obj):
+            try:
+                typing.get_type_hints(obj)
+            except NameError as exc:
+                unresolved.append(f"{name}: {exc}")
+    assert unresolved == []
 
 
 #: Each runs in a fresh interpreter, where geometry and render are not yet

@@ -346,6 +346,14 @@ ARGV_CORPUS = [
     (["check", "-7/2", "1/-3"], "vars"),
     (["check", "-1/-2", "-2/-3"], "vars"),
     (["check", "--", "-1", "golden"], "vars"),
+    # the edge of the route that skips argparse: values only, two of them
+    (["check", "-1..1", "golden"], "vars"),
+    (["check", "-1 2", "golden"], "vars"),  # a value to argparse for its space
+    (["check", "-1e3", "golden"], "usage"),
+    (["check", "", "golden"], "vars"),
+    (["check", "1/2", "--"], "usage"),
+    (["cf", "--", "-7/2"], "vars"),
+    (["cf", "-"], "vars"),
     (["check", "1/2"], "usage"),
     (["check", "1/2", "3/5", "7/8"], "usage"),
     (["check", "1/2", "3/5", "--window", "0..1"], "usage"),
@@ -407,10 +415,23 @@ class TestParseRoute:
         top = cli._build_parser()
         monkeypatch.setattr(top, "parse_args", refuse)
         monkeypatch.setattr(top, "parse_known_args", refuse)
-        assert vars(cli._parse(["check", "1/2", "3/5"])) == \
-            {"command": "check", "x": "1/2", "real": "3/5"}
+        assert vars(cli._parse(["check", "--", "-1", "golden"])) == \
+            {"command": "check", "x": "-1", "real": "golden"}
+        assert vars(cli._parse(["convergents", "golden", "-n", "3"])) == \
+            {"command": "convergents", "real": "golden", "count": 3}
         with pytest.raises(AssertionError, match="top parser"):
             cli._parse(["frobnicate"])
+
+    def test_values_only_skip_every_parser(self, monkeypatch):
+        def refuse():
+            raise AssertionError("a parser was built")
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert vars(cli._parse(["check", "-7/2", "1/-3"])) == \
+            {"command": "check", "x": "-7/2", "real": "1/-3"}
+        assert vars(cli._parse(["cf", "golden"])) == {"command": "cf", "real": "golden"}
+        for argv in (["check", "-h"], ["check", "1/2"], ["convergents", "golden", "-n", "3"]):
+            with pytest.raises(AssertionError, match="parser was built"):
+                cli._parse(argv)
 
 
 class TestRender:
@@ -611,15 +632,26 @@ class TestEntryPoint:
         assert loaded.isdisjoint({"xml", "urllib", "http", "email", "ssl", "socket"})
 
     def test_import_loads_only_what_check_runs(self):
-        # geometry and render load on first use, and cf and verify's value
-        # types need neither dataclasses (with inspect) nor typing
+        # geometry and render load on first use, cf and verify's value types
+        # need neither dataclasses (with inspect) nor typing, and a check or
+        # cf of values only never builds a parser; help still comes from it
         done = self.run_isolated(
             "import sys; from fordcircles.cli import main; "
-            "print(' '.join(sorted(sys.modules))); "
-            "sys.exit(main(['render', 'field', '--max-den', '5']))")
+            "print('imported:', *sorted(sys.modules)); "
+            "codes = main(['check', '-7/2', '1/-3']), main(['cf', 'golden']); "
+            "print('values only:', *codes, *sorted(sys.modules)); "
+            "main(['render', 'field', '--max-den', '5']); "
+            "main(['check', '1/2', '-h'])")
         assert (done.returncode, done.stderr) == (0, "")
-        modules, _, svg = done.stdout.partition("\n")
-        assert "fordcircles.cli" in modules.split()
-        assert set(modules.split()).isdisjoint({"dataclasses", "inspect", "typing",
-                                                "fordcircles.geometry", "fordcircles.render"})
-        assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+        lines = done.stdout.splitlines()
+        imported = lines[0].split()
+        assert imported[0] == "imported:" and "fordcircles.cli" in imported
+        assert set(imported).isdisjoint({"dataclasses", "inspect", "typing", "argparse",
+                                         "fordcircles.geometry", "fordcircles.render"})
+        at = next(i for i, line in enumerate(lines) if line.startswith("values only:"))
+        _, _, code_check, code_cf, *modules = lines[at].split()
+        assert (code_check, code_cf) == ("0", "0")
+        assert set(modules).isdisjoint({"argparse", "gettext", "shutil"})
+        svg, _, usage = "\n".join(lines[at + 1:]).partition("</svg>")
+        assert svg.startswith("<svg")
+        assert usage.strip().startswith("usage: fordcircles check")
