@@ -9,10 +9,9 @@ from a threshold, each its own way, in O(log q) steps per search: (iii) a
 first-hit residue search per record, (iv) one Stern-Brocot descent on the
 squared forms for all its records, resumed at each.  A flag holds iff the
 first record from x's own form is x; a set is every record from the
-widest threshold.  (v)'s set splits its candidates by a hyperbola,
-b <= sqrt(q) or |b*p - a*q| < sqrt(q), in O(sqrt(q)) steps and with no
-(iii) or (iv) code.  The tests hold the kernels against
-tests/reference.py.
+widest threshold.  (v)'s set is one descent of alpha's Stern-Brocot path,
+two candidates per run of mediants, with no (iii) or (iv) code.  The tests
+hold the kernels against tests/reference.py.
 
 Candidate pruning, one lemma for every real alpha (streams reach it via
 verify._farey_proxy): at a fixed d the form |d*alpha - c| and the radius
@@ -34,7 +33,7 @@ never a first hit, so the searches need no gcd.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from math import gcd, isqrt
+from math import isqrt
 
 
 def backend_name() -> str:
@@ -206,35 +205,32 @@ def near_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
 
 def witness_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     """Statement (v) at once: every reduced (a, b) with b <= max_den for
-    which witness_flag(a, b, p, q) holds, in O(sqrt(q)) steps.
+    which witness_flag(a, b, p, q) holds, from one descent of alpha's
+    Stern-Brocot path in O(log q) runs.
 
-    A witness y at x = a/b has den(y) = d > b and |alpha - x| < 1/(b*d),
-    i.e. |lhs| * d < q with lhs = b*p - a*q.  So |lhs| * b < q is
-    necessary, and as |lhs| < q only a = floor(b*p/q) (lhs = r = b*p mod q)
-    and a + 1 (lhs = r - q) can qualify.
-
-    Hyperbola split, with s = isqrt(q): x = p/q is the one witness with
-    lhs = 0 (b = q, as p/q is reduced), and any other has |lhs| >= 1 and
-    |lhs| * d < q with d >= b + 1.  So b <= s, or d >= s + 2 and
-    |lhs| < q/(s + 2) <= s, as q <= (s + 1)^2 - 1 = s*(s + 2).  So scan the
-    b <= min(X, s), and for each r in 1..s-1 and each sign take the one b
-    in (0, q) with b*p = +-r mod q, that is +-r * p^-1 mod q, when
-    s < b <= X; its a is (b*p -+ r) / q.  A candidate that passes the
-    necessary bound and gcd is decided by witness_flag.  No (iii) or (iv)
-    code is reached.
+    The lemma: the witness y of x != alpha is x's Stern-Brocot child on
+    alpha's side, the tangent neighbour there whose denominator, b plus
+    that of x's parent on that side, is the one in (b, 2b] (Graham, Knuth
+    and Patashnik, Concrete Mathematics, 4.5).  So alpha lies in x's
+    Stern-Brocot interval and x is a node of alpha's path: the integers
+    floor(p/q) and floor(p/q) + 1, then mediants of its two ends, one on
+    each side of p/q.  With X the end of the larger form |b*p - a*q| and Y
+    the other, the run M_j = X + j*Y first reaches Y's side, or p/q, at
+    J = ceil(|e_X|/|e_Y|).  The child of M_j towards alpha is M_(j+1),
+    which for j <= J - 2 is still on X's side, so M_j is no witness: only
+    M_(J-1) and M_J are candidates, and they become the ends.  p/q itself
+    (form 0) ends the descent, as does an M_(J-1) past max_den.
+    witness_flag decides each candidate; path nodes are reduced.
     """
-    s = isqrt(q)
-    candidates = [(p, q)] if q <= max_den else []  # |b*p - a*q| * b < q
-    for b in range(1, min(max_den, s) + 1):
-        c0, r = divmod(b * p, q)
-        if r * b < q:
-            candidates.append((c0, b))
-        if (q - r) * b < q:
-            candidates.append((c0 + 1, b))
-    if max_den > s:
-        inverse = pow(p, -1, q)
-        for r in range(1, s):
-            for b, lhs in ((r * inverse % q, r), (-r * inverse % q, -r)):
-                if s < b <= max_den and r * b < q:
-                    candidates.append(((b * p - lhs) // q, b))
-    return {(a, b) for a, b in candidates if gcd(a, b) == 1 and witness_flag(a, b, p, q)}
+    c, r = divmod(p, q)
+    ends = (c, 1, r), (c + 1, 1, q - r)  # (a, b, |b*p - a*q|), one each side
+    candidates = [*ends]
+    while ends[0][2] and ends[1][2]:
+        (ax, bx, fx), (ay, by, fy) = ends if ends[0][2] > ends[1][2] else ends[::-1]
+        j = -(-fx // fy)  # J
+        ends = ((ax + (j - 1) * ay, bx + (j - 1) * by, fx - (j - 1) * fy),
+                (ax + j * ay, bx + j * by, j * fy - fx))
+        if ends[0][1] > max_den:
+            break
+        candidates += ends
+    return {(a, b) for a, b, _ in candidates if b <= max_den and witness_flag(a, b, p, q)}

@@ -298,7 +298,7 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     Statements (iii), (iv) and (v) for a whole alpha come from the kernel's
     candidate sets, each statement's records from its own generator: one
     O(log q) residue search per record for (iii), one O(log q) descent for
-    all of (iv)'s, and an O(sqrt(q)) hyperbola split for (v).  A pair
+    all of (iv)'s, and one for (v)'s with two candidates per run.  A pair
     outside all five statement sets is false on all five, hence consistent,
     so it is counted without being visited.  The sets can differ at b = 1
     only on the integers n = floor(alpha) and n + 1, which are never
@@ -307,7 +307,7 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     inside, all reduced, are visited in (b, a) order, the order of the x
     enumeration.  The xs are counted by inclusion-exclusion (_count_xs),
     never listed.  With X = den_max_x and Y = den_max_alpha the cost is
-    O(|alphas| * sqrt(Y) + X log log X + sum over b <= X of 2^omega(b))
+    O(|alphas| * log^2 Y + X log log X + sum over b <= X of 2^omega(b))
     time, plus the O(log Y) sets, and O(X) memory for the count's sieve.
     The tests hold the sets against the references in tests/reference.py.
     """

@@ -90,12 +90,12 @@ KERNEL_MUTANTS = [
     ("hit-side-test-flipped", "        if e > 0:\n", "        if e < 0:\n"),
     ("hit-side-test-at-zero", "        if e > 0:\n", "        if e >= 0:\n"),
     ("end-order-at-a-tie", "        if far[2] < near[2]:\n", "        if far[2] <= near[2]:\n"),
-    # witness_set's hyperbola split
-    ("witness-low-b-short", "range(1, min(max_den, s) + 1)",
-     "range(1, min(max_den, s - 1) + 1)"),
-    ("witness-r-range-short", "for r in range(1, s):", "for r in range(1, s - 1):"),
-    ("witness-r-range-to-s", "for r in range(1, s):", "for r in range(1, s + 1):"),
-    ("witness-halves-overlap", "if s < b <= max_den and", "if s <= b <= max_den and"),
+    # witness_set's descent
+    ("witness-run-floor", "        j = -(-fx // fy)  # J\n", "        j = fx // fy  # J\n"),
+    ("witness-drop-before-turn", "        candidates += ends\n",
+     "        candidates.append(ends[1])\n"),
+    ("witness-drop-turn", "        candidates += ends\n", "        candidates.append(ends[0])\n"),
+    ("witness-cap-on-turn", "        if ends[0][1] > max_den:\n", "        if ends[1][1] > max_den:\n"),
 ]
 
 RATIONAL_MUTANTS = [
@@ -194,9 +194,6 @@ EQUIVALENT = {
     "hit-side-test-at-zero": "e = 0 is p/q, a hit, after which rx = -1 ends the loop",
     "end-order-at-a-tie": "with equal ends the next node is their sum either way",
     "wide-path-strict": "at v = 10**6 both paths write 1.000000",
-    "witness-r-range-to-s": "|lhs| = s at b > s needs d >= s + 2, and s*(s + 2) >= q: "
-                            "no witness",
-    "witness-halves-overlap": "b = s is then a candidate of both halves, and the set keeps it once",
     "sweep-integers-kept": "the sets then differ at b = 1 more often, and the visit that follows "
                            "never reports a b = 1 pair",
 }

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -16,7 +16,8 @@ from fordcircles import (
     statement_v_witness,
     theorem_u_check,
 )
-from fordcircles import _kernel
+from fordcircles import _kernel, verify
+from fordcircles.cf import cf_of_rational, convergents
 
 
 def _pairs(max_den_x: int, max_den_alpha: int):
@@ -277,35 +278,65 @@ class TestWitnessScanBound:
                 assert _kernel.witness_set(p, q, cap) == want, (alpha, cap)
 
 
-class TestWitnessHyperbola:
-    """witness_set splits its candidates at s = isqrt(q): b <= s, or
-    |b*p - a*q| < s.  Held against the scan of every b <= min(X, q) in
-    tests/reference.py at the caps around s and q, where a bound off by one
-    in either half shows, and at perfect squares q = s*s."""
+def _turns(p, q):
+    """The denominators of the nodes either side of each turn of p/q's
+    Stern-Brocot path, walked one mediant at a time from floor(p/q) and
+    floor(p/q) + 1: a run's last node on one side of p/q and the next node,
+    on the other side or p/q itself.  Those are witness_set's candidates
+    M_(J-1) and M_J."""
+    if q == 1:
+        return {1}  # alpha is a start end
+    (a, b), (c, d) = (p // q, 1), (p // q + 1, 1)
+    turns, last = {1}, None
+    while True:
+        m, n = a + c, b + d
+        side = (m * q > n * p) - (m * q < n * p)
+        if last is not None and side != last[1]:
+            turns |= {last[0], n}
+        if side == 0:
+            return turns
+        last = (n, side)
+        (a, b), (c, d) = ((a, b), (m, n)) if side > 0 else ((m, n), (c, d))
+
+
+class TestWitnessDescent:
+    """witness_set descends alpha's Stern-Brocot path and tries two nodes
+    per run, M_(J-1) and M_J.  Held against the scan of every b <= min(X, q)
+    in tests/reference.py at caps on each run's M_(J-1) and M_J and one
+    either side of each, where a run length or a cap test off by one shows,
+    and on long runs: 1/q, (q - 1)/q and large partial quotients."""
 
     @staticmethod
-    def caps(q):
-        s = isqrt(q)
-        return {cap for cap in (s - 1, s, s + 1, q - 1, q) if cap >= 1}
+    def caps(p, q):
+        return {cap for b in _turns(p, q) for cap in (b - 1, b, b + 1) if cap >= 1}
+
+    @staticmethod
+    def check(p, q, caps):
+        for cap in caps:
+            assert _kernel.witness_set(p, q, cap) == reference.witness_set(p, q, cap), \
+                (p, q, cap)
+
+    def test_turns_of_a_known_path(self):
+        # 7/5 = [1; 2, 2]: 3/2 above, 4/3 below, then 7/5 itself
+        assert _turns(7, 5) == {1, 2, 3, 5}
+        assert _turns(1, 4) == {1, 3, 4}  # 1/2 and 1/3 above, then 1/4
+        assert _turns(3, 1) == {1}  # an integer is a start end
 
     def test_every_alpha_up_to_q_60(self):
         for q in range(1, 61):
             for p in range(-q, 2 * q):
                 if gcd(p, q) == 1:
-                    for cap in self.caps(q):
-                        assert _kernel.witness_set(p, q, cap) == \
-                            reference.witness_set(p, q, cap), (p, q, cap)
+                    self.check(p, q, self.caps(p, q))
 
-    def test_perfect_squares(self):
-        rng = random.Random(11)
-        for s in [*range(2, 41), 99, 100]:
-            q = s * s
-            for p in {1, q - 1, q + 1, s - 1, s + 1,
-                      *(rng.randrange(-q, 2 * q) for _ in range(4))}:
-                if gcd(p, q) == 1:
-                    for cap in self.caps(q):
-                        assert _kernel.witness_set(p, q, cap) == \
-                            reference.witness_set(p, q, cap), (p, q, cap)
+    def test_long_runs(self):
+        fib = [1, 1]
+        while len(fib) < 20:
+            fib.append(fib[-1] + fib[-2])
+        alphas = [(1, q) for q in (2, 3, 50, 999)] + [(q - 1, q) for q in (3, 50, 999)]
+        alphas += [(-1, 700), (701, 700), (fib[-2], fib[-1]), (fib[-1], fib[-2])]
+        alphas += [(55 * 40 + 1, 3 * (55 * 40 + 1) + 40)]  # [0; 3, 55, 40]
+        for p, q in alphas:
+            self.check(p, q, self.caps(p, q) | {q // 2, 3 * q})
 
     def test_random_alphas(self):
         rng = random.Random(12)
@@ -313,21 +344,36 @@ class TestWitnessHyperbola:
             q = rng.randint(2, 10000)
             p = rng.randint(-q, 3 * q)
             if gcd(p, q) == 1:
-                for cap in self.caps(q) | {rng.randint(1, q)}:
-                    assert _kernel.witness_set(p, q, cap) == \
-                        reference.witness_set(p, q, cap), (p, q, cap)
+                self.check(p, q, self.caps(p, q) | {rng.randint(1, q)})
+
+    @pytest.mark.parametrize("p, q", [
+        (10**9, 3 * 10**9 + 1),          # [0; 3, 10**9]
+        (1, 10**12 - 11),                # [0; 10**12 - 11], one run
+        (12586269025, 20365011074),      # F_50/F_51, every quotient 1
+        (314159265359, 10**11),
+        (-999999999989, 10**12),
+    ])
+    def test_large_q_holds_the_convergents(self, p, q):
+        # the paper's theorem: with the integers set aside, (v)'s set is the
+        # convergents with b <= X, read from cf.py's own expansion; at a
+        # small cap it is also the unpruned scan's
+        expansion = cf_of_rational(F(p, q))
+        convs = {(c.num, c.den) for c in convergents(expansion, expansion.length)}
+        for cap in (10**7, 3000):
+            found = _kernel.witness_set(p, q, cap)
+            assert {x for x in found if x[1] > 1} == {x for x in convs if 1 < x[1] <= cap}
+        assert _kernel.witness_set(p, q, 3000) == reference.witness_set(p, q, 3000)
 
     def test_reaches_no_other_statement(self, monkeypatch):
-        # (v)'s set with (iii)'s residue search and generator and (iv)'s
-        # descent made to raise
+        # (v)'s set with (iii)'s residue search and generator, (iv)'s descent
+        # and (ii)'s chain walk made to raise
         for name in ("_first_hit", "_best_hits", "_near_hits"):
             monkeypatch.setattr(_kernel, name, _refuse)
+        monkeypatch.setattr(verify, "_chain_upto", _refuse)
         for q in range(1, 40):
             for p in range(-q, 2 * q):
                 if gcd(p, q) == 1:
-                    for cap in self.caps(q) | {3 * q}:
-                        assert _kernel.witness_set(p, q, cap) == \
-                            reference.witness_set(p, q, cap), (p, q, cap)
+                    self.check(p, q, self.caps(p, q) | {3 * q})
 
 
 class _Refused(Exception):

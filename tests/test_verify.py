@@ -819,7 +819,7 @@ class TestVerifySweep:
 class TestCandidateSets:
     """The per-alpha candidate sets against the per-pair kernels: the search
     of (iii) and of (iv), run once at x's form by a flag and at falling
-    thresholds by a set, and (v)'s hyperbola split against its flag."""
+    thresholds by a set, and (v)'s descent against its flag."""
 
     @staticmethod
     def random_alphas(seed: int, count: int):
@@ -888,7 +888,7 @@ class TestCandidateSets:
             ("-5/3", "-8/5", (False, False, False, False, True)),
             ("-8/5", "-8/5", (True, True, True, True, False)),
         ]),
-        # false pairs of 1/2 that fail witness_set's prefilter, one near
+        # false pairs of 1/2 off its Stern-Brocot path, one near
         # hi + 1, and a convergent of 7/3 past the integer 2
         ((F(2, 5), F(5, 2)), {(1, 4, 1, 2), (2, 3, 1, 2), (10, 3, 1, 2), (7, 3, 7, 3)}, [
             ("2/3", "1/2", (False, False, False, False, True)),
@@ -907,8 +907,8 @@ class TestCandidateSets:
             return reference_flag(a, b, p, q) != ((a, b, p, q) in flipped)
 
         def witness_set(p, q, max_den):
-            # the set calls the flag on the pairs its prefilter keeps, and
-            # takes the flipped pairs that it skips as well
+            # the set calls the flag on the path nodes it tries, and takes
+            # the flipped pairs that it skips as well
             return reference_set(p, q, max_den) | {
                 (a, b) for a, b, pp, qq in flipped
                 if (pp, qq) == (p, q) and b <= max_den and witness_flag(a, b, p, q)}
