@@ -259,12 +259,17 @@ def _parse(argv: list[str]):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; a usage error or a library ValueError is reported
-    here, and only here, as ``error: ...`` on stderr with exit code 1."""
+    """Run one command; a usage error, a library ValueError or running out of
+    memory is reported here, and only here, as ``error: ...`` on stderr with
+    exit code 1."""
     try:
         return _run(_parse(sys.argv[1:] if argv is None else argv))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory; the input is too large for this process",
+              file=sys.stderr)
         return 1
 
 

@@ -212,10 +212,10 @@ class CFStream(RealNumber):
     def coefficients(self) -> Iterator[int]:
         yield self.b0
         for i, p in enumerate(iter(self.partials), start=1):
-            if type(p) is not int:
+            if type(p) is not int or p < 1:  # one test for a valid partial
                 p = _as_int(p)
-            if p < 1:
-                raise ValueError(f"continued fraction coefficient {p} at index {i} is < 1")
+                if p < 1:
+                    raise ValueError(f"continued fraction coefficient {p} at index {i} is < 1")
             yield p
 
     def brackets(self) -> Iterator[tuple[tuple[int, int], tuple[int, int]]]:
@@ -305,7 +305,11 @@ def _as_fraction(x: RationalLike) -> Fraction:
 
 
 def _as_int(n: int) -> int:
-    """operator.index(n): a float raises TypeError rather than truncating."""
+    """operator.index(n): a float raises TypeError rather than truncating.
+    An argument whose type is exactly int is returned as is, with no further
+    test: the common case, and operator.index's own result for it."""
+    if type(n) is int:
+        return n
     _reject_floats(n)
     return operator.index(n)
 

@@ -21,6 +21,9 @@ exactness ends the chain, and no sign test.
 O(log q) search at a rational: a first-hit residue search for (iii), a
 Stern-Brocot descent on the squared forms for (iv).  Their verdicts at a
 stream are those at its Farey proxy, a convergent of denominator > 2*b.
+theorem_u_check takes that proxy once and hands it to both searches: it is
+an input fixed by (alpha, 2*b), as x is, and holds no verdict, so each of
+(iii) and (iv) is still decided by its own kernel.
 """
 
 from __future__ import annotations
@@ -210,33 +213,33 @@ def statement_v_witness(x: RationalLike, alpha: RealNumber | RationalLike) -> Fr
 def theorem_u_check(x: RationalLike, alpha: RealNumber | RationalLike) -> TheoremUReport:
     """Evaluate all five statements independently and report consistency.
 
+    (i) walks the convergents to b, (ii) descends the chain to b, (iii) and
+    (iv) run their own kernels, best_flag and near_flag, at one Farey proxy
+    of order 2*b, and (v) finds its witness.  Sharing the proxy computes no
+    statement from another: it is a rational in alpha's cell of the Farey
+    subdivision of order 2*b, fixed by alpha and b alone, where each
+    comparison of (iii) and of (iv) has its sign at alpha (_farey_proxy's
+    lemma), and it saves one walk of alpha's coefficients per check.
+
     For non-integer x, consistent means all five agree; integer x is flagged
     and only the definitional identity between (i) and (ii) is asserted.
     """
     x = _as_fraction(x)
     alpha = as_real(alpha)
-    stmt_i = (x.numerator, x.denominator) in _convergents_upto(alpha, x.denominator)
-    stmt_ii = (x.numerator, x.denominator) in _chain_upto(alpha, x.denominator)
-    stmt_iii = is_best_approx_2nd(x, alpha)
-    stmt_iv = is_nearby(x, alpha)
+    a, b = x.numerator, x.denominator
+    stmt_i = (a, b) in _convergents_upto(alpha, b)
+    stmt_ii = (a, b) in _chain_upto(alpha, b)
+    p, q = _farey_proxy(alpha, 2 * b)
+    stmt_iii = _kernel.best_flag(a, b, p, q)
+    stmt_iv = _kernel.near_flag(a, b, p, q)
     witness = statement_v_witness(x, alpha)
     stmt_v = witness is not None
-    integer = x.denominator == 1
+    integer = b == 1
     consistent = (stmt_i == stmt_ii) and (
         integer or stmt_i == stmt_iii == stmt_iv == stmt_v
     )
-    return TheoremUReport(
-        x=x,
-        alpha=alpha.describe(),
-        is_integer=integer,
-        stmt_i=stmt_i,
-        stmt_ii=stmt_ii,
-        stmt_iii=stmt_iii,
-        stmt_iv=stmt_iv,
-        stmt_v=stmt_v,
-        witness=witness,
-        consistent=consistent,
-    )
+    return TheoremUReport(x, alpha.describe(), integer, stmt_i, stmt_ii, stmt_iii,
+                          stmt_iv, stmt_v, witness, consistent)
 
 
 def penultimate_pair(alpha: RationalLike) -> tuple[Convergent, Convergent, int, int]:

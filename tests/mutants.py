@@ -136,6 +136,10 @@ REAL_MUTANTS = [
     ("mark-plus-one", "n = self._mark if from_mark else 1", "n = self._mark + 1 if from_mark else 1"),
     ("brackets-from-mark", "        for _, lo, hi in self._numbered(False):\n",
      "        for _, lo, hi in self._numbered(True):\n"),
+    # the integer tests: a stream's partials, and _as_int's exact-int return
+    ("coeff-sign-test-dropped", "if type(p) is not int or p < 1:", "if type(p) is not int:"),
+    ("as-int-fast-float", "    if type(n) is int:\n        return n\n",
+     "    if type(n) in (int, float):\n        return n\n"),
 ]
 
 VERIFY_MUTANTS = [
@@ -167,6 +171,8 @@ VERIFY_MUTANTS = [
      "best_flag(a, b, *_farey_proxy(as_real(alpha), b))"),
     ("near-proxy-order-b", "near_flag(a, b, *_farey_proxy(as_real(alpha), 2 * b))",
      "near_flag(a, b, *_farey_proxy(as_real(alpha), b))"),
+    ("check-proxy-order-b", "    p, q = _farey_proxy(alpha, 2 * b)\n",
+     "    p, q = _farey_proxy(alpha, b)\n"),
 ]
 
 CLI_MUTANTS = [

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -592,12 +593,13 @@ class TestReusedParser:
 class TestEntryPoint:
     """`python -m fordcircles.cli` in a fresh process."""
 
-    def run_module(self, *argv, timeout=60):
+    def run_module(self, *argv, timeout=60, preexec_fn=None):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
         return subprocess.run([sys.executable, "-m", "fordcircles.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=timeout)
+                              capture_output=True, text=True, env=env, timeout=timeout,
+                              preexec_fn=preexec_fn)
 
     def test_check(self):
         done = self.run_module("check", "1/2", "3/5")
@@ -615,6 +617,19 @@ class TestEntryPoint:
     def test_usage_error(self):
         done = self.run_module("check", "1/0", "3/5")
         assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: zero denominator\n")
+
+    def test_out_of_memory_is_an_error(self):
+        # the count's sieve at X = 10^9 asks for about 8 GB; under a 1 GiB
+        # address-space cap on this child alone it raises MemoryError, which
+        # main reports like any other error
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        done = self.run_module("verify", "--max-den-x", "1000000000", "--max-den-alpha", "1",
+                               "--window", "0..1", preexec_fn=cap)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error: out of memory")
+        assert "Traceback" not in done.stderr
 
     def run_isolated(self, code):
         # -S: a site .pth file may import modules itself (urllib.parse)

@@ -235,6 +235,56 @@ class TestCompareReal:
             compare_real(bogus, F(41, 29))
 
 
+class Index:
+    """An integer-like object that is not an int: it has only __index__."""
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __index__(self) -> int:
+        return self.value
+
+
+class TestIntegerCoercion:
+    """real._as_int returns an exact int as is, and every other argument
+    still goes through the float test and operator.index; a stream's walk
+    tests each partial once and coerces only what fails that test."""
+
+    def test_bool_and_index_objects_accepted(self):
+        assert real._as_int(True) == 1 and type(real._as_int(True)) is int
+        assert real._as_int(Index(7)) == 7 and type(real._as_int(Index(7))) is int
+        assert PeriodicCoefficients((Index(2),), (True,)).period == (2,)
+
+    @pytest.mark.parametrize("value", [1.0, 1.5, -0.0])
+    def test_float_still_rejected(self, value):
+        with pytest.raises(TypeError, match="floating-point values are not accepted"):
+            real._as_int(value)
+        with pytest.raises(TypeError, match="floating-point values are not accepted"):
+            CFStream(value, PeriodicCoefficients((1,)))
+
+    @pytest.mark.parametrize("bad, index", [(0, 3), (-1, 3), (0, 1), (-1, 1)])
+    def test_partial_below_one_rejected(self, bad, index):
+        partials = (2,) * (index - 1) + (bad, 1)
+        walk = CFStream(1, Plain(partials)).coefficients()
+        assert list(islice(walk, index)) == [1, *partials[:index - 1]]
+        with pytest.raises(ValueError, match=rf"^continued fraction coefficient {bad} "
+                                             rf"at index {index} is < 1$"):
+            next(walk)
+        # a bool or an __index__ object is coerced and tested the same way
+        walk = CFStream(1, Plain((Index(bad), 1))).coefficients()
+        with pytest.raises(ValueError, match=f"coefficient {bad} at index 1 is < 1"):
+            list(islice(walk, 3))
+        assert list(islice(CFStream(1, Plain((True, Index(3), 4))).coefficients(), 4)) \
+            == [1, 1, 3, 4]
+
+    @pytest.mark.parametrize("bad", [1.0, 2.5, 0.0])
+    def test_float_partial_rejected(self, bad):
+        walk = CFStream(1, Plain((2, bad, 1))).coefficients()
+        assert list(islice(walk, 2)) == [1, 2]
+        with pytest.raises(TypeError, match="floating-point values are not accepted"):
+            next(walk)
+
+
 class TestStreams:
     def test_periodic_provider_restartable(self):
         p = PeriodicCoefficients((1, 2), initial=(5,))

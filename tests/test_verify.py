@@ -3,6 +3,7 @@ checker, and sweep reports."""
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import tracemalloc
@@ -565,6 +566,89 @@ class TestStreamSizes:
         if engine == "brackets":
             with pytest.raises(real.RefinementExhausted):
                 compare_real(alpha, x)
+
+
+def check_xs(pairs: list[tuple[int, int]], max_den: int) -> list[F]:
+    """The xs a check workload takes around each convergent A_k/B_k with
+    B_k <= max_den: the convergent, the semiconvergent (A_(k-1) + A_k)/
+    (B_(k-1) + B_k) for k >= 1, and the far a/B_k with a the first of
+    A_k + 2, A_k + 3, ... prime to B_k."""
+    xs = []
+    for k, (a, b) in enumerate(pairs):
+        if b > max_den:
+            break
+        xs.append(F(a, b))
+        if k:
+            xs.append(F(a + pairs[k - 1][0], b + pairs[k - 1][1]))
+        far = a + 2
+        while gcd(far, b) != 1:
+            far += 1
+        xs.append(F(far, b))
+    return xs
+
+
+class TestOneProxyPerCheck:
+    """theorem_u_check takes the Farey proxy of order 2*b once and hands it
+    to (iii)'s kernel and to (iv)'s: one coefficient walk fewer per check,
+    and the verdicts of the public flags, which each take their own proxy,
+    and of the unpruned references."""
+
+    @pytest.mark.parametrize("name", SURD_STREAMS)
+    def test_two_walks_and_one_proxy_per_check(self, monkeypatch, name):
+        # on the surd engine (ii) and (v) walk nothing, so a check restarts
+        # the partials for (i)'s walk to b and for the one proxy walk to 2*b
+        make, _ = SURD_STREAMS[name]
+        alpha = make()
+        alpha.partials = partials = Counting(alpha.partials)
+        proxies = []
+
+        def counted(real_alpha, n):
+            proxies.append((real_alpha, n))
+            return proxy(real_alpha, n)
+
+        proxy = verify._farey_proxy
+        monkeypatch.setattr(verify, "_farey_proxy", counted)
+        xs = check_xs(list(islice(make().convergent_pairs(), 9)), 10**12)
+        for x in xs:
+            partials.restarts = 0
+            proxies.clear()
+            report = theorem_u_check(x, alpha)
+            assert report.consistent, report
+            assert partials.restarts == 2, (name, x, partials.restarts)
+            assert proxies == [(alpha, 2 * x.denominator)], (name, x)
+        assert sum(theorem_u_check(x, alpha).stmt_i for x in xs) >= 9
+
+    @pytest.mark.parametrize("key", PROXY_STREAMS)
+    def test_stream_verdicts_match_the_flags_and_the_reference(self, key):
+        # the reference is the surd's, or, for a stream without one, the
+        # rational reference at a convergent of denominator > 10^12: it lies
+        # inside the bracket of the proxy of order 2*b for every b <= 200,
+        # so in the same Farey cell (_farey_proxy's lemma)
+        alpha = make_stream(key)
+        pairs = list(islice(make_stream(key).convergent_pairs(), 40))
+        if "@" in key:
+            surd = SURD_STREAMS[key.split("@")[0]][1]
+            best = functools.partial(reference.best_approx_surd, surd=surd)
+            near = functools.partial(reference.nearby_surd, surd=surd)
+        else:
+            deep = F(*next(pair for pair in pairs if pair[1] > 10**12))
+            best = functools.partial(reference.best_approx, alpha=deep)
+            near = functools.partial(reference.nearby, alpha=deep)
+        xs = check_xs(pairs, 200)
+        assert len(xs) >= 5
+        for x in xs:
+            report = theorem_u_check(x, alpha)
+            assert report.stmt_iii == is_best_approx_2nd(x, alpha) == best(x), (key, x)
+            assert report.stmt_iv == is_nearby(x, alpha) == near(x), (key, x)
+
+    def test_rational_verdicts_match_the_flags_and_the_reference(self):
+        for alpha in reduced_fractions_in(F(0), F(1), 40, include_hi=False):
+            for x in check_xs(list(ExactReal(alpha).convergent_pairs()), 40):
+                report = theorem_u_check(x, alpha)
+                assert report.stmt_iii == is_best_approx_2nd(x, alpha) == \
+                    reference.best_approx(x, alpha), (alpha, x)
+                assert report.stmt_iv == is_nearby(x, alpha) == \
+                    reference.nearby(x, alpha), (alpha, x)
 
 
 class TestStatementVWitness:
