@@ -18,7 +18,15 @@ Parsing: three routes, each giving the namespace the top parser would give.
 2. Any other argv whose first argument names a command (options, ``--``,
    ``-h``, the wrong number of values, the other commands) is parsed by that
    command's own parser, one of the subparsers of the top parser, and the
-   namespace gets ``command`` as the top parser would have set it.
+   namespace gets ``command`` as the top parser would have set it.  For
+   ``render FIG`` with ``FIG`` a figure name, the figure's parser takes
+   argv[2:] and the namespace gets ``command`` and ``figure``: the
+   ``render`` parser has only ``-h`` and the figure subparsers, so argparse
+   would hand argv[2:] to that same parser, and the attributes it copies
+   back are the same.  Arguments the figure parser leaves over give the
+   same "unrecognized arguments" message either way, as ``_Parser.error``
+   carries no ``prog``.  Any other ``render`` argv (``-h``, an unknown or
+   abbreviated figure) goes to the ``render`` parser.
 3. Every other argv (none, ``-h``, an option first, an unknown command) goes
    to the top parser.
 
@@ -130,8 +138,9 @@ def _build_parser():
     import argparse
 
     class _Parser(argparse.ArgumentParser):
-        #: the top parser's command parsers by name
+        #: the top parser's command parsers, and render's figure parsers, by name
         commands: dict[str, argparse.ArgumentParser]
+        figures: dict[str, argparse.ArgumentParser]
 
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
@@ -165,6 +174,7 @@ def _build_parser():
 
     p_render = sub.add_parser("render", help="write an SVG figure")
     r_sub = p_render.add_subparsers(dest="figure", required=True)
+    parser.figures = r_sub.choices
 
     def add_spec_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--window", default="0..1", metavar="LO..HI")
@@ -242,8 +252,9 @@ def _run(args) -> int:
 
 def _parse(argv: list[str]):
     """The namespace the top parser gives for argv: built from argv when it
-    is ``check`` or ``cf`` with values only, else parsed by the command's own
-    parser when argv[0] names a command (see the module docstring)."""
+    is ``check`` or ``cf`` with values only, else parsed by the figure's own
+    parser when it is ``render`` and a figure, or by the command's own parser
+    when argv[0] names a command (see the module docstring)."""
     positionals = _POSITIONALS.get(argv[0]) if argv else None
     if positionals is not None and len(argv) == len(positionals) + 1 and all(
             not token.startswith("-") or _NEGATIVE_NUMBER.match(token) for token in argv[1:]):
@@ -253,7 +264,12 @@ def _parse(argv: list[str]):
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
-    args = command.parse_args(argv[1:])
+    figure = parser.figures.get(argv[1]) if argv[0] == "render" and argv[1:] else None
+    if figure is None:
+        args = command.parse_args(argv[1:])
+    else:
+        args = figure.parse_args(argv[2:])
+        args.figure = argv[1]
     args.command = argv[0]
     return args
 

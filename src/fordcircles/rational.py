@@ -42,11 +42,15 @@ def _reduced_runs(lo: Fraction, hi: Fraction, max_den: int, include_lo: bool = T
     """reduced_fractions_in as runs (b, [a, ...]) in the same order, one per
     b with at least one a.  For lo = ln/ld, the least a at b is
     ceil(ln*b/ld) = -(-ln*b // ld), or floor(ln*b/ld) + 1 when lo is left
-    out; the greatest at hi likewise, so no bound is tested for equality."""
+    out; the greatest at hi likewise, so no bound is tested for equality.
+    An even b has no even numerator coprime to it, so at even b the run
+    steps over the odd integers only, from a_min | 1, the least odd integer
+    >= a_min (negatives included); gcd decides the rest."""
     ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
     for b in range(1, max_den + 1):
         a_min = -(-ln * b // ld) if include_lo else ln * b // ld + 1
         a_max = hn * b // hd if include_hi else -(-hn * b // hd) - 1
-        run = [a for a in range(a_min, a_max + 1) if gcd(a, b) == 1]
+        even = ~b & 1
+        run = [a for a in range(a_min | even, a_max + 1, 1 + even) if gcd(a, b) == 1]
         if run:
             yield b, run

@@ -11,7 +11,9 @@ are each one ratio of integers per figure, so every circle coordinate is an
 integer numerator over a common denominator, and the one rounding step is an
 integer division.  The field is drawn a run of rational._reduced_runs (one
 denominator) at a time: the y and radius are written once per run, and each
-x costs one division of a numerator linear in the circle's numerator.
+x costs one floor division of a numerator linear in the circle's numerator.
+Whether a run can hold a tie of the sixth decimal is one gcd per run, so a
+run that cannot pays no tie test per circle.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Sequence
 
 from .rational import _reduced_runs
@@ -135,8 +138,11 @@ def _figure(spec: RenderSpec, field_stroke: str, highlights: Sequence[Fraction] 
         at a/b has cx = (a*ld - ln*b)*sn / (b*ld*sd), r = sn/rd and
         cy = height - r = (hn*rd - sn*hd) / (hd*rd), where rd = 2*b*b*sd;
         everything after cx is shared by the run.  v = floor(cx*10**6 + 1/2)
-        is a*step - shift over den, one divmod; an exact quotient is a tie,
-        which goes to the even neighbour as in _fmt6."""
+        is the floor of (a*step - shift)/den; an exact quotient is a tie,
+        which goes to the even neighbour as in _fmt6.  As a ranges over the
+        integers, a*step - shift covers only the class of -shift modulo
+        g = gcd(step, den), so den divides none of them unless g divides
+        shift: a run tests its circles for a tie only then."""
         step = 2 * ld * sn * 10**6
         for b, run in runs:
             rd = 2 * b * b * sd
@@ -144,10 +150,11 @@ def _figure(spec: RenderSpec, field_stroke: str, highlights: Sequence[Fraction] 
                     f'fill="none" stroke="{stroke}" stroke-width="1"/>')
             den = 2 * b * ld * sd
             shift = 2 * ln * b * sn * 10**6 - b * ld * sd
+            ties = not shift % gcd(step, den)
             cxs = []
             for a in run:
-                v, rem = divmod(a * step - shift, den)
-                if not rem and v & 1:
+                v = (a * step - shift) // den
+                if ties and v & 1 and not (a * step - shift) % den:
                     v -= 1
                 s = str(v)
                 cxs.append(s[:-6] + "." + s[-6:] if v >= 10**6 else _digits6(v))

@@ -44,7 +44,7 @@ CLI = Path("src/fordcircles/cli.py")
 #: the tests each mutated file is checked by
 TESTS = {
     KERNEL: ("tests/test_kernel.py", "tests/test_acceptance.py"),
-    RATIONAL: ("tests/test_render.py", "tests/test_verify.py"),
+    RATIONAL: ("tests/test_render.py", "tests/test_verify.py", "tests/test_exact_core.py"),
     RENDER: ("tests/test_render.py", "tests/test_verify.py"),
     REAL: ("tests/test_verify.py", "tests/test_exact_core.py"),
     VERIFY: ("tests/test_verify.py", "tests/test_exact_core.py"),
@@ -103,14 +103,22 @@ RATIONAL_MUTANTS = [
     ("exclude-lo-off-by-one", "if include_lo else ln * b // ld + 1", "if include_lo else ln * b // ld"),
     ("exclude-hi-off-by-one", "else -(-hn * b // hd) - 1", "else -(-hn * b // hd)"),
     ("empty-run-kept", "        if run:\n", "        if True:\n"),
+    # the odd numerators at an even b
+    ("odd-skip-at-odd-b", "        even = ~b & 1\n", "        even = 1\n"),
+    ("odd-skip-removed", "        even = ~b & 1\n", "        even = 0\n"),
+    ("odd-start-plus-one", "range(a_min | even,", "range(a_min + even,"),
 ]
 
 RENDER_MUTANTS = [
-    ("tie-step-dropped", "                if not rem and v & 1:\n", "                if False:\n"),
-    ("tie-step-inverted", "if not rem and v & 1:", "if not rem and not v & 1:"),
+    ("tie-step-dropped", "                if ties and v & 1 and not (a * step - shift) % den:\n",
+     "                if False:\n"),
+    ("tie-step-inverted", "if ties and v & 1 and", "if ties and not v & 1 and"),
     ("tie-step-up", "                    v -= 1\n", "                    v += 1\n"),
     ("shift-half-sign", "10**6 - b * ld * sd", "10**6 + b * ld * sd"),
-    ("shift-sign", "divmod(a * step - shift, den)", "divmod(a * step + shift, den)"),
+    ("shift-sign", "v = (a * step - shift) // den", "v = (a * step + shift) // den"),
+    # the tie rule: a run tests for ties only if gcd(step, den) divides shift
+    ("tie-rule-never", "ties = not shift % gcd(step, den)", "ties = False"),
+    ("tie-rule-always", "ties = not shift % gcd(step, den)", "ties = True"),
     ("run-separator-no-newline", "(tail + '\\n<circle cx=\"')", "(tail + '<circle cx=\"')"),
     ("wide-path-strict", "if v >= 10**6 else", "if v > 10**6 else"),
     ("escape-amp-last",
@@ -181,6 +189,11 @@ CLI_MUTANTS = [
     ("command-not-set", "    args.command = argv[0]\n", ""),
     ("route-all-to-top", "command = parser.commands.get(argv[0]) if argv else None",
      "command = None"),
+    # the route of render FIG to the figure's own parser
+    ("figure-route-figure-unset", "        args.figure = argv[1]\n", ""),
+    ("figure-route-off",
+     'figure = parser.figures.get(argv[1]) if argv[0] == "render" and argv[1:] else None',
+     "figure = None"),
     # the route that builds the namespace of a values-only check or cf itself
     ("route-any-dash", 'not token.startswith("-") or _NEGATIVE_NUMBER.match(token) for',
      "True for"),
@@ -200,6 +213,10 @@ EQUIVALENT = {
     "hit-side-test-at-zero": "e = 0 is p/q, a hit, after which rx = -1 ends the loop",
     "end-order-at-a-tie": "with equal ends the next node is their sum either way",
     "wide-path-strict": "at v = 10**6 both paths write 1.000000",
+    "tie-rule-always": "every circle is then tested for a tie, and one whose run the rule "
+                       "rules out has a nonzero remainder: the slower path, same bytes",
+    "odd-skip-removed": "every integer in the range is then tested, and gcd(a, b) > 1 for "
+                        "an even a at an even b: the slower path, same runs",
     "sweep-integers-kept": "the sets then differ at b = 1 more often, and the visit that follows "
                            "never reports a b = 1 pair",
 }

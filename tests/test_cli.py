@@ -391,6 +391,15 @@ ARGV_CORPUS = [
     (["render", "field", "-h"], "exit"),
     (["render", "chain", "-h"], "exit"),
     (["render", "witness", "--help"], "exit"),
+    # a figure named second goes to the figure's parser, with argparse's
+    # option prefixes, "=" values, "--" and repeats as the nested parse has them
+    (["render", "field", "--max", "7"], "vars"),
+    (["render", "field", "--window=-1..1"], "vars"),
+    (["render", "chain", "--", "-7/2", "--depth", "2"], "usage"),
+    (["render", "chain", "--depth", "2", "--", "-7/2"], "vars"),
+    (["render", "chain", "golden", "--depth", "2", "--depth", "3"], "vars"),
+    (["render", "field", "extra"], "usage"),
+    (["render", "fie"], "usage"),
 ]
 
 
@@ -422,6 +431,26 @@ class TestParseRoute:
             {"command": "convergents", "real": "golden", "count": 3}
         with pytest.raises(AssertionError, match="top parser"):
             cli._parse(["frobnicate"])
+
+    def test_render_figure_skips_the_render_parser(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top or render parser was used")
+        top = cli._build_parser()
+        for parser in (top, top.commands["render"]):
+            monkeypatch.setattr(parser, "parse_args", refuse)
+            monkeypatch.setattr(parser, "parse_known_args", refuse)
+        routed = [(argv, kind) for argv, kind in ARGV_CORPUS
+                  if argv[:1] == ["render"] and argv[1:2] and argv[1] in top.figures]
+        assert len(routed) > 20
+        for argv, kind in routed:
+            (result, _), _, _ = parse_outcome(cli._parse, argv)
+            assert result == kind, argv
+        assert vars(cli._parse(["render", "chain", "golden", "--depth", "3"])) == {
+            "command": "render", "figure": "chain", "real": "golden", "depth": 3,
+            "window": "0..1", "max_den": 20, "width": 800, "output": None}
+        for argv in (["render"], ["render", "-h"], ["render", "fie"]):
+            with pytest.raises(AssertionError, match="render parser"):
+                cli._parse(argv)
 
     def test_values_only_skip_every_parser(self, monkeypatch):
         def refuse():

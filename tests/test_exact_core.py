@@ -7,7 +7,7 @@ from itertools import islice, repeat
 from math import gcd, isqrt
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fordcircles import (
     EQ,
@@ -152,6 +152,18 @@ class TestReducedRuns:
     @given(st.fractions(min_value=-5, max_value=5, max_denominator=24),
            st.fractions(min_value=F(1, 60), max_value=3, max_denominator=60),
            st.integers(1, 16))
+    # even b, where only odd numerators are visited, from a_min | 1: at b = 4
+    # the least numerator is -7 (odd) or -6 (even), and with lo left out
+    # floor(ln*b/ld) + 1 is 6 or -8 at b = 4 and -4 at b = 2
+    @example(F(-7, 4), F(2), 8)
+    @example(F(-3, 2), F(2), 8)
+    @example(F(5, 4), F(1, 2), 4)
+    @example(F(-9, 4), F(1, 2), 8)
+    @example(F(-5, 2), F(2), 8)
+    # [n, n + 1] at b = 2**k
+    @example(F(3), F(1), 16)
+    @example(F(-5), F(1), 32)
+    @example(F(0), F(1), 64)
     def test_matches_brute_force(self, include_lo, include_hi, lo, width, max_den):
         hi = lo + width
         # brute lists b and each run in increasing order and keeps no empty run

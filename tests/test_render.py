@@ -197,6 +197,46 @@ class TestExactCoordinates:
         assert circles(svg, HIGHLIGHT_STROKE)[0].get("cx") == "-0.000002"
 
 
+def tie_runs(spec: RenderSpec):
+    """(b, step, den, shift) of each denominator b of a field, computed as
+    render's circles does: the circle a/b has floor(cx*10**6 + 1/2) equal
+    to the floor of (a*step - shift)/den, a tie when den divides it."""
+    lo, hi = spec.window
+    scale = F(spec.width_px) / (hi - lo)
+    ln, ld, sn, sd = lo.numerator, lo.denominator, scale.numerator, scale.denominator
+    step = 2 * ld * sn * 10**6
+    return [(b, step, 2 * b * ld * sd, 2 * ln * b * sn * 10**6 - b * ld * sd)
+            for b in range(1, spec.max_den + 1)]
+
+
+class TestTieRule:
+    """A run at b can hold a tie only if gcd(step, den) divides shift: as a
+    ranges over the integers, a*step - shift stays in one class modulo that
+    gcd, the class of -shift."""
+
+    @given(st.fractions(min_value=-6, max_value=6, max_denominator=10**6),
+           st.fractions(min_value=F(1, 40), max_value=3, max_denominator=40),
+           st.integers(64, 2000), st.integers(1, 25))
+    @example(TIE_LO, F(2), 128, 1)
+    @example(TIE_LO, F(2), 128, 8)
+    def test_no_tie_where_the_rule_rules_one_out(self, lo, width, width_px, b):
+        spec = RenderSpec(window=(lo, lo + width), max_den=b, width_px=width_px)
+        _, step, den, shift = tie_runs(spec)[-1]
+        ties = [a for a in range(int(lo * b) - 1, int((lo + width) * b) + 2)
+                if (a * step - shift) % den == 0]
+        if shift % gcd(step, den):
+            assert ties == []
+
+    def test_the_tie_window_flags_a_run(self):
+        spec = RenderSpec(window=(TIE_LO, TIE_LO + 2), max_den=8, width_px=128)
+        flagged = [b for b, step, den, shift in tie_runs(spec) if not shift % gcd(step, den)]
+        assert flagged
+        # and a circle of a flagged run ties, so the tie branch rounds it
+        assert any((a * step - shift) % den == 0
+                   for b, step, den, shift in tie_runs(spec) if b in flagged
+                   for a in range(0, 2 * b + 1))
+
+
 class TestFormattingCost:
     def test_two_fmt6_calls_per_denominator(self, monkeypatch):
         # a field's circles share their y and radius per denominator, and
