@@ -1,8 +1,15 @@
 """Integer kernels for the rational sweeps, in plain Python.
 
-Statements (iii), (iv) and (v) for x = a/b against a rational alpha = p/q,
-in integers (scaled by q, or by 2*q*q for radii), per pair (the flags) and
-per alpha for every b <= X (the sets).  (iii) and (iv) are record
+Each of statements (i)-(v) for x = a/b against a rational alpha = p/q has
+its own set here: every reduced x with b <= X for which it holds, in
+integers only, so the sweep builds no Fraction and no real per alpha.  (i)
+walks the convergent recurrence on the Euclidean quotients of p/q, and (ii)
+descends the Ford packing's mediants, one divmod of two integer forms per
+partial quotient.  The two reach the same pairs by different arithmetic,
+and neither calls the other or real.py; a check still takes (i) and (ii)
+from verify's _convergents_upto and _chain_upto, which serve streams too.
+(iii), (iv) and (v) are in integers scaled by q, or by 2*q*q for radii,
+per pair (the flags) and per alpha (the sets).  (iii) and (iv) are record
 properties: x holds iff its form beats that of every earlier denominator.
 So each has one generator of its records (least d, there the nearest c)
 from a threshold, each its own way, in O(log q) steps per search: (iii) a
@@ -11,7 +18,8 @@ squared forms for all its records, resumed at each.  A flag holds iff the
 first record from x's own form is x; a set is every record from the
 widest threshold.  (v)'s set is one descent of alpha's Stern-Brocot path,
 two candidates per run of mediants, with no (iii) or (iv) code.  The tests
-hold the kernels against tests/reference.py.
+hold the kernels against tests/reference.py, and (i) and (ii) against
+cf.py's expansion and verify's stream walks.
 
 Candidate pruning, one lemma for every real alpha (streams reach it via
 verify._farey_proxy): at a fixed d the form |d*alpha - c| and the radius
@@ -234,3 +242,52 @@ def witness_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
             break
         candidates += ends
     return {(a, b) for a, b, _ in candidates if b <= max_den and witness_flag(a, b, p, q)}
+
+
+def conv_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
+    """Statement (i) at once: the convergents (A_n, B_n) of p/q with
+    B_n <= max_den, by the recurrence A_n = f_n*A_(n-1) + A_(n-2) (B_n
+    likewise, from A_(-1)/B_(-1) = 1/0 and A_(-2)/B_(-2) = 0/1) on the
+    quotients f_n of Euclid's algorithm on (p, q).  Denominators never
+    decrease, so the walk stops at the first one past the cap, or when the
+    remainder vanishes at p/q itself.  Each pair is reduced, since
+    A_n*B_(n-1) - A_(n-1)*B_n = (-1)^(n+1)."""
+    found = set()
+    num, num_prev, den, den_prev = 1, 0, 0, 1
+    while q:
+        f, r = divmod(p, q)
+        num, num_prev = f * num + num_prev, num
+        den, den_prev = f * den + den_prev, den
+        if den > max_den:
+            break
+        found.add((num, den))
+        p, q = q, r
+    return found
+
+
+def chain_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
+    """Statement (ii) at once: the bases (a, b) with b <= max_den of the
+    Ford-circle chain of p/q, by verify._chain_upto's mediant descent in
+    integers.
+
+    With a moving end u/v and a staying end s/t on the other side of alpha,
+    the run's mediants (u + j*s)/(v + j*t) stay on u/v's side for
+    j < R = (u*q - v*p)/(t*p - s*q), a ratio of two integer forms of one
+    sign.  One divmod gives f = floor(R) whichever that sign (the side,
+    which _chain_upto carries as e, since floor(n/m) = floor(-n/-m)), the
+    turn M_f = (u + f*s)/(v + f*t), and the remainder, which is 0 iff M_f
+    is alpha, the end of the chain.  Otherwise the ends become s/t and M_f.
+    It starts at u/v = 1/0 and s/t = floor(p/q)/1, whose remainder says
+    whether p/q is an integer, and stops at the first M_f whose
+    denominator passes the cap."""
+    n, r = divmod(p, q)
+    found = {(n, 1)}
+    u, v, s, t = 1, 0, n, 1
+    while r:
+        f, r = divmod(u * q - v * p, t * p - s * q)
+        m, k = u + f * s, v + f * t
+        if k > max_den:
+            break
+        found.add((m, k))
+        u, v, s, t = s, t, m, k
+    return found

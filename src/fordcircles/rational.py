@@ -5,7 +5,8 @@ maintains the two invariants everything downstream relies on, namely
 ``gcd(|numerator|, denominator) == 1`` and a strictly positive denominator
 after every construction.  The enumeration itself runs on integers: one
 generator yields the run of reduced numerators at each denominator, which
-``reduced_fractions_in`` flattens and the renderer draws whole.
+``reduced_fractions_in`` flattens, the sweep takes as integer pairs and the
+renderer draws whole.
 """
 
 from __future__ import annotations

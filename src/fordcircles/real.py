@@ -279,7 +279,11 @@ def convergent_pairs(coeffs: Iterable[int]) -> Iterator[tuple[int, int]]:
     A_n = b_n*A_{n-1} + A_{n-2} and B_n = b_n*B_{n-1} + B_{n-2}, seeded by
     A_{-1}/B_{-1} = 1/0 and A_{-2}/B_{-2} = 0/1, so A_0/B_0 = b_0/1.
     Successive convergents satisfy A_n*B_{n-1} - A_{n-1}*B_n = (-1)^(n+1),
-    so each is already reduced.  This is the only place the recurrence lives.
+    so each is already reduced.  Every walk of a real's convergents runs
+    here.  The one other copy is _kernel.conv_set, statement (i)'s set at a
+    rational p/q for the sweep, the same recurrence on Euclid's quotients
+    in integers: it builds no Fraction or real per alpha, and the kernels
+    stay free of this module.
     """
     num, num_prev, den, den_prev = 1, 0, 0, 1
     for b in coeffs:
@@ -380,7 +384,11 @@ def floor_ratio_exact(alpha: RealNumber | RationalLike,
                       v1: int, u1: int, v2: int, u2: int) -> tuple[int, bool]:
     """(f, exact): f = floor((v1*alpha + u1)/(v2*alpha + u2)) for integers
     v1, u1, v2, u2, and whether the ratio equals f; the denominator must be
-    positive at alpha, else ValueError.  This is the one floor path.
+    positive at alpha, else ValueError.  This is the one floor path of a
+    real.  At a rational p/q the sweep's statement (ii), _kernel.chain_set,
+    takes the same floors of verify._chain_upto's descent in integers: the
+    ratio is (v1*p + u1*q)/(v2*p + u2*q), one divmod whose remainder is 0
+    iff it is exact, with no engine dispatch and no real per alpha.
 
     At a surd t = (p + s*sqrt(d))/q the ratio is (n + w*sqrt(d))/(m + e*sqrt(d))
     with n = v1*p + u1*q, w = v1*s, m = v2*p + u2*q and e = v2*s.  For e = 0,

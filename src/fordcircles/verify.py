@@ -16,7 +16,8 @@ so reports flag integers and skip the equivalence claim for them.
 
 (i) walks the convergent recurrence.  (ii) descends the Ford packing's
 mediants a run at a time: one exact floor per partial quotient, whose
-exactness ends the chain, and no sign test.
+exactness ends the chain, and no sign test.  The sweep takes both at a
+rational from their integer kernels, _kernel.conv_set and chain_set.
 (iii) compares linear forms and (iv) horocircle radii, each by its own
 O(log q) search at a rational: a first-hit residue search for (iii), a
 Stern-Brocot descent on the squared forms for (iv).  Their verdicts at a
@@ -35,7 +36,7 @@ from fractions import Fraction
 
 from . import _kernel
 from .cf import Convergent, cf_of_rational, convergents
-from .rational import reduced_fractions_in
+from .rational import _reduced_runs
 from .real import (
     EQ,
     LT,
@@ -93,7 +94,8 @@ def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[_package.Ford
 
 def _convergents_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
     """Statement (i) up to a cap: the convergent pairs (A_n, B_n) with B_n <=
-    max_den; denominators never decrease, so the walk stops past the cap."""
+    max_den; denominators never decrease, so the walk stops past the cap.
+    The sweep's rational alphas take _kernel.conv_set instead."""
     found = set()
     for pair in alpha.convergent_pairs():
         if pair[1] > max_den:
@@ -122,7 +124,8 @@ def _chain_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
     from.  The descent starts at u/v = 1/0, s/t = floor(alpha)/1, whose
     exactness says that alpha is an integer, its own chain, and stops at the
     first M_f whose denominator passes the cap.  So a partial quotient costs
-    one exact floor and no sign test.
+    one exact floor and no sign test.  This takes every real; the sweep's
+    rational alphas take the same descent in integers (_kernel.chain_set).
     """
     n, exact = floor_ratio_exact(alpha, 1, 0, 0, 1)
     found = {(n, 1)}
@@ -295,13 +298,17 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
 
     Runs the equivalence over every non-integer reduced x with denominator
     <= den_max_x strictly inside (lo - 1, hi + 1) against every reduced alpha
-    with denominator <= den_max_alpha in [lo, hi).  Statement (i) walks the
-    convergent recurrence and (ii) the Ford packing, both capped at den_max_x.
+    with denominator <= den_max_alpha in [lo, hi).  The alphas are integer
+    pairs (p, q) from the enumerator's runs; no Fraction or real is built
+    per alpha.
 
-    Statements (iii), (iv) and (v) for a whole alpha come from the kernel's
-    candidate sets, each statement's records from its own generator: one
-    O(log q) residue search per record for (iii), one O(log q) descent for
-    all of (iv)'s, and one for (v)'s with two candidates per run.  A pair
+    Each statement's set for a whole alpha comes from its own kernel, in
+    integers, capped at den_max_x: (i) the convergent recurrence on the
+    Euclidean quotients of p/q and (ii) the Ford packing's mediant descent,
+    one divmod per partial quotient each; then the records of (iii) and
+    (iv), each from its own generator, one O(log q) residue search per
+    record for (iii) and one O(log q) descent for all of (iv)'s; and one
+    descent for (v)'s with two candidates per run.  A pair
     outside all five statement sets is false on all five, hence consistent,
     so it is counted without being visited.  The sets can differ at b = 1
     only on the integers n = floor(alpha) and n + 1, which are never
@@ -323,14 +330,13 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     started = time.perf_counter()
 
     (ln, ld), (hn, hd) = (lo - 1).as_integer_ratio(), (hi + 1).as_integer_ratio()
-    alphas = list(reduced_fractions_in(lo, hi, den_max_alpha, include_hi=False))
+    alphas = [(p, q) for q, run in _reduced_runs(lo, hi, den_max_alpha, include_hi=False)
+              for p in run]
 
     inconsistencies: list[dict] = []
-    for alpha in alphas:
-        p, q = alpha.numerator, alpha.denominator
-        real = ExactReal(alpha)
-        conv_set = _convergents_upto(real, den_max_x)
-        chain_set = _chain_upto(real, den_max_x)
+    for p, q in alphas:
+        conv_set = _kernel.conv_set(p, q, den_max_x)
+        chain_set = _kernel.chain_set(p, q, den_max_x)
         best_set = _kernel.best_set(p, q, den_max_x)
         near_set = _kernel.near_set(p, q, den_max_x)
         witness_set = _kernel.witness_set(p, q, den_max_x)

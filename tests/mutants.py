@@ -96,6 +96,13 @@ KERNEL_MUTANTS = [
      "        candidates.append(ends[1])\n"),
     ("witness-drop-turn", "        candidates += ends\n", "        candidates.append(ends[0])\n"),
     ("witness-cap-on-turn", "        if ends[0][1] > max_den:\n", "        if ends[1][1] > max_den:\n"),
+    # conv_set's recurrence and chain_set's descent, (i) and (ii) in integers
+    ("conv-cap-inclusive", "        if den > max_den:\n", "        if den >= max_den:\n"),
+    ("conv-euclid-swapped", "        p, q = q, r\n", "        q, p = q, r\n"),
+    ("chain-set-ends-kept", "        u, v, s, t = s, t, m, k\n", "        u, v, s, t = u, v, m, k\n"),
+    ("chain-set-cap-inclusive", "        if k > max_den:\n            break\n",
+     "        if k >= max_den:\n            break\n"),
+    ("chain-set-exactness-ignored", "    while r:\n", "    while True:\n"),
 ]
 
 RATIONAL_MUTANTS = [

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction as F
+from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from fordcircles import (
@@ -16,8 +17,13 @@ from fordcircles import (
     statement_v_witness,
     theorem_u_check,
 )
-from fordcircles import _kernel, verify
+from fordcircles import _kernel, real, verify
 from fordcircles.cf import cf_of_rational, convergents
+from fordcircles.real import ExactReal
+
+#: caps around the denominators of small alphas, where a cap test off by one
+#: shows; statement (ii)'s tests in test_verify.py use the same
+CHAIN_CAPS = (1, 2, 3, 7, 20, 39, 40, 41, 200)
 
 
 def _pairs(max_den_x: int, max_den_alpha: int):
@@ -43,6 +49,71 @@ class TestAgainstHighLevel:
         for a, b, p, q in _pairs(8, 8):
             found = statement_v_witness(F(a, b), F(p, q)) is not None
             assert _kernel.witness_flag(a, b, p, q) == found
+
+
+def _convergents_of(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
+    """The convergents of p/q with denominator <= max_den, read from cf.py's
+    expansion."""
+    expansion = cf_of_rational(F(p, q))
+    return {(c.num, c.den) for c in convergents(expansion, expansion.length)
+            if c.den <= max_den}
+
+
+class TestEveryStepAdvances:
+    """Each kernel loop makes progress at every step: a loop that stalls
+    fails an assertion here at once instead of running on.  These come
+    before every test that builds a whole set."""
+
+    #: (p, q, length of the expansion): [0; 3, 10^4], 1/10^40 (one quotient
+    #: of 10^40), F_50/F_51 = [0; 1, ..., 1, 2], 355/113 = [3; 7, 16],
+    #: -7/2 = [-4; 2] and the integer 5
+    LONG = [(10**4, 3 * 10**4 + 1, 3), (1, 10**40, 2),
+            (12586269025, 20365011074, 50), (355, 113, 3), (-7, 2, 2), (5, 1, 1)]
+
+    def test_best_records_rise_in_d(self):
+        # each record of (iii) lowers the threshold below its own form, so
+        # the next one has a larger d; the last two alphas have one record
+        for p, q, _ in self.LONG[:4]:
+            records = list(islice(_kernel._best_hits(p, q, (q - 1) // 2, q), 6))
+            assert len(records) >= 2, (p, q)
+            assert all(r[1] < s[1] for r, s in zip(records, records[1:])), (p, q, records)
+
+    def test_near_descent_takes_a_root_per_step(self, monkeypatch):
+        # [0; 3, 10^4]: the records past d = 1 are 1/3 and alpha, each found
+        # by a step of its own, and each step takes the root of the current
+        # threshold; a stale root would cross the run of 10^4 mediants one
+        # at a time
+        p, q = 10**4, 3 * 10**4 + 1
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            if len(calls) > 4:
+                raise AssertionError("the descent took more roots than steps")
+            return root(n)
+
+        root = _kernel.isqrt
+        monkeypatch.setattr(_kernel, "isqrt", counted)
+        assert _kernel.near_set(p, q, q) == {(0, 1), (1, 3), (p, q)}
+        assert 2 <= len(calls) <= 3, calls
+
+    def test_rational_walks_take_one_divmod_per_quotient(self, monkeypatch):
+        # (i)'s walk and (ii)'s descent each take one divmod per partial
+        # quotient, up to alpha itself at cap q, and none past a cap below
+        calls = [0]
+
+        def counted(n, m):
+            calls[0] += 1
+            if calls[0] > 60:
+                raise AssertionError("a walk took more steps than alpha has quotients")
+            return divmod(n, m)
+
+        monkeypatch.setattr(_kernel, "divmod", counted, raising=False)
+        for p, q, length in self.LONG:
+            for walk in (_kernel.conv_set, _kernel.chain_set):
+                calls[0] = 0
+                assert walk(p, q, q) == _convergents_of(p, q, q), (walk, p, q)
+                assert calls[0] == length, (walk, p, q, calls[0])
 
 
 class TestNonReducedCandidates:
@@ -365,15 +436,63 @@ class TestWitnessDescent:
         assert _kernel.witness_set(p, q, 3000) == reference.witness_set(p, q, 3000)
 
     def test_reaches_no_other_statement(self, monkeypatch):
-        # (v)'s set with (iii)'s residue search and generator, (iv)'s descent
-        # and (ii)'s chain walk made to raise
-        for name in ("_first_hit", "_best_hits", "_near_hits"):
+        # (v)'s set with (iii)'s residue search and generator, (iv)'s descent,
+        # (i)'s and (ii)'s kernels and (ii)'s chain walk made to raise
+        for name in ("_first_hit", "_best_hits", "_near_hits", "conv_set", "chain_set"):
             monkeypatch.setattr(_kernel, name, _refuse)
         monkeypatch.setattr(verify, "_chain_upto", _refuse)
         for q in range(1, 40):
             for p in range(-q, 2 * q):
                 if gcd(p, q) == 1:
                     self.check(p, q, self.caps(p, q) | {3 * q})
+
+
+class TestRationalWalks:
+    """Statements (i) and (ii) at a rational in integers: conv_set's
+    recurrence on Euclid's quotients and chain_set's mediant descent, held
+    against verify's walks on ExactReal, which the checks take, and against
+    cf.py's expansion; neither kernel reaches the other or real.py."""
+
+    @staticmethod
+    def alphas(max_den):
+        return [(alpha.numerator, alpha.denominator)
+                for alpha in reduced_fractions_in(F(-3), F(3), max_den, include_hi=False)]
+
+    def test_match_the_walks_and_the_expansion(self):
+        for p, q in self.alphas(40):
+            exact = ExactReal(F(p, q))
+            for cap in CHAIN_CAPS:
+                expected = _convergents_of(p, q, cap)
+                assert _kernel.conv_set(p, q, cap) == expected, (p, q, cap)
+                assert _kernel.chain_set(p, q, cap) == expected, (p, q, cap)
+                assert verify._convergents_upto(exact, cap) == expected, (p, q, cap)
+                assert verify._chain_upto(exact, cap) == expected, (p, q, cap)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.fractions(-10**6, 10**6, max_denominator=10**12),
+           st.one_of(st.integers(1, 50), st.integers(1, 10**13)), st.data())
+    def test_rationals_up_to_10_to_12(self, alpha, cap, data):
+        p, q = alpha.numerator, alpha.denominator
+        cap = data.draw(st.sampled_from((cap, max(1, q - 1), q, q + 1)), label="cap")
+        expected = _convergents_of(p, q, cap)
+        assert _kernel.conv_set(p, q, cap) == expected
+        assert _kernel.chain_set(p, q, cap) == expected
+
+    @pytest.mark.parametrize("walk, other", [("chain_set", "conv_set"),
+                                             ("conv_set", "chain_set")])
+    def test_reaches_neither_the_other_nor_real(self, monkeypatch, walk, other):
+        # the other walk, real's recurrence and floor, and the code of
+        # (iii)-(v) made to raise
+        expected = {(p, q, cap): _convergents_of(p, q, cap)
+                    for p, q in self.alphas(30) for cap in CHAIN_CAPS}
+        for name in (other, "_first_hit", "_best_hits", "_near_hits",
+                     "_tangent_neighbor_den", "witness_flag", "witness_set"):
+            monkeypatch.setattr(_kernel, name, _refuse)
+        for name in ("convergent_pairs", "floor_ratio_exact"):
+            monkeypatch.setattr(real, name, _refuse)
+        monkeypatch.setattr(real.RealNumber, "convergent_pairs", _refuse)
+        for (p, q, cap), found in expected.items():
+            assert getattr(_kernel, walk)(p, q, cap) == found, (walk, p, q, cap)
 
 
 class _Refused(Exception):
@@ -399,8 +518,13 @@ def _holds_on_pairs(flag, make_set, oracle):
 
 class TestIndependence:
     """(iii) and (iv) at a rational share no code: each statement's flag and
-    set still decide right with the other statement's generator and search
-    made to raise, and each reaches its own."""
+    set still decide right with the other statement's generator and search,
+    and (i)'s and (ii)'s kernels, made to raise, and each reaches its own."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_i_and_ii(self, monkeypatch):
+        for name in ("conv_set", "chain_set"):
+            monkeypatch.setattr(_kernel, name, _refuse)
 
     def test_iv_reaches_no_residue_search(self, monkeypatch):
         monkeypatch.setattr(_kernel, "_first_hit", _refuse)

@@ -40,7 +40,7 @@ from fordcircles.cli import main, parse_real_spec
 from fordcircles.real import (GT, LT, ExactReal, RealNumber, as_real, compare_real,
                               sign_of_quadratic)
 from test_exact_core import SURD_STREAMS, Counting, Plain, bracket_twin
-from test_kernel import _Refused, _refuse
+from test_kernel import CHAIN_CAPS, _Refused, _refuse
 
 
 def per_pair_sweep(den_max_x, den_max_alpha, window):
@@ -112,7 +112,7 @@ class TestChainDescent:
     """Statement (ii)'s mediant descent of the Ford packing, held against
     statement (i)'s convergent walk, which it never calls."""
 
-    CAPS = (1, 2, 3, 7, 20, 39, 40, 41, 200)
+    CAPS = CHAIN_CAPS
     STREAMS = ("golden", "sqrt:2", "sqrt:94", "sqrt:991", "cf:-3;40,1,(5,1,7)")
 
     @staticmethod
@@ -237,7 +237,16 @@ class TestChainDescent:
         assert (report.stmt_i, report.stmt_ii) == (False, True)
 
     def test_sweep_does_not_follow_the_convergents(self, monkeypatch):
-        self.skip_convergent_3(monkeypatch)
+        # the sweep's (i) is _kernel.conv_set: it loses the fourth convergent
+        # (denominators rise strictly from the second one on, so the order
+        # by denominator is the walk's there), and (ii)-(v) keep it
+        conv_set = _kernel.conv_set
+
+        def skipping(p, q, max_den):
+            walk = sorted(conv_set(p, q, max_den), key=lambda pair: pair[1])
+            return set(walk[:3] + walk[4:])
+
+        monkeypatch.setattr(_kernel, "conv_set", skipping)
         found = verify_sweep(8, 8, (F(0), F(1)))["inconsistencies"]
         assert found
         for entry in found:
@@ -1024,8 +1033,9 @@ class TestCandidateSets:
         (F(0), F(1)), (F(-7, 3), F(-4, 3)), (F(2, 5), F(5, 2))], ids=["unit", "negative", "wide"])
     def test_witness_set_needs_no_other_statement(self, monkeypatch, window):
         # (iii)'s residue search and generator and (iv)'s descent raise,
-        # (iii) and (iv) come from the unpruned references, and (v)'s set,
-        # held against its reference at every alpha, gives the same report
+        # and (i)'s and (ii)'s kernels do while (v)'s set runs; (iii) and
+        # (iv) come from the unpruned references, and (v)'s set, held
+        # against its reference at every alpha, gives the same report
         unpatched = verify_sweep(8, 8, window)
         for name in ("_first_hit", "_best_hits", "_near_hits"):
             monkeypatch.setattr(_kernel, name, _refuse)
@@ -1039,7 +1049,10 @@ class TestCandidateSets:
             return make
 
         def checked(p, q, max_den):
-            found = witness_set(p, q, max_den)
+            with monkeypatch.context() as refused:
+                for name in ("conv_set", "chain_set"):
+                    refused.setattr(_kernel, name, _refuse)
+                found = witness_set(p, q, max_den)
             assert found == reference.witness_set(p, q, max_den), (p, q, max_den)
             return found
 
