@@ -36,7 +36,6 @@ from .real import (
 )
 from .verify import (
     TheoremUReport,
-    cf_chain,
     is_best_approx_2nd,
     is_nearby,
     penultimate_pair,
@@ -54,9 +53,9 @@ _LAZY = {
     name: module
     for module, names in (
         ("geometry", ("geometry", "FordCircle", "GapRelation", "QuadraticRadius",
-                      "are_tangent", "compare_radii", "ford_circle", "ford_radius",
-                      "gap_relation", "generic_tangent_radius", "lemma_q_check",
-                      "lemma_x_check", "tangent_horocircle_radius")),
+                      "are_tangent", "cf_chain", "compare_radii", "ford_circle",
+                      "ford_radius", "gap_relation", "generic_tangent_radius",
+                      "lemma_q_check", "lemma_x_check", "tangent_horocircle_radius")),
         ("render", ("render", "RenderSpec", "fmt6", "render_chain", "render_ford_field",
                     "render_statement_v")),
     )
@@ -85,8 +84,8 @@ __all__ = [
     "ContinuedFraction", "Convergent", "cf_of_rational",
     "convergent_ordering_check", "convergents", "value",
     "FordCircle", "GapRelation", "QuadraticRadius",
-    "are_tangent", "compare_radii", "ford_circle", "ford_radius", "gap_relation",
-    "generic_tangent_radius", "lemma_q_check", "lemma_x_check",
+    "are_tangent", "cf_chain", "compare_radii", "ford_circle", "ford_radius",
+    "gap_relation", "generic_tangent_radius", "lemma_q_check", "lemma_x_check",
     "tangent_horocircle_radius",
     "reduced_fractions_in",
     "EQ", "GT", "LT", "CFStream", "ExactReal", "PeriodicCoefficients",
@@ -94,7 +93,7 @@ __all__ = [
     "floor_scaled", "golden_ratio", "sign_of_quadratic", "sqrt_real",
     "RenderSpec", "fmt6", "render_chain", "render_ford_field",
     "render_statement_v",
-    "TheoremUReport", "cf_chain", "is_best_approx_2nd",
+    "TheoremUReport", "is_best_approx_2nd",
     "is_nearby", "penultimate_pair", "statement_v_witness", "theorem_u_check",
     "verify_sweep",
     "__version__",

@@ -6,8 +6,9 @@ integers only, so the sweep builds no Fraction and no real per alpha.  (i)
 walks the convergent recurrence on the Euclidean quotients of p/q, and (ii)
 descends the Ford packing's mediants, one divmod of two integer forms per
 partial quotient.  The two reach the same pairs by different arithmetic,
-and neither calls the other or real.py; a check still takes (i) and (ii)
-from verify's _convergents_upto and _chain_upto, which serve streams too.
+and neither calls the other or real.py; a check at a rational alpha takes
+(i) and (ii) from them too, and only a stream walks verify's
+_convergents_upto and _chain_upto.
 (iii), (iv) and (v) are in integers scaled by q, or by 2*q*q for radii,
 per pair (the flags) and per alpha (the sets).  (iii) and (iv) are record
 properties: x holds iff its form beats that of every earlier denominator.
@@ -19,7 +20,7 @@ first record from x's own form is x; a set is every record from the
 widest threshold.  (v)'s set is one descent of alpha's Stern-Brocot path,
 two candidates per run of mediants, with no (iii) or (iv) code.  The tests
 hold the kernels against tests/reference.py, and (i) and (ii) against
-cf.py's expansion and verify's stream walks.
+cf.py's expansion.
 
 Candidate pruning, one lemma for every real alpha (streams reach it via
 verify._farey_proxy): at a fixed d the form |d*alpha - c| and the radius
@@ -273,13 +274,12 @@ def chain_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
     With a moving end u/v and a staying end s/t on the other side of alpha,
     the run's mediants (u + j*s)/(v + j*t) stay on u/v's side for
     j < R = (u*q - v*p)/(t*p - s*q), a ratio of two integer forms of one
-    sign.  One divmod gives f = floor(R) whichever that sign (the side,
-    which _chain_upto carries as e, since floor(n/m) = floor(-n/-m)), the
-    turn M_f = (u + f*s)/(v + f*t), and the remainder, which is 0 iff M_f
-    is alpha, the end of the chain.  Otherwise the ends become s/t and M_f.
-    It starts at u/v = 1/0 and s/t = floor(p/q)/1, whose remainder says
-    whether p/q is an integer, and stops at the first M_f whose
-    denominator passes the cap."""
+    sign.  One divmod gives f = floor(R) whichever that sign, since
+    floor(n/m) = floor(-n/-m), the turn M_f = (u + f*s)/(v + f*t), and the
+    remainder, which is 0 iff M_f is alpha, the end of the chain.
+    Otherwise the ends become s/t and M_f.  It starts at u/v = 1/0 and
+    s/t = floor(p/q)/1, whose remainder says whether p/q is an integer,
+    and stops at the first M_f whose denominator passes the cap."""
     n, r = divmod(p, q)
     found = {(n, 1)}
     u, v, s, t = 1, 0, n, 1

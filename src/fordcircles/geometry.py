@@ -21,6 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
+from .cf import convergents
 from .real import (
     EQ,
     GT,
@@ -55,6 +56,15 @@ class FordCircle:
 
 def ford_circle(x: RationalLike) -> FordCircle:
     return FordCircle(_as_fraction(x))
+
+
+def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[FordCircle]:
+    """The first count circles of the continued fraction chain of alpha.
+
+    Consecutive circles are tangent because consecutive convergents are
+    unimodular; radii never increase and decrease strictly from index 1 on.
+    """
+    return [FordCircle(c.value) for c in convergents(as_real(alpha), count)]
 
 
 @dataclass(frozen=True, eq=False)

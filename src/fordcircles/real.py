@@ -8,12 +8,12 @@ integers, by the engine the constructor fixes.  A rational p/q is the surd
 (p, 0, 0, q), and a stream on periodic or square-root partials is a
 quadratic irrational (Lagrange) with surd (P + S*sqrt(D))/Q, S = +-1, so a
 comparison against a rational or the sign of a rational quadratic is one
-integer sign test, and the floor of a ratio of linear forms, with whether
-it is exact (``floor_ratio_exact``), one closed form with ``isqrt``.  Any
-other stream reads its integer convergent pairs, which strictly straddle the
-value, until they decide; that terminates unless the quadratic vanishes at
-the stream value.  Such a stream keeps one table of its convergent pairs,
-shared by all its queries and grown on demand from one live
+integer sign test, and the floor of a ratio of linear forms
+(``floor_ratio``) one closed form with ``isqrt``.  Any other stream reads
+its integer convergent pairs, which strictly straddle the value, until they
+decide; that terminates unless the quadratic vanishes at the stream
+value.  Such a stream keeps one table of its convergent pairs, shared by
+all its queries and grown on demand from one live
 ``convergent_pairs()`` walk, so each coefficient is pulled once per stream
 rather than once per query, and a mark, the deepest bracket at which a query
 was decided, where the next query starts: brackets nest, so a decision at
@@ -159,10 +159,8 @@ class CFStream(RealNumber):
       - a sign test, where the quadratic has one strict sign at both ends and
         its homogenised derivative keeps its sign: both are then so on the
         whole cone between the ends, which holds the later ends;
-      - a floor, where the denominator is positive at both ends and both ends
-        give the same floor: the map is monotone on the cone;
-      - a denominator that is non-positive at both ends, as it is then on
-        the cone.
+      - a floor, where the denominator has one strict sign at both ends and
+        both ends give the same floor: the map is monotone on the cone.
     The cap is unchanged, because the index still counts from 1.
 
     For periodic partials, with A/B and A'/B' the last two convergents of
@@ -281,9 +279,9 @@ def convergent_pairs(coeffs: Iterable[int]) -> Iterator[tuple[int, int]]:
     Successive convergents satisfy A_n*B_{n-1} - A_{n-1}*B_n = (-1)^(n+1),
     so each is already reduced.  Every walk of a real's convergents runs
     here.  The one other copy is _kernel.conv_set, statement (i)'s set at a
-    rational p/q for the sweep, the same recurrence on Euclid's quotients
-    in integers: it builds no Fraction or real per alpha, and the kernels
-    stay free of this module.
+    rational p/q for the sweep and for a check, the same recurrence on
+    Euclid's quotients in integers: it builds no Fraction or real per
+    alpha, and the kernels stay free of this module.
     """
     num, num_prev, den, den_prev = 1, 0, 0, 1
     for b in coeffs:
@@ -380,28 +378,24 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
     raise AssertionError("unreachable: brackets never end")
 
 
-def floor_ratio_exact(alpha: RealNumber | RationalLike,
-                      v1: int, u1: int, v2: int, u2: int) -> tuple[int, bool]:
-    """(f, exact): f = floor((v1*alpha + u1)/(v2*alpha + u2)) for integers
-    v1, u1, v2, u2, and whether the ratio equals f; the denominator must be
-    positive at alpha, else ValueError.  This is the one floor path of a
-    real.  At a rational p/q the sweep's statement (ii), _kernel.chain_set,
-    takes the same floors of verify._chain_upto's descent in integers: the
-    ratio is (v1*p + u1*q)/(v2*p + u2*q), one divmod whose remainder is 0
-    iff it is exact, with no engine dispatch and no real per alpha.
+def floor_ratio(alpha: RealNumber | RationalLike, v1: int, u1: int, v2: int, u2: int) -> int:
+    """floor((v1*alpha + u1)/(v2*alpha + u2)) for integers v1, u1, v2, u2,
+    with a denominator of either sign; one that is zero at alpha raises
+    ValueError, except on brackets, where only the zero form vanishes at a
+    stream and no bracket decides it.  This is the one floor path of a
+    real; statement (ii) at a rational p/q takes its floors from
+    _kernel.chain_set instead, one divmod each, with no engine dispatch and
+    no real per alpha.
 
     At a surd t = (p + s*sqrt(d))/q the ratio is (n + w*sqrt(d))/(m + e*sqrt(d))
     with n = v1*p + u1*q, w = v1*s, m = v2*p + u2*q and e = v2*s.  For e = 0,
-    as at every rational (s = d = 0), it is (n + w*sqrt(d))/m with m > 0;
-    otherwise d is not a square and the conjugate m - e*sqrt(d) clears the
-    denominator to the nonzero integer m^2 - e^2*d.  Then the floor is one
-    integer division after floor(w*sqrt(d)), and the ratio is exact iff
-    w == 0 and m divides n.  On a stream without a surd the map is monotone
-    on any bracket where its denominator is positive at both ends, so it
-    decides at the first such convergent pair from the stream's mark on
-    with one floor at both ends; a denominator <= 0 at both ends is <= 0 at
-    alpha.  The value is irrational there, so the ratio is exact only for a
-    constant map (v1*u2 == u1*v2) with an integer value.
+    as at every rational (s = d = 0), it is (n + w*sqrt(d))/m; otherwise d is
+    not a square and the conjugate m - e*sqrt(d) clears the denominator to
+    the nonzero integer m^2 - e^2*d.  One flip makes m positive, and the
+    floor is one integer division after floor(w*sqrt(d)).  On a stream
+    without a surd the map is monotone on any bracket where its denominator
+    has one strict sign at both ends, so it decides at the first such
+    convergent pair from the stream's mark on with one floor at both ends.
     """
     if not isinstance(alpha, RealNumber):
         alpha = as_real(alpha)
@@ -410,43 +404,33 @@ def floor_ratio_exact(alpha: RealNumber | RationalLike,
         p, s, d, q = surd
         n, w, m, e = v1 * p + u1 * q, v1 * s, v2 * p + u2 * q, v2 * s
         if e:
-            norm = m * m - e * e * d
-            if (m if norm > 0 else e) <= 0:
-                raise ValueError("denominator must be positive at alpha")
-            n, w, m = n * m - w * e * d, w * m - n * e, norm
-            if m < 0:
-                n, w, m = -n, -w, -m
-        elif m <= 0:
-            raise ValueError("denominator must be positive at alpha")
-        if not w:
-            f, r = divmod(n, m)
-            return f, not r
+            n, w, m = n * m - w * e * d, w * m - n * e, m * m - e * e * d
+        elif not m:
+            raise ValueError("denominator is zero at alpha")
+        if m < 0:
+            n, w, m = -n, -w, -m
         # floor(w*sqrt(d)) is isqrt(w^2*d), less 1 when w < 0 (irrational)
         if w > 0:
             n += isqrt(w * w * d)
-        else:
+        elif w < 0:
             n -= isqrt(w * w * d) + 1
-        return n // m, False
+        return n // m
     for k, (a0, b0), (a1, b1) in alpha._numbered(True):
         m0, m1 = v2 * a0 + u2 * b0, v2 * a1 + u2 * b1
-        if m0 > 0 and m1 > 0:
-            n0 = v1 * a0 + u1 * b0
-            f = n0 // m0
+        if m0 * m1 > 0:
+            f = (v1 * a0 + u1 * b0) // m0
             if f == (v1 * a1 + u1 * b1) // m1:
                 alpha._mark = k
-                return f, v1 * u2 == u1 * v2 and f * m0 == n0
-        elif m0 <= 0 and m1 <= 0:
-            alpha._mark = k
-            raise ValueError("denominator must be positive at alpha")
+                return f
     raise AssertionError("unreachable: brackets never end")
 
 
 def floor_scaled(alpha: RealNumber | RationalLike, k: int) -> int:
-    """floor(k * alpha) for integer k >= 1, exactly: the floor of
-    floor_ratio_exact's case (k*alpha + 0)/(0*alpha + 1)."""
+    """floor(k * alpha) for integer k >= 1, exactly: floor_ratio's case
+    (k*alpha + 0)/(0*alpha + 1)."""
     if k < 1:
         raise ValueError("scale factor must be >= 1")
-    return floor_ratio_exact(alpha, k, 0, 0, 1)[0]
+    return floor_ratio(alpha, k, 0, 0, 1)
 
 
 class _SqrtPartials:

@@ -26,7 +26,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .rational import _reduced_runs
 from .real import CFStream, ExactReal, RationalLike, RealNumber, _as_fraction, _as_int, as_real
-from .verify import cf_chain, statement_v_witness
+from .geometry import cf_chain
+from .verify import statement_v_witness
 
 #: Stroke colors: muted background field, highlighted foreground, axis, marker.
 FIELD_STROKE = "#b8b8b8"

@@ -15,9 +15,9 @@ For non-integer x the five are equivalent; integer x satisfies (i) without
 so reports flag integers and skip the equivalence claim for them.
 
 (i) walks the convergent recurrence.  (ii) descends the Ford packing's
-mediants a run at a time: one exact floor per partial quotient, whose
-exactness ends the chain, and no sign test.  The sweep takes both at a
-rational from their integer kernels, _kernel.conv_set and chain_set.
+mediants a run at a time: one floor per partial quotient and no sign test.
+At a rational alpha a check and the sweep take both from their integer
+kernels, _kernel.conv_set and chain_set; the walks here serve streams.
 (iii) compares linear forms and (iv) horocircle radii, each by its own
 O(log q) search at a rational: a first-hit residue search for (iii), a
 Stern-Brocot descent on the squared forms for (iv).  Their verdicts at a
@@ -29,7 +29,6 @@ an input fixed by (alpha, 2*b), as x is, and holds no verdict, so each of
 
 from __future__ import annotations
 
-import sys
 import time
 from collections import namedtuple
 from fractions import Fraction
@@ -47,7 +46,7 @@ from .real import (
     _as_int,
     as_real,
     compare_real,
-    floor_ratio_exact,
+    floor_ratio,
 )
 
 
@@ -76,26 +75,10 @@ class TheoremUReport(namedtuple("TheoremUReport", "x alpha is_integer stmt_i stm
         }
 
 
-#: this package: cf_chain's return annotation names FordCircle through its lazy
-#: names, so resolving the annotation loads geometry and importing verify does not
-_package = sys.modules[__package__]
-
-
-def cf_chain(alpha: RealNumber | RationalLike, count: int) -> list[_package.FordCircle]:
-    """The first count circles of the continued fraction chain of alpha.
-
-    Consecutive circles are tangent because consecutive convergents are
-    unimodular; radii never increase and decrease strictly from index 1 on.
-    """
-    from .geometry import FordCircle  # only here: a check never loads geometry
-
-    return [FordCircle(c.value) for c in convergents(as_real(alpha), count)]
-
-
 def _convergents_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
-    """Statement (i) up to a cap: the convergent pairs (A_n, B_n) with B_n <=
-    max_den; denominators never decrease, so the walk stops past the cap.
-    The sweep's rational alphas take _kernel.conv_set instead."""
+    """Statement (i) up to a cap at a stream: the convergent pairs (A_n, B_n)
+    with B_n <= max_den; denominators never decrease, so the walk stops past
+    the cap.  A rational alpha takes _kernel.conv_set instead."""
     found = set()
     for pair in alpha.convergent_pairs():
         if pair[1] > max_den:
@@ -105,38 +88,37 @@ def _convergents_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
 
 
 def _chain_upto(alpha: RealNumber, max_den: int) -> set[tuple[int, int]]:
-    """Statement (ii) up to a cap: the bases (a, b) with b <= max_den of the
-    chain of alpha, by a mediant descent of the Ford packing, a run at a time.
+    """Statement (ii) up to a cap at a stream: the bases (a, b) with b <=
+    max_den of the chain of alpha, by a mediant descent of the Ford packing,
+    a run at a time.
 
     Between tangent circles at u/v and s/t, one circle touches both and the
     axis, at the mediant (Ford, 1938); the chain circles are where the
-    descent towards alpha turns (Series, 1985).  Keep a moving end u/v, a
-    staying end s/t and the side e, +1 when s/t < alpha and -1 when above.
-    While s/t stays, the mediants M_j = (u + j*s)/(v + j*t) move
-    monotonically from u/v towards it: M_j is on u/v's side of alpha for
-    j < R = (e*u - e*v*alpha)/(e*t*alpha - e*s) and is alpha at j = R.  So
-    one exact floor f = floor(R) ends the run at M_f, where the descent
-    turns, and the floor is exact iff alpha == M_f, which ends the chain.
-    Otherwise alpha lies strictly between M_f and M_(f+1), the mediant of
-    M_f and s/t, so the next run moves from s/t towards M_f, which is on
-    the other side: (u/v, s/t, e) becomes (s/t, M_f, -e), and that run's
-    first mediant is M_(f+1), already known to lie on the side it starts
-    from.  The descent starts at u/v = 1/0, s/t = floor(alpha)/1, whose
-    exactness says that alpha is an integer, its own chain, and stops at the
-    first M_f whose denominator passes the cap.  So a partial quotient costs
-    one exact floor and no sign test.  This takes every real; the sweep's
-    rational alphas take the same descent in integers (_kernel.chain_set).
+    descent towards alpha turns (Series, 1985).  Keep a moving end u/v and
+    a staying end s/t on the other side of alpha.  While s/t stays, the
+    mediants M_j = (u + j*s)/(v + j*t) move monotonically from u/v towards
+    it, and M_j is on u/v's side of alpha for j < R = (u - v*alpha)/
+    (t*alpha - s), a ratio of two forms of one sign.  So one floor
+    f = floor(R) ends the run at M_f, where the descent turns; alpha is
+    irrational, so it lies strictly between M_f and M_(f+1), the mediant of
+    M_f and s/t, and the next run moves from s/t towards M_f, which is on
+    the other side: (u/v, s/t) becomes (s/t, M_f), and that run's first
+    mediant is M_(f+1), already known to lie on the side it starts from.
+    The descent starts at u/v = 1/0, s/t = floor(alpha)/1 and stops at the
+    first M_f whose denominator passes the cap.  So a partial quotient
+    costs one floor and no sign test.  This is _kernel.chain_set's loop,
+    which a rational alpha takes, with floor_ratio in place of divmod.
     """
-    n, exact = floor_ratio_exact(alpha, 1, 0, 0, 1)
+    n = floor_ratio(alpha, 1, 0, 0, 1)
     found = {(n, 1)}
-    u, v, s, t, e = 1, 0, n, 1, 1
-    while not exact:
-        f, exact = floor_ratio_exact(alpha, -e * v, e * u, e * t, -e * s)
+    u, v, s, t = 1, 0, n, 1
+    while True:
+        f = floor_ratio(alpha, -v, u, t, -s)
         m, k = u + f * s, v + f * t
         if k > max_den:
             break
         found.add((m, k))
-        u, v, s, t, e = s, t, m, k, -e
+        u, v, s, t = s, t, m, k
     return found
 
 
@@ -216,13 +198,15 @@ def statement_v_witness(x: RationalLike, alpha: RealNumber | RationalLike) -> Fr
 def theorem_u_check(x: RationalLike, alpha: RealNumber | RationalLike) -> TheoremUReport:
     """Evaluate all five statements independently and report consistency.
 
-    (i) walks the convergents to b, (ii) descends the chain to b, (iii) and
-    (iv) run their own kernels, best_flag and near_flag, at one Farey proxy
-    of order 2*b, and (v) finds its witness.  Sharing the proxy computes no
-    statement from another: it is a rational in alpha's cell of the Farey
-    subdivision of order 2*b, fixed by alpha and b alone, where each
-    comparison of (iii) and of (iv) has its sign at alpha (_farey_proxy's
-    lemma), and it saves one walk of alpha's coefficients per check.
+    (i) walks the convergents to b and (ii) descends the chain to b, each by
+    its integer kernel at a rational alpha (conv_set, chain_set) and by its
+    walk at a stream; (iii) and (iv) run their own kernels, best_flag and
+    near_flag, at one Farey proxy of order 2*b, and (v) finds its witness.
+    Sharing the proxy computes no statement from another: it is a rational
+    in alpha's cell of the Farey subdivision of order 2*b, fixed by alpha
+    and b alone, where each comparison of (iii) and of (iv) has its sign at
+    alpha (_farey_proxy's lemma), and it saves one walk of alpha's
+    coefficients per check.  A rational is its own proxy.
 
     For non-integer x, consistent means all five agree; integer x is flagged
     and only the definitional identity between (i) and (ii) is asserted.
@@ -230,9 +214,10 @@ def theorem_u_check(x: RationalLike, alpha: RealNumber | RationalLike) -> Theore
     x = _as_fraction(x)
     alpha = as_real(alpha)
     a, b = x.numerator, x.denominator
-    stmt_i = (a, b) in _convergents_upto(alpha, b)
-    stmt_ii = (a, b) in _chain_upto(alpha, b)
     p, q = _farey_proxy(alpha, 2 * b)
+    rational = isinstance(alpha, ExactReal)
+    stmt_i = (a, b) in (_kernel.conv_set(p, q, b) if rational else _convergents_upto(alpha, b))
+    stmt_ii = (a, b) in (_kernel.chain_set(p, q, b) if rational else _chain_upto(alpha, b))
     stmt_iii = _kernel.best_flag(a, b, p, q)
     stmt_iv = _kernel.near_flag(a, b, p, q)
     witness = statement_v_witness(x, alpha)

@@ -134,14 +134,31 @@ RENDER_MUTANTS = [
 ]
 
 REAL_MUTANTS = [
-    # floor_ratio_exact, the one floor path
+    # floor_ratio, the one floor path
     ("floor-root-no-minus-one", "            n -= isqrt(w * w * d) + 1\n",
      "            n -= isqrt(w * w * d)\n"),
-    ("floor-surd-always-exact", "            return f, not r\n", "            return f, True\n"),
-    ("floor-bracket-any-sign", "        if m0 > 0 and m1 > 0:\n", "        if True:\n"),
-    ("floor-bracket-nonzero", "        if m0 > 0 and m1 > 0:\n", "        if m0 and m1:\n"),
-    ("floor-bracket-exact-at-an-end", "return f, v1 * u2 == u1 * v2 and f * m0 == n0",
-     "return f, f * m0 == n0"),
+    ("floor-surd-no-flip", "        if m < 0:\n            n, w, m = -n, -w, -m\n", ""),
+    ("floor-bracket-any-sign", "        if m0 * m1 > 0:\n", "        if True:\n"),
+    ("floor-bracket-nonzero", "        if m0 * m1 > 0:\n", "        if m0 and m1:\n"),
+    ("floor-bracket-both-positive", "        if m0 * m1 > 0:\n",
+     "        if m0 > 0 and m1 > 0:\n"),
+    # sign_of_quadratic's surd branch, its bracket branch, and compare_real
+    ("quad-surd-ge", "if r * r > w * w * d else", "if r * r >= w * w * d else"),
+    ("quad-surd-lt", "if r * r > w * w * d else", "if r * r < w * w * d else"),
+    ("quad-surd-sign-of-r", "else _sign(w)\n", "else _sign(r)\n"),
+    ("quad-surd-w-negated", "else _sign(w)\n", "else -_sign(w)\n"),
+    ("quad-derivative-dropped",
+     "f0 * f1 > 0 and (2 * c2 * a0 + c1 * b0) * (2 * c2 * a1 + c1 * b1) >= 0:",
+     "f0 * f1 > 0:"),
+    ("quad-derivative-strict",
+     "(2 * c2 * a0 + c1 * b0) * (2 * c2 * a1 + c1 * b1) >= 0:",
+     "(2 * c2 * a0 + c1 * b0) * (2 * c2 * a1 + c1 * b1) > 0:"),
+    ("compare-numerator-sign", "sign_of_quadratic(0, q.denominator, -q.numerator, alpha)",
+     "sign_of_quadratic(0, q.denominator, q.numerator, alpha)"),
+    ("compare-form-swapped", "sign_of_quadratic(0, q.denominator, -q.numerator, alpha)",
+     "sign_of_quadratic(0, q.numerator, -q.denominator, alpha)"),
+    ("compare-float-accepted", "    _reject_floats(q)\n    return sign_of_quadratic",
+     "    return sign_of_quadratic"),
     # the mark: where a query's bracket walk starts
     ("mark-raised-by-exhaustion",
      "            if n > DEFAULT_MAX_PULLS:\n",
@@ -158,12 +175,12 @@ REAL_MUTANTS = [
 ]
 
 VERIFY_MUTANTS = [
-    # _chain_upto's runs
-    ("chain-side-not-flipped", "u, v, s, t, e = s, t, m, k, -e", "u, v, s, t, e = s, t, m, k, e"),
-    ("chain-exactness-ignored", "    while not exact:\n", "    while True:\n"),
+    # _chain_upto's runs, and the route of a rational check to the kernels
     ("chain-cap-inclusive", "        if k > max_den:\n            break\n",
      "        if k >= max_den:\n            break\n"),
-    ("chain-start-swapped", "u, v, s, t, e = 1, 0, n, 1, 1", "u, v, s, t, e = n, 1, 1, 0, 1"),
+    ("chain-start-swapped", "    u, v, s, t = 1, 0, n, 1\n", "    u, v, s, t = n, 1, 1, 0\n"),
+    ("check-rational-route-off", "    rational = isinstance(alpha, ExactReal)\n",
+     "    rational = False\n"),
     # verify_sweep's window filter, its order and its count
     ("sweep-lo-inclusive", "ln * b < a * ld", "ln * b <= a * ld"),
     ("sweep-hi-inclusive", "a * hd < hn * b", "a * hd <= hn * b"),
@@ -191,6 +208,12 @@ VERIFY_MUTANTS = [
 ]
 
 CLI_MUTANTS = [
+    # the cf: spec's periodic block and the window test
+    ("cf-block-after-any-text",
+     '    if rest:\n        raise ValueError("periodic block must follow a comma")\n', ""),
+    ("cf-block-not-last",
+     '    if after.strip():\n        raise ValueError("periodic block must end the spec")\n', ""),
+    ("window-equal-ends", "    if window[0] >= window[1]:\n", "    if window[0] > window[1]:\n"),
     # the check report's writer and the route of a command to its parser
     ("report-separator", 'separators=(",\\n  ", ": ")', 'separators=(",\\n ", ": ")'),
     ("command-not-set", "    args.command = argv[0]\n", ""),
@@ -226,6 +249,8 @@ EQUIVALENT = {
                         "an even a at an even b: the slower path, same runs",
     "sweep-integers-kept": "the sets then differ at b = 1 more often, and the visit that follows "
                            "never reports a b = 1 pair",
+    "quad-surd-ge": "r*r == w*w*d forces r == w == 0 (d is 0 or not a square), and then "
+                   "_sign(r) == _sign(w)",
 }
 
 

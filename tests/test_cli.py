@@ -599,6 +599,9 @@ class TestRealSpecParsing:
         assert parse_window("-1/2..3/2") == (F(-1, 2), F(3, 2))
         with pytest.raises(UsageError, match="LO..HI"):
             parse_window("0-1")
+        for text in ("1..1", "1/2..2/4", "1..0"):  # an empty or inverted window
+            with pytest.raises(UsageError, match="lo < hi"):
+                parse_window(text)
 
 
 class TestReusedParser:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction as F
-from itertools import islice, repeat
+from itertools import islice, product, repeat
 from math import gcd, isqrt
 
 import pytest
@@ -454,6 +454,13 @@ class TestSignOfQuadratic:
             # (1, 3/2), positive at both ends yet negative at sqrt(2)
             assert sign_of_quadratic(1, F(-14, 5), F(49, 25) - F(1, 2500), r2) == LT
 
+    def test_constant_on_brackets(self, monkeypatch):
+        # a nonzero constant's derivative is 0 at both ends, which keeps its
+        # sign on the bracket: bracket 1 decides it, far below the cap
+        monkeypatch.setattr(real, "DEFAULT_MAX_PULLS", 5)
+        for c0, want in ((5, GT), (F(-1, 3), LT)):
+            assert sign_of_quadratic(0, 0, c0, bracket_twin(golden_ratio())) == want
+
     def test_vanishing_quadratic_exhausts(self, monkeypatch):
         # brackets never decide a quadratic that vanishes at the stream value
         monkeypatch.setattr(real, "DEFAULT_MAX_PULLS", 50)
@@ -516,8 +523,9 @@ def floor_alphas(draw):
 
 
 class TestFloorRatio:
-    """floor_ratio_exact's floor against a search by sign tests, on
-    ExactReal, on the SURD_STREAMS and on their bracket twins."""
+    """floor_ratio against a search by sign tests, on ExactReal, on the
+    SURD_STREAMS and on their bracket twins, with a denominator of either
+    sign."""
 
     SMALL = st.integers(-30, 30)
 
@@ -525,14 +533,16 @@ class TestFloorRatio:
     @given(floor_alphas(), SMALL, SMALL, SMALL, SMALL, st.data())
     def test_matches_a_search_by_signs(self, alpha, v1, u1, v2, u2, data):
         if data.draw(st.booleans(), label="near pole"):
-            # a convergent's form, barely above 0 at alpha: a huge ratio,
-            # and brackets that straddle the pole before they decide
+            # a convergent's form, barely off 0 at alpha, of either sign: a
+            # huge ratio, and brackets that straddle the pole before they
+            # decide
             pairs = list(islice(alpha.convergent_pairs(), 16))
             a, b = pairs[data.draw(st.integers(0, len(pairs) - 1))]
             v2, u2 = b, -a
-        side = sign_of_quadratic(0, v2, u2, alpha)
+        # the sign on a copy, whose sign test leaves alpha's mark at 1
+        twin = CFStream(alpha.b0, alpha.partials) if isinstance(alpha, CFStream) else alpha
+        side = sign_of_quadratic(0, v2, u2, twin)
         assume(side != EQ)
-        v2, u2 = side * v2, side * u2
         if data.draw(st.booleans(), label="exact"):
             # the ratio is the integer f: a form vanishing at a rational
             # p/q is a multiple of (q, -p), at an irrational only 0
@@ -540,9 +550,33 @@ class TestFloorRatio:
             p, q = (alpha.value.numerator, alpha.value.denominator) \
                 if isinstance(alpha, ExactReal) else (0, 0)
             v1, u1 = f * v2 + k * q, f * u2 - k * p
-            assert real.floor_ratio_exact(alpha, v1, u1, v2, u2) == (f, True)
-        assert real.floor_ratio_exact(alpha, v1, u1, v2, u2)[0] == \
-            floor_by_signs(alpha, v1, u1, v2, u2)
+            assert real.floor_ratio(alpha, v1, u1, v2, u2) == f
+        # the search takes a positive denominator, and the floor does not
+        # see the sign of both forms
+        want = floor_by_signs(alpha, side * v1, side * u1, side * v2, side * u2)
+        assert real.floor_ratio(alpha, v1, u1, v2, u2) == want
+        assert real.floor_ratio(alpha, -v1, -u1, -v2, -u2) == want
+
+    @pytest.mark.parametrize("name", ["golden", "sqrt:2", "cf:0;(2,5,1)"])
+    def test_pole_inside_a_bracket(self, name):
+        # a denominator vanishing at C_(n-1) + 2*C_n, strictly inside
+        # bracket n and every earlier one, has opposite signs at the ends of
+        # each, where no floor decides, even where the two ends give one
+        make = SURD_STREAMS[name][0]
+        pairs = list(islice(make().convergent_pairs(), 8))
+        for (a0, b0), (a1, b1) in zip(pairs, pairs[1:]):
+            det = a0 * b1 - a1 * b0  # +-1
+            v2, u2 = b0 + 2 * b1, -(a0 + 2 * a1)
+            for n0, n1 in product(range(-3, 4), repeat=2):
+                # the numerator form that is n0 at C_(n-1) and n1 at C_n
+                v1, u1 = (n0 * b1 - n1 * b0) * det, (a0 * n1 - a1 * n0) * det
+                for alpha in (make(), bracket_twin(make())):
+                    # the floor first, from bracket 1, before a sign test
+                    # moves the mark past the pole
+                    f = real.floor_ratio(alpha, v1, u1, v2, u2)
+                    side = sign_of_quadratic(0, v2, u2, alpha)
+                    assert f == floor_by_signs(alpha, side * v1, side * u1, side * v2,
+                                               side * u2), (n0, n1)
 
     @pytest.mark.parametrize("alpha, args, want", [
         (ExactReal(F(3, 5)), (10, 4, 5, -2), 10),  # (6 + 4)/(3 - 2), exactly
@@ -554,19 +588,41 @@ class TestFloorRatio:
         # 1/(99*sqrt(2) - 140) = (99*sqrt(2) + 140)/2, just above 140
         (sqrt_real(2), (0, 1, 99, -140), 140),
         (bracket_twin(sqrt_real(2)), (0, 1, 99, -140), 140),
+        # negative denominators
+        (ExactReal(F(3, 5)), (-10, -4, -5, 2), 10),
+        (ExactReal(F(3, 5)), (1, 0, -1, 0), -1),  # -1, exactly
+        (ExactReal(F(-7, 2)), (1, 0, 0, -1), 3),  # 7/2
+        (bracket_twin(golden_ratio()), (6, 3, -2, -1), -3),
+        # golden/(golden - 2) = -golden^3 = -2 - sqrt(5), just below -4
+        (golden_ratio(), (1, 0, 1, -2), -5),
+        (bracket_twin(golden_ratio()), (1, 0, 1, -2), -5),
+        (sqrt_real(2), (1, 0, 0, -1), -2),
+        (sqrt_real(2), (0, -1, -99, 140), 140),
+        (bracket_twin(sqrt_real(2)), (0, -1, -99, 140), 140),
+        # 1/(140 - 99*sqrt(2)), just below -140
+        (sqrt_real(2), (0, 1, -99, 140), -141),
+        (bracket_twin(sqrt_real(2)), (0, 1, -99, 140), -141),
     ])
     def test_examples(self, alpha, args, want):
-        assert real.floor_ratio_exact(alpha, *args)[0] == want
+        assert real.floor_ratio(alpha, *args) == want
 
     @pytest.mark.parametrize("alpha, v2, u2", [
-        *((alpha, v2, u2)
-          for alpha in (ExactReal(F(3, 5)), golden_ratio(), bracket_twin(golden_ratio()))
-          for v2, u2 in ((0, 0), (-1, 0), (0, -1), (1, -2))),
-        (ExactReal(F(3, 5)), 5, -3),  # zero at alpha
+        (ExactReal(F(3, 5)), 0, 0),
+        (ExactReal(F(3, 5)), 5, -3),
+        (ExactReal(F(3, 5)), -10, 6),
+        (ExactReal(F(-7)), 1, 7),
+        (golden_ratio(), 0, 0),  # the zero form, the only one zero at a stream
+        (sqrt_real(2), 0, 0),
     ])
-    def test_denominator_must_be_positive(self, alpha, v2, u2):
-        with pytest.raises(ValueError, match="denominator must be positive"):
-            real.floor_ratio_exact(alpha, 1, 0, v2, u2)
+    def test_zero_denominator(self, alpha, v2, u2):
+        with pytest.raises(ValueError, match="denominator is zero at alpha"):
+            real.floor_ratio(alpha, 1, 0, v2, u2)
+
+    def test_zero_denominator_on_brackets_exhausts(self, monkeypatch):
+        # no bracket has a denominator of one strict sign at both ends
+        monkeypatch.setattr(real, "DEFAULT_MAX_PULLS", 20)
+        with pytest.raises(RefinementExhausted, match="after 20 coefficient pulls"):
+            real.floor_ratio(bracket_twin(golden_ratio()), 1, 0, 0, 0)
 
 
 def minimal_polynomial(b0, period, initial):

@@ -449,9 +449,9 @@ class TestWitnessDescent:
 
 class TestRationalWalks:
     """Statements (i) and (ii) at a rational in integers: conv_set's
-    recurrence on Euclid's quotients and chain_set's mediant descent, held
-    against verify's walks on ExactReal, which the checks take, and against
-    cf.py's expansion; neither kernel reaches the other or real.py."""
+    recurrence on Euclid's quotients and chain_set's mediant descent, which
+    the sweep and the checks take, held against cf.py's expansion and (i)'s
+    walk on ExactReal; neither kernel reaches the other or real.py."""
 
     @staticmethod
     def alphas(max_den):
@@ -466,7 +466,6 @@ class TestRationalWalks:
                 assert _kernel.conv_set(p, q, cap) == expected, (p, q, cap)
                 assert _kernel.chain_set(p, q, cap) == expected, (p, q, cap)
                 assert verify._convergents_upto(exact, cap) == expected, (p, q, cap)
-                assert verify._chain_upto(exact, cap) == expected, (p, q, cap)
 
     @settings(deadline=None, max_examples=300)
     @given(st.fractions(-10**6, 10**6, max_denominator=10**12),
@@ -488,7 +487,7 @@ class TestRationalWalks:
         for name in (other, "_first_hit", "_best_hits", "_near_hits",
                      "_tangent_neighbor_den", "witness_flag", "witness_set"):
             monkeypatch.setattr(_kernel, name, _refuse)
-        for name in ("convergent_pairs", "floor_ratio_exact"):
+        for name in ("convergent_pairs", "floor_ratio"):
             monkeypatch.setattr(real, name, _refuse)
         monkeypatch.setattr(real.RealNumber, "convergent_pairs", _refuse)
         for (p, q, cap), found in expected.items():

@@ -110,7 +110,8 @@ class TestCfChain:
 
 class TestChainDescent:
     """Statement (ii)'s mediant descent of the Ford packing, held against
-    statement (i)'s convergent walk, which it never calls."""
+    statement (i)'s convergent walk, which it never calls: _chain_upto at a
+    stream, chain_set at a rational, which the checks take there."""
 
     CAPS = CHAIN_CAPS
     STREAMS = ("golden", "sqrt:2", "sqrt:94", "sqrt:991", "cf:-3;40,1,(5,1,7)")
@@ -128,7 +129,7 @@ class TestChainDescent:
         for alpha in reduced_fractions_in(F(-3), F(3), 40, include_hi=False):
             real = ExactReal(alpha)
             for cap in self.CAPS:
-                assert verify._chain_upto(real, cap) == \
+                assert _kernel.chain_set(alpha.numerator, alpha.denominator, cap) == \
                     verify._convergents_upto(real, cap), (alpha, cap)
 
     def test_streams_match_the_convergents(self):
@@ -137,16 +138,21 @@ class TestChainDescent:
                 assert verify._chain_upto(alpha, cap) == \
                     verify._convergents_upto(alpha, cap), (alpha, cap)
 
+    @staticmethod
+    def chain(alpha, cap):
+        if isinstance(alpha, F):
+            return _kernel.chain_set(alpha.numerator, alpha.denominator, cap)
+        return verify._chain_upto(alpha, cap)
+
     def test_consecutive_bases_are_tangent(self):
         alphas = [*self.streams(), F(355, 113), F(-7, 2), F(3, 5), F(7, 2)]
         for alpha in alphas:
-            bases = sorted(verify._chain_upto(as_real(alpha), 10**4),
-                           key=lambda pair: pair[::-1])
+            bases = sorted(self.chain(alpha, 10**4), key=lambda pair: pair[::-1])
             for (a, b), (c, d) in zip(bases, bases[1:]):
                 assert are_tangent(F(a, b), F(c, d)), (alpha, (a, b), (c, d))
 
     #: real's deciding functions, each counted where verify binds it
-    DECIDERS = ("sign_of_quadratic", "floor_scaled", "floor_ratio_exact")
+    DECIDERS = ("sign_of_quadratic", "floor_scaled", "floor_ratio")
 
     @classmethod
     def count_decisions(cls, monkeypatch) -> list:
@@ -162,54 +168,54 @@ class TestChainDescent:
 
     @staticmethod
     def floors_expected(x, alpha) -> int:
-        """One exact floor for the integer part and one per run up to the
-        cap b: a run per convergent after the first, and one more whose M_f
-        passes the cap unless the chain ended at alpha first."""
-        convs = verify._convergents_upto(alpha, x.denominator)
-        ended = isinstance(alpha, ExactReal) and \
-            (alpha.value.numerator, alpha.value.denominator) in convs
-        return len(convs) + (not ended)
+        """At a stream, one floor for the integer part and one per run up to
+        the cap b: a run per convergent after the first, and one more whose
+        M_f passes the cap.  At a rational none: a check takes (ii) from
+        chain_set, one divmod per run."""
+        if isinstance(alpha, ExactReal):
+            return 0
+        return len(verify._convergents_upto(alpha, x.denominator)) + 1
 
     @pytest.mark.parametrize("x,alpha,member,most", [
-        (F(1, 10**4), F(1, 10**4), True, 10**4 + 2),  # [0;10000]: 2 floors
-        (F(1, 10**8), F(0), False, 1),  # an integer alpha: its floor is exact
+        (F(1, 10**4), F(1, 10**4), True, 10**4 + 2),  # [0;10000]: no real floor
+        (F(1, 10**8), F(0), False, 1),  # an integer alpha: none either
     ])
     def test_sign_tests_are_bounded(self, monkeypatch, x, alpha, member, most):
         # the bound is the unit descent's; the count is the floors', exactly
         calls = self.count_decisions(monkeypatch)
         assert theorem_u_check(x, alpha).stmt_ii is member
-        assert 1 <= len(calls) <= most
-        assert len(calls) == self.floors_expected(x, as_real(alpha))
+        assert len(calls) == self.floors_expected(x, as_real(alpha)) <= most
 
     @pytest.mark.parametrize("x,alpha,member,most", [
-        # [0;1000000]: the floor of alpha, then one run, whose exact floor
-        # ends the chain: 2 floors
+        # [0;1000000]: chain_set's two divmods, no real floor
         (F(1, 10**6), F(1, 10**6), True, 4),
-        # [10^6; 2*10^6, ...]: the first run's M_f leaves the cap 10^6: 2
+        # [10^6; 2*10^6, ...]: the floor of alpha, then the first run's M_f
+        # leaves the cap 10^6: 2 floors
         (F(1, 10**6), sqrt_real(10**12 + 1), False, 4),
         (F(1, 10**6), bracket_twin(sqrt_real(10**12 + 1)), False, 4),
         # [0; 3, 10^9]: a run to 1/3, then the run of 10^9 mediants to
-        # alpha: 3 floors
+        # alpha, in chain_set: no real floor
         (F(10**9, 3 * 10**9 + 1), F(10**9, 3 * 10**9 + 1), True, 7),
         # golden: every run is one mediant, so 19 runs to 6765/4181, one
         # past it and the integer part: 20 floors
         (F(6765, 4181), golden_ratio(), True, 20),
     ])
     def test_calls_per_run_are_bounded(self, monkeypatch, x, alpha, member, most):
-        # a run costs O(1) calls however long it is: one exact floor
+        # a run costs O(1) calls however long it is: one floor
         calls = self.count_decisions(monkeypatch)
         assert theorem_u_check(x, alpha).stmt_ii is member
-        assert 1 <= len(calls) <= most
-        assert len(calls) == self.floors_expected(x, as_real(alpha))
+        assert len(calls) == self.floors_expected(x, as_real(alpha)) <= most
 
     def test_chain_makes_no_sign_test(self, monkeypatch):
-        # (ii) decides every turn by its floors' exactness alone
+        # (ii) decides every turn by its floors alone
         def refused(*args):
             raise AssertionError("statement (ii) made a sign test")
 
         monkeypatch.setattr(real, "sign_of_quadratic", refused)
-        for alpha in [*self.streams(), *map(ExactReal, (F(355, 113), F(-7, 2), F(3)))]:
+        for alpha in self.streams():
             verify._chain_upto(alpha, 10**6)
+        for alpha in (F(355, 113), F(-7, 2), F(3)):
+            self.chain(alpha, 10**6)
 
     @settings(deadline=None, max_examples=300)
     @given(st.fractions(-10**6, 10**6, max_denominator=10**12),
@@ -217,9 +223,8 @@ class TestChainDescent:
     def test_rationals_up_to_10_to_12(self, alpha, cap, data):
         q = alpha.denominator
         cap = data.draw(st.sampled_from((cap, max(1, q - 1), q, q + 1)), label="cap")
-        real_alpha = ExactReal(alpha)
-        assert verify._chain_upto(real_alpha, cap) == \
-            verify._convergents_upto(real_alpha, cap)
+        assert _kernel.chain_set(alpha.numerator, q, cap) == \
+            verify._convergents_upto(ExactReal(alpha), cap)
 
     @staticmethod
     def skip_convergent_3(monkeypatch):
@@ -658,6 +663,71 @@ class TestOneProxyPerCheck:
                     reference.best_approx(x, alpha), (alpha, x)
                 assert report.stmt_iv == is_nearby(x, alpha) == \
                     reference.nearby(x, alpha), (alpha, x)
+
+
+class TestCheckRoutes:
+    """theorem_u_check takes (i) and (ii) at a rational from the sweep's
+    kernels, conv_set and chain_set, with no walk of a real and no real
+    floor, and at a stream from verify's walks, with neither kernel."""
+
+    def test_rationals_take_the_kernels(self, monkeypatch):
+        # every rational alpha in [-3, 3) with q <= 40 against every x with
+        # b <= 40 that can hold anything: a convergent, a best approximation,
+        # a nearby circle's base and the x of a witness all lie within 1/b
+        # of alpha, so a = floor(b*alpha) or that + 1.  The verdicts are
+        # cf.py's convergents for (i) and (ii), the sweep's sets for (iii)
+        # and (iv), and the reference's for (v), and for (iii) and (iv) too
+        # at q <= 12
+        cases = []
+        for alpha in reduced_fractions_in(F(-3), F(3), 40, include_hi=False):
+            p, q = alpha.numerator, alpha.denominator
+            expansion = cf_of_rational(alpha)
+            convs = {(c.num, c.den) for c in convergents(expansion, expansion.length)}
+            best, near = _kernel.best_set(p, q, 40), _kernel.near_set(p, q, 40)
+            witnesses = reference.witness_set(p, q, 40)
+            for b in range(1, 41):
+                for a in (b * p // q, b * p // q + 1):
+                    if gcd(a, b) == 1:
+                        x = (a, b)
+                        cases.append((F(a, b), alpha, (x in convs, x in convs, x in best,
+                                                       x in near, x in witnesses)))
+        for name in ("_convergents_upto", "_chain_upto", "floor_ratio"):
+            monkeypatch.setattr(verify, name, _refuse)
+        monkeypatch.setattr(real, "floor_ratio", _refuse)
+        monkeypatch.setattr(RealNumber, "convergent_pairs", _refuse)
+        held = 0
+        for x, alpha, want in cases:
+            report = theorem_u_check(x, alpha)
+            assert (report.stmt_i, report.stmt_ii, report.stmt_iii, report.stmt_iv,
+                    report.stmt_v) == want, (x, alpha)
+            assert report.consistent, (x, alpha)
+            if alpha.denominator <= 12:
+                assert report.stmt_iii == reference.best_approx(x, alpha), (x, alpha)
+                assert report.stmt_iv == reference.nearby(x, alpha), (x, alpha)
+            held += report.stmt_iii
+        assert len(cases) > 10**5 and held > 10**4
+
+    @pytest.mark.parametrize("engine", ["surd", "brackets"])
+    @pytest.mark.parametrize("name", SURD_STREAMS)
+    def test_streams_take_the_walks(self, monkeypatch, name, engine):
+        # with the rational kernels of (i) and (ii) made to raise, every
+        # check on a SURD_STREAMS entry is consistent, with (i) and (ii) the
+        # convergents and (iii) and (iv) the unpruned surd references
+        make, surd = SURD_STREAMS[name]
+        alpha = make() if engine == "surd" else bracket_twin(make())
+        convs = set(islice(make().convergent_pairs(), 12))
+        monkeypatch.setattr(_kernel, "conv_set", _refuse)
+        monkeypatch.setattr(_kernel, "chain_set", _refuse)
+        held = 0
+        for x in reduced_fractions_in(F(alpha.b0 - 1), F(alpha.b0 + 2), 20):
+            report = theorem_u_check(x, alpha)
+            member = (x.numerator, x.denominator) in convs
+            assert report.consistent, (name, x)
+            assert report.stmt_i == report.stmt_ii == member, (name, x)
+            assert report.stmt_iii == reference.best_approx_surd(x, surd), (name, x)
+            assert report.stmt_iv == reference.nearby_surd(x, surd), (name, x)
+            held += member
+        assert held >= 3
 
 
 class TestStatementVWitness:
