@@ -381,11 +381,10 @@ def sign_of_quadratic(q2: RationalLike, q1: RationalLike, q0: RationalLike,
 def floor_ratio(alpha: RealNumber | RationalLike, v1: int, u1: int, v2: int, u2: int) -> int:
     """floor((v1*alpha + u1)/(v2*alpha + u2)) for integers v1, u1, v2, u2,
     with a denominator of either sign; one that is zero at alpha raises
-    ValueError, except on brackets, where only the zero form vanishes at a
-    stream and no bracket decides it.  This is the one floor path of a
-    real; statement (ii) at a rational p/q takes its floors from
-    _kernel.chain_set instead, one divmod each, with no engine dispatch and
-    no real per alpha.
+    ValueError, on brackets too, where the stream is irrational and only the
+    zero form vanishes.  This is the one floor path of a real; statement
+    (ii) at a rational p/q takes its floors from _kernel.chain_set instead,
+    one divmod each, with no engine dispatch and no real per alpha.
 
     At a surd t = (p + s*sqrt(d))/q the ratio is (n + w*sqrt(d))/(m + e*sqrt(d))
     with n = v1*p + u1*q, w = v1*s, m = v2*p + u2*q and e = v2*s.  For e = 0,
@@ -415,6 +414,8 @@ def floor_ratio(alpha: RealNumber | RationalLike, v1: int, u1: int, v2: int, u2:
         elif w < 0:
             n -= isqrt(w * w * d) + 1
         return n // m
+    if not v2 and not u2:
+        raise ValueError("denominator is zero at alpha")
     for k, (a0, b0), (a1, b1) in alpha._numbered(True):
         m0, m1 = v2 * a0 + u2 * b0, v2 * a1 + u2 * b1
         if m0 * m1 > 0:

@@ -25,6 +25,14 @@ stream are those at its Farey proxy, a convergent of denominator > 2*b.
 theorem_u_check takes that proxy once and hands it to both searches: it is
 an input fixed by (alpha, 2*b), as x is, and holds no verdict, so each of
 (iii) and (iv) is still decided by its own kernel.
+
+The sweep runs the five kernels once per orbit of alpha under
+t -> +-t + n, not once per alpha: those maps fix 1/0 in PGL_2(Z) and carry
+every Ford circle to one of the same radius (Ford, "Fractions", Amer.
+Math. Monthly 45, 1938), so each statement's verdict at (x, alpha) with a
+non-integer x is its verdict at (+-x + n, +-alpha + n).  It counts its x
+grid by Moebius inversion over floor sums, in about X^(2/3) steps and
+memory for an x cap X, with no list of size X.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 import time
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 
 from . import _kernel
 from .cf import Convergent, cf_of_rational, convergents
@@ -247,34 +256,132 @@ def penultimate_pair(alpha: RationalLike) -> tuple[Convergent, Convergent, int, 
     return prev, last, last.num - prev.num, last.den - prev.den
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum over 0 <= i < n of floor((a*i + b)/m), for n >= 0 and m >= 1,
+    in O(log m) steps: the AtCoder Library's floor_sum.
+
+    Python's // floors for either sign, so a = (a//m)*m + a % m takes the
+    whole parts (a//m)*n*(n-1)/2 and (b//m)*n out of the sum with no sign
+    case, and leaves 0 <= a, b < m.  The sum then counts the lattice
+    points (i, j) with 0 <= i < n and 1 <= j <= (a*i + b)/m; counted by
+    rows it is the same kind of sum with n' = y // m, m' = a, a' = m and
+    b' = y % m, where y = a*n + b, and it is 0 once y < m.  The pair (m, a)
+    becomes (a, m mod a) over two steps, as in Euclid's algorithm.
+    """
+    total = 0
+    while True:
+        total += (a // m) * (n * (n - 1) // 2) + (b // m) * n
+        a, b = a % m, b % m
+        y = a * n + b
+        if y < m:
+            return total
+        n, m, a, b = y // m, a, m, y % m
+
+
+def _mertens_upto(limit: int) -> list[int]:
+    """Mertens' M(v), the sum of mu(k) over 1 <= k <= v, for 0 <= v <= limit,
+    from a linear sieve of mu: each composite i*p is struck once, by its
+    least prime p, with mu(i*p) = -mu(i) if p does not divide i and 0 if
+    it does, when the scan of primes for i stops."""
+    mu = [0, 1] + [0] * (limit - 1)
+    composite = bytearray(limit + 1)
+    primes: list[int] = []
+    for i in range(2, limit + 1):
+        if not composite[i]:
+            primes.append(i)
+            mu[i] = -1
+        for p in primes:
+            if i * p > limit:
+                break
+            composite[i * p] = 1
+            if i % p == 0:
+                break
+            mu[i * p] = -mu[i]
+    return list(accumulate(mu))
+
+
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n >= 0, by Newton's method in integers from above."""
+    c = 1 << -(-n.bit_length() // 3)
+    while True:
+        d = (2 * c + n // (c * c)) // 3
+        if d >= c:
+            return c
+        c = d
+
+
 def _count_xs(lo: Fraction, hi: Fraction, max_den: int) -> int:
     """The number of reduced a/b with 1 < b <= max_den strictly between lo
-    and hi, without listing them.
+    and hi, without listing them, in about max_den^(2/3) steps and memory.
 
-    At each b the numerators are the a in (A, B] with A = floor(lo*b) and
-    B = ceil(hi*b) - 1, and by inclusion-exclusion over the primes of b
-    those coprime to b number the sum over d | rad(b) of
-    mu(d) * (B//d - A//d).  The primes come from one sieve that keeps a
-    prime factor of every m <= max_den (the largest: each prime overwrites
-    its multiples in turn): O(max_den log log max_den) steps and a list of
-    max_den + 1 entries, then 2^omega(b) terms at each b.
+    By Moebius inversion over d = gcd(a, b) it is the sum over d <= X =
+    max_den of mu(d)*G(X // d), less the b = 1 term G(1), where G(n)
+    counts every a/b with b <= n, reduced or not, in (lo, hi): at b = d*b'
+    the multiples of d in (floor(lo*b), ceil(hi*b) - 1] number
+    ceil(hi*b') - 1 - floor(lo*b'), as floor(floor(y)/d) = floor(y/d).  So
+    G(n) = -n - F(lo) - F(-hi), with F(y) the floor sum of floor(y*b) over
+    1 <= b <= n.
+    G(X // d) takes O(sqrt(X)) values, each on a run of d whose mu(d)
+    sum to a difference of Mertens' M at values X // k.  M comes from a
+    linear sieve up to a limit near X^(2/3) and, above it, from
+    M(v) = 1 - sum over 2 <= j <= v of M(v // j), where v // j = X // (k*j)
+    is grouped by its value too (Deleglise and Rivat, "Computing the
+    summation of the Moebius function", Experimental Mathematics 5, 1996;
+    Pawlewicz and Patrascu, "Order statistics in the Farey sequences in
+    sublinear time", Algorithmica 55, 2009).  Any limit gives the same
+    count; it only balances the sieve against the groups.
     """
     ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
-    factor = [0] * (max_den + 1)
-    for m in range(2, max_den + 1):
-        if not factor[m]:
-            factor[m::m] = [m] * (max_den // m)
-    total = 0
-    for b in range(2, max_den + 1):
-        low, high = ln * b // ld, -(-hn * b // hd) - 1
-        terms, m = [(1, 1)], b
-        while m > 1:
-            f = factor[m]
-            terms += [(d * f, -mu) for d, mu in terms]
-            while m % f == 0:
-                m //= f
-        total += sum(mu * (high // d - low // d) for d, mu in terms)
-    return total
+
+    def below(n: int) -> int:  # G(n)
+        return -_floor_sum(n, hd, -hn, -hn) - n - _floor_sum(n, ld, ln, ln)
+
+    limit = _icbrt(max_den) ** 2
+    small = _mertens_upto(limit)
+    # large[k] = M(X // k) for every k with X // k > limit, smallest value first
+    large = [0] * (max_den // (limit + 1) + 1)
+    for k in range(len(large) - 1, 0, -1):
+        v, j, m = max_den // k, 2, 1
+        while j <= v:
+            w = v // j
+            end = v // w
+            m -= (end - j + 1) * (small[w] if w <= limit else large[k * j])
+            j = end + 1
+        large[k] = m
+    total, d, m_before = 0, 1, 0
+    while d <= max_den:
+        v = max_den // d
+        end = max_den // v
+        m = small[end] if end <= limit else large[v]
+        total += (m - m_before) * below(v)
+        d, m_before = end + 1, m
+    return total - below(1)
+
+
+def _row(p: int, q: int, max_den: int) -> tuple[set[tuple[int, int]], ...]:
+    """The sets of statements (i)-(v) at alpha = p/q, each from its own
+    kernel and capped at max_den, less the integers floor(alpha) and
+    floor(alpha) + 1: the only b = 1 pairs any of them holds, and the ones
+    where (i) may hold without (iii).
+
+    The lemma that lets one row stand for an orbit: the maps
+    t -> t + n and t -> -t + n fix 1/0 in PGL_2(Z), so they carry every
+    Ford circle to one of the same radius (Ford, "Fractions", Amer. Math.
+    Monthly 45, 1938), and each statement at (x, alpha) with b >= 2 has the
+    same verdict at (+-x + n, +-alpha + n).  So each set at +-p + n*q over q
+    is the image (a, b) -> (+-a + n*b, b) of the set at p/q:
+      (i)   -[a0; a1, a2, ...] = [-a0-1; 1, a1-1, a2, ...], or
+            [-a0-1; a2+1, a3, ...] when a1 = 1, whose convergents with
+            b >= 2 are the negated ones, and translation shifts a0;
+      (ii)  the mediant tree is invariant under both maps;
+      (iii) and (iv) |d*(+-alpha + n) - (+-c + n*d)| = |d*alpha - c|;
+      (v)   denominators, tangency and betweenness are preserved.
+    The tests hold each kernel to this on its own.
+    """
+    integers = {(p // q, 1), (p // q + 1, 1)}
+    return tuple(make(p, q, max_den) - integers
+                 for make in (_kernel.conv_set, _kernel.chain_set, _kernel.best_set,
+                              _kernel.near_set, _kernel.witness_set))
 
 
 def verify_sweep(den_max_x: int, den_max_alpha: int,
@@ -288,23 +395,31 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     per alpha.
 
     Each statement's set for a whole alpha comes from its own kernel, in
-    integers, capped at den_max_x: (i) the convergent recurrence on the
-    Euclidean quotients of p/q and (ii) the Ford packing's mediant descent,
-    one divmod per partial quotient each; then the records of (iii) and
-    (iv), each from its own generator, one O(log q) residue search per
-    record for (iii) and one O(log q) descent for all of (iv)'s; and one
-    descent for (v)'s with two candidates per run.  A pair
-    outside all five statement sets is false on all five, hence consistent,
-    so it is counted without being visited.  The sets can differ at b = 1
-    only on the integers n = floor(alpha) and n + 1, which are never
-    visited; with those two set aside, five equal sets hold no
-    inconsistency, so the alpha costs one comparison.  Otherwise the pairs
-    inside, all reduced, are visited in (b, a) order, the order of the x
-    enumeration.  The xs are counted by inclusion-exclusion (_count_xs),
-    never listed.  With X = den_max_x and Y = den_max_alpha the cost is
-    O(|alphas| * log^2 Y + X log log X + sum over b <= X of 2^omega(b))
-    time, plus the O(log Y) sets, and O(X) memory for the count's sieve.
-    The tests hold the sets against the references in tests/reference.py.
+    integers, capped at den_max_x (_row): (i) the convergent recurrence on
+    the Euclidean quotients of p/q and (ii) the Ford packing's mediant
+    descent, one divmod per partial quotient each; then the records of
+    (iii) and (iv), each from its own generator, one O(log q) residue
+    search per record for (iii) and one O(log q) descent for all of (iv)'s;
+    and one descent for (v)'s with two candidates per run.  A pair outside
+    all five statement sets is false on all five, hence consistent, so it
+    is counted without being visited, and five equal sets hold no
+    inconsistency.  The maps t -> +-t + n carry each set onto the set at
+    the image of alpha (Ford, 1938; the lemma is _row's), so the sets are
+    equal at every alpha of an orbit or at none: the row is computed once
+    per orbit, at its representative min(r, q - r)/q with r = p mod q, and
+    an alpha whose orbit's row has five equal sets costs one lookup in a
+    dict that lives for this call only.  At an alpha whose orbit's row
+    differs, the row is computed again at alpha's own p/q, and the pairs
+    inside its sets, all reduced, are visited in (b, a) order, the order of
+    the x enumeration.  The xs are counted by Moebius inversion over floor
+    sums (_count_xs), never listed.  With X = den_max_x and
+    Y = den_max_alpha there are at most about 3*Y^2/(2*pi^2) orbits
+    whatever the window, against about 3*Y^2/pi^2 alphas per unit of
+    window, and the cost is O(orbits * log^2 Y) steps for the rows,
+    O(|alphas|) for the lookups and about X^(2/3) steps and memory for the
+    count, with no list of size X.  The tests hold the sets against the
+    references in tests/reference.py, and each kernel to the lemma on its
+    own.
     """
     lo, hi = _as_fraction(window[0]), _as_fraction(window[1])
     if lo >= hi:
@@ -318,27 +433,23 @@ def verify_sweep(den_max_x: int, den_max_alpha: int,
     alphas = [(p, q) for q, run in _reduced_runs(lo, hi, den_max_alpha, include_hi=False)
               for p in run]
 
+    agrees: dict[tuple[int, int], bool] = {}  # orbit -> whether its five sets are equal
     inconsistencies: list[dict] = []
     for p, q in alphas:
-        conv_set = _kernel.conv_set(p, q, den_max_x)
-        chain_set = _kernel.chain_set(p, q, den_max_x)
-        best_set = _kernel.best_set(p, q, den_max_x)
-        near_set = _kernel.near_set(p, q, den_max_x)
-        witness_set = _kernel.witness_set(p, q, den_max_x)
-        integers = {(p // q, 1), (p // q + 1, 1)}
-        for found in (conv_set, chain_set, best_set, near_set, witness_set):
-            found.difference_update(integers)
-        if conv_set == chain_set == best_set == near_set == witness_set:
+        r = p % q
+        orbit = (min(r, q - r), q)
+        if orbit not in agrees:
+            conv_set, chain_set, best_set, near_set, witness_set = _row(*orbit, den_max_x)
+            agrees[orbit] = conv_set == chain_set == best_set == near_set == witness_set
+        if agrees[orbit]:
             continue
-        candidates = conv_set | chain_set | best_set | near_set | witness_set
-        for b, a in sorted((b, a) for a, b in candidates
+        sets = _row(p, q, den_max_x)
+        for b, a in sorted((b, a) for a, b in set().union(*sets)
                            if 1 < b <= den_max_x and ln * b < a * ld and a * hd < hn * b):
-            x = (a, b)
-            stmts = (x in conv_set, x in chain_set,
-                     x in best_set, x in near_set, x in witness_set)
+            stmts = tuple((a, b) in found for found in sets)
             if any(stmts) and not all(stmts):
                 inconsistencies.append({
-                    "x": f"{x[0]}/{x[1]}",
+                    "x": f"{a}/{b}",
                     "alpha": f"{p}/{q}",
                     **dict(zip(("stmt_i", "stmt_ii", "stmt_iii", "stmt_iv",
                                 "stmt_v"), stmts)),

@@ -181,22 +181,33 @@ VERIFY_MUTANTS = [
     ("chain-start-swapped", "    u, v, s, t = 1, 0, n, 1\n", "    u, v, s, t = n, 1, 1, 0\n"),
     ("check-rational-route-off", "    rational = isinstance(alpha, ExactReal)\n",
      "    rational = False\n"),
-    # verify_sweep's window filter, its order and its count
+    # verify_sweep's window filter and its order
     ("sweep-lo-inclusive", "ln * b < a * ld", "ln * b <= a * ld"),
     ("sweep-hi-inclusive", "a * hd < hn * b", "a * hd <= hn * b"),
     ("sweep-integers-visited", "if 1 < b <= den_max_x", "if 1 <= b <= den_max_x"),
     ("sweep-cap-dropped", "if 1 < b <= den_max_x and", "if 1 < b and"),
-    ("sweep-order-a-b", "for b, a in sorted((b, a) for a, b in candidates",
-     "for a, b in sorted((a, b) for a, b in candidates"),
-    # the skip of an alpha whose five sets agree
-    ("sweep-integers-kept", "            found.difference_update(integers)\n",
-     "            pass\n"),
-    ("skip-ignores-v", "near_set == witness_set:\n            continue",
-     "near_set:\n            continue"),
-    # _count_xs, the inclusion-exclusion count
-    ("count-integers", "    for b in range(2, max_den + 1):\n        low",
-     "    for b in range(1, max_den + 1):\n        low"),
-    ("count-sign", "(d * f, -mu) for d, mu in terms", "(d * f, mu) for d, mu in terms"),
+    ("sweep-order-a-b", "for b, a in sorted((b, a) for a, b in set().union(*sets)",
+     "for a, b in sorted((a, b) for a, b in set().union(*sets)"),
+    # the row, and the skip of an orbit whose five sets agree
+    ("sweep-integers-kept", "make(p, q, max_den) - integers", "make(p, q, max_den)"),
+    ("skip-ignores-v", "== near_set == witness_set\n", "== near_set\n"),
+    # the orbit of alpha under t -> +-t + n, keyed by its representative
+    ("orbit-reflection-off-by-one", "orbit = (min(r, q - r), q)",
+     "orbit = (min(r, q - r - 1), q)"),
+    ("orbit-mod-dropped", "        r = p % q\n", "        r = p\n"),
+    ("orbit-no-reflection", "orbit = (min(r, q - r), q)", "orbit = (r, q)"),
+    # _count_xs: the floor sum's reductions, the mu sieve and the grouping
+    ("floor-sum-pairs", "(a // m) * (n * (n - 1) // 2)", "(a // m) * (n * (n + 1) // 2)"),
+    ("floor-sum-b-whole-dropped", " + (b // m) * n\n", "\n"),
+    ("floor-sum-quotient-as-b", "n, m, a, b = y // m, a, m, y % m",
+     "n, m, a, b = y // m, a, m, y // m"),
+    ("mu-prime-sign", "            mu[i] = -1\n", "            mu[i] = 1\n"),
+    ("mu-square-signed",
+     "            if i % p == 0:\n                break\n            mu[i * p] = -mu[i]\n",
+     "            mu[i * p] = -mu[i]\n            if i % p == 0:\n                break\n"),
+    ("mertens-group-short", "m -= (end - j + 1) *", "m -= (end - j) *"),
+    ("count-group-start", "m = small[end] if end <= limit else large[v]",
+     "m = small[d] if d <= limit else large[v]"),
     # _farey_proxy and the order each oracle asks of it
     ("proxy-cap-inclusive", "        if pair[1] > n:\n", "        if pair[1] >= n:\n"),
     ("best-proxy-order-b", "best_flag(a, b, *_farey_proxy(as_real(alpha), 2 * b))",
@@ -248,7 +259,10 @@ EQUIVALENT = {
     "odd-skip-removed": "every integer in the range is then tested, and gcd(a, b) > 1 for "
                         "an even a at an even b: the slower path, same runs",
     "sweep-integers-kept": "the sets then differ at b = 1 more often, and the visit that follows "
-                           "never reports a b = 1 pair",
+                           "never reports a b = 1 pair (more rows, which the row count shows)",
+    "orbit-no-reflection": "t -> t + n alone splits each orbit with q > 2 in two, and each half "
+                           "has its own row, correct by the same lemma: twice the rows, the "
+                           "same reports (the row count shows it)",
     "quad-surd-ge": "r*r == w*w*d forces r == w == 0 (d is 0 or not a square), and then "
                    "_sign(r) == _sign(w)",
 }

@@ -1,6 +1,6 @@
 """Unpruned references for statements (iii) and (iv), at a rational alpha and
-at a quadratic irrational alpha given by its surd, and for (v)'s set at a
-rational alpha.
+at a quadratic irrational alpha given by its surd, for (v)'s set at a
+rational alpha, and for the count of the sweep's x grid.
 
 The package prunes by one lemma for every real (see _kernel.py): at a
 fixed denominator d only the integer nearest d*alpha can beat x, since the
@@ -21,6 +21,10 @@ u + v*sqrt(D) in integers, read from isqrt.
 
 (v)'s set is a scan of every b <= min(max_den, q), in plain integers, with
 no split of the candidates by size.
+
+The count of the sweep's x grid is inclusion-exclusion over the primes of
+each b in turn, from a prime-factor sieve of every b <= max_den, with no
+floor sum and no Moebius inversion over the whole range.
 """
 
 from __future__ import annotations
@@ -78,6 +82,32 @@ def witness_set(p: int, q: int, max_den: int) -> set[tuple[int, int]]:
             if lhs == 0 or abs(lhs) * d < q:
                 found.add((a, b))
     return found
+
+
+def count_xs(lo: Fraction, hi: Fraction, max_den: int) -> int:
+    """The number of reduced a/b with 1 < b <= max_den strictly between lo
+    and hi.  At each b the numerators are the a in (A, B] with
+    A = floor(lo*b) and B = ceil(hi*b) - 1, and by inclusion-exclusion over
+    the primes of b those coprime to b number the sum over d | rad(b) of
+    mu(d) * (B//d - A//d).  The primes come from one sieve that keeps a
+    prime factor of every m <= max_den (the largest: each prime overwrites
+    its multiples in turn), a list of max_den + 1 entries."""
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    factor = [0] * (max_den + 1)
+    for m in range(2, max_den + 1):
+        if not factor[m]:
+            factor[m::m] = [m] * (max_den // m)
+    total = 0
+    for b in range(2, max_den + 1):
+        low, high = ln * b // ld, -(-hn * b // hd) - 1
+        terms, m = [(1, 1)], b
+        while m > 1:
+            f = factor[m]
+            terms += [(d * f, -mu) for d, mu in terms]
+            while m % f == 0:
+                m //= f
+        total += sum(mu * (high // d - low // d) for d, mu in terms)
+    return total
 
 
 def _sign_sqrt(u: int, v: int, n: int) -> int:

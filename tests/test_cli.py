@@ -650,15 +650,27 @@ class TestEntryPoint:
         done = self.run_module("check", "1/0", "3/5")
         assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: zero denominator\n")
 
-    def test_out_of_memory_is_an_error(self):
-        # the count's sieve at X = 10^9 asks for about 8 GB; under a 1 GiB
-        # address-space cap on this child alone it raises MemoryError, which
-        # main reports like any other error
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    @staticmethod
+    def cap():
+        # a 1 GiB address-space cap on the child alone
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
+    def test_huge_x_cap_fits_in_the_memory_cap(self):
+        # X = 10^9: the x grid is counted with a mu sieve up to about
+        # X^(2/3) = 10^6 and no list of size X, so the sweep ends under the
+        # cap; the count is 3*(Phi(10^9) - 1), with the totient sum
+        # Phi(10^9) = 303,963,551,173,008,414 (OEIS A064018)
         done = self.run_module("verify", "--max-den-x", "1000000000", "--max-den-alpha", "1",
-                               "--window", "0..1", preexec_fn=cap)
+                               "--window", "0..1", preexec_fn=self.cap)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert json.loads(done.stdout)["totalChecked"] == 911890653519025239
+
+    def test_out_of_memory_is_an_error(self):
+        # the field list of 1.5*10^8 circles, at b <= 2 on a window of width
+        # 10^8, asks for several GB; under the cap it raises MemoryError,
+        # which main reports like any other error
+        done = self.run_module("render", "field", "--max-den", "2",
+                               "--window", "0..100000000", preexec_fn=self.cap)
         assert (done.returncode, done.stdout) == (1, "")
         assert done.stderr.startswith("error: out of memory")
         assert "Traceback" not in done.stderr

@@ -618,10 +618,11 @@ class TestFloorRatio:
         with pytest.raises(ValueError, match="denominator is zero at alpha"):
             real.floor_ratio(alpha, 1, 0, v2, u2)
 
-    def test_zero_denominator_on_brackets_exhausts(self, monkeypatch):
-        # no bracket has a denominator of one strict sign at both ends
+    def test_zero_denominator_on_brackets(self, monkeypatch):
+        # no bracket has a denominator of one strict sign at both ends, so
+        # the zero form is refused before the refinement cap is reached
         monkeypatch.setattr(real, "DEFAULT_MAX_PULLS", 20)
-        with pytest.raises(RefinementExhausted, match="after 20 coefficient pulls"):
+        with pytest.raises(ValueError, match="denominator is zero at alpha"):
             real.floor_ratio(bracket_twin(golden_ratio()), 1, 0, 0, 0)
 
 

@@ -1,4 +1,5 @@
-"""The integer kernels agree with the Fraction-based statement oracles."""
+"""The integer kernels agree with the Fraction-based statement oracles, and
+each statement's set kernel is equivariant under t -> +-t + n."""
 
 from __future__ import annotations
 
@@ -636,3 +637,59 @@ class TestSizes:
 
     def test_backend_name(self):
         assert _kernel.backend_name() == "pure"
+
+
+def set_from_oracle(oracle):
+    """A set kernel (p, q, max_den) from a per-pair reference oracle: the
+    pairs (a, b), b <= max_den, a within two of b*p/q, that it holds."""
+    def make(p, q, max_den):
+        return {(a, b) for b in range(1, max_den + 1)
+                for a in range(b * p // q - 1, b * p // q + 3)
+                if gcd(a, b) == 1 and oracle(F(a, b), F(p, q))}
+    return make
+
+
+def image_mismatches(make, p, q, max_den, sign, n):
+    """The pairs with b >= 2 on which the set at (sign*p + n*q, q) and the
+    image (sign*a + n*b, b) of the set at (p, q) differ: empty when the set
+    kernel make is equivariant under t -> sign*t + n, as verify._row's
+    lemma says each statement is."""
+    image = {(sign * a + n * b, b) for a, b in make(p, q, max_den) if b >= 2}
+    return image ^ {(a, b) for a, b in make(sign * p + n * q, q, max_den) if b >= 2}
+
+
+@st.composite
+def reduced_alphas(draw):
+    """A reduced p/q, q up to 10^12, p in [-3q, 3q]."""
+    q = draw(st.one_of(st.integers(1, 60), st.integers(1, 10**12)))
+    p = draw(st.integers(-3 * q, 3 * q))
+    g = gcd(p, q)
+    return p // g, q // g
+
+
+ORBIT_MAPS = {"sign": st.sampled_from((1, -1)),
+              "n": st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12))}
+
+
+class TestOrbitEquivariance:
+    """Each statement's set at +-p + n*q over q is the image
+    (a, b) -> (+-a + n*b, b) of its set at p/q, for b >= 2 (verify._row's
+    lemma): kernel by kernel and for the unpruned references.  The sweep
+    computes one row per orbit, so a kernel that breaks the symmetry at an
+    alpha it does not compute there must fail here."""
+
+    @pytest.mark.parametrize("name", ["conv_set", "chain_set", "best_set", "near_set",
+                                      "witness_set"])
+    @settings(max_examples=300, deadline=None)
+    @given(alpha=reduced_alphas(), max_den=st.one_of(st.integers(1, 60), st.integers(1, 10**6)),
+           **ORBIT_MAPS)
+    def test_kernel_sets(self, name, alpha, max_den, sign, n):
+        assert image_mismatches(getattr(_kernel, name), *alpha, max_den, sign, n) == set()
+
+    @pytest.mark.parametrize("make", [
+        set_from_oracle(reference.best_approx), set_from_oracle(reference.nearby),
+        reference.witness_set], ids=["best_approx", "nearby", "witness_set"])
+    @settings(max_examples=100, deadline=None)
+    @given(alpha=reduced_alphas(), max_den=st.integers(1, 12), **ORBIT_MAPS)
+    def test_references(self, make, alpha, max_den, sign, n):
+        assert image_mismatches(make, *alpha, max_den, sign, n) == set()

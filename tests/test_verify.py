@@ -12,7 +12,7 @@ from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from fordcircles import (
@@ -40,7 +40,7 @@ from fordcircles.cli import main, parse_real_spec
 from fordcircles.real import (GT, LT, ExactReal, RealNumber, as_real, compare_real,
                               sign_of_quadratic)
 from test_exact_core import SURD_STREAMS, Counting, Plain, bracket_twin
-from test_kernel import CHAIN_CAPS, _Refused, _refuse
+from test_kernel import CHAIN_CAPS, _Refused, _refuse, image_mismatches, set_from_oracle
 
 
 def per_pair_sweep(den_max_x, den_max_alpha, window):
@@ -68,6 +68,18 @@ def per_pair_sweep(den_max_x, den_max_alpha, window):
                                         **dict(zip(names, stmts))})
     return {"totalChecked": len(alphas) * len(xs),
             "inconsistencies": inconsistencies}
+
+
+def orbit_images(pairs, p, q):
+    """The (a, b) for which (a, b, p, q) is an image
+    (+-a0 + n*b0, b0, +-p0 + n*q0, q0) of some (a0, b0, p0, q0) in pairs."""
+    found = set()
+    for a0, b0, p0, q0 in pairs:
+        for sign in (1, -1):
+            n, rest = divmod(p - sign * p0, q0)
+            if q == q0 and not rest:
+                found.add((sign * a0 + n * b0, b0))
+    return found
 
 
 class TestCfChain:
@@ -954,12 +966,46 @@ class TestVerifySweep:
         assert peak < 2 << 20
 
     def test_count_by_inclusion_exclusion(self):
-        # 364,771,185 xs on (-1, 2) against one alpha, counted at each b
-        # from the primes of b, with no run built: the peak stays below the
-        # 2.4 MB of the longest run, at b = 19,997
+        # 364,771,185 xs on (-1, 2) against one alpha, counted by Moebius
+        # inversion over floor sums, with no run built: the peak stays below
+        # the 2.4 MB of the longest run, at b = 19,997
         expected, total, peak = count_unit_grid(20000)
         assert total == expected == 364771185
         assert peak < 1 << 20
+
+    @settings(max_examples=300, deadline=None)
+    @given(lo=st.fractions(min_value=-60, max_value=60, max_denominator=80),
+           width=st.builds(F, st.integers(1, 40), st.integers(1, 10**6)),
+           max_den=st.integers(1, 300))
+    @example(lo=F(0), width=F(1), max_den=1)
+    @example(lo=F(-7, 3), width=F(1), max_den=1)
+    @example(lo=F(-41, 6), width=F(1, 10**6), max_den=300)  # narrower than 1/X
+    @example(lo=F(2, 7), width=F(1, 700), max_den=300)  # open at a grid point
+    def test_count_matches_the_sieve(self, lo, width, max_den):
+        # the floor-sum count against the per-b inclusion-exclusion of the
+        # reference, on windows of either sign, at X = 1 and at windows
+        # holding no x at all
+        hi = lo + width
+        assert verify._count_xs(lo, hi, max_den) == reference.count_xs(lo, hi, max_den)
+
+    def test_one_row_per_orbit_and_call(self, monkeypatch):
+        # the 556 alphas with q <= 30 on [0, 2) fall into 140 orbits of
+        # t -> +-t + n, and each orbit's row is computed once, at its
+        # representative min(r, q - r)/q; nothing is kept for the next call
+        calls = []
+        row = verify._row
+
+        def counted(p, q, max_den):
+            calls.append((p, q))
+            return row(p, q, max_den)
+
+        monkeypatch.setattr(verify, "_row", counted)
+        report = verify_sweep(30, 30, (F(0), F(2)))
+        assert report["totalChecked"] == 556 * 1108
+        assert len(calls) == len(set(calls)) == 140
+        assert all(2 * p <= q for p, q in calls)
+        verify_sweep(30, 30, (F(0), F(2)))
+        assert len(calls) == 280
 
     def test_backends_agree(self):
         per_pair = per_pair_sweep(8, 8, (F(0), F(1)))
@@ -1038,43 +1084,63 @@ class TestCandidateSets:
         assert per_pair["inconsistencies"] == report["inconsistencies"] == []
 
     @pytest.mark.parametrize("window, flipped, expected", [
-        # three candidate pairs, two true and one false
+        # three candidate pairs, two true and one false, and their images
+        # under t -> 1 - t at 3/4 and 2/5
         ((F(0), F(1)), {(1, 3, 1, 4), (1, 2, 3, 5), (2, 3, 3, 5)}, [
             ("1/3", "1/4", (False, False, False, False, True)),
+            ("2/3", "3/4", (False, False, False, False, True)),
+            ("1/2", "2/5", (True, True, True, True, False)),
+            ("1/3", "2/5", (False, False, False, False, True)),
             ("1/2", "3/5", (True, True, True, True, False)),
             ("2/3", "3/5", (False, False, False, False, True)),
         ]),
         # two convergents and a false pair of -8/5 = [-2; 2, 2], whose
-        # numerators fall as the denominators rise
+        # numerators fall as the denominators rise, and their images under
+        # t -> -t - 3 at -7/5
         ((F(-7, 3), F(-4, 3)), {(-3, 2, -8, 5), (-5, 3, -8, 5), (-8, 5, -8, 5)}, [
             ("-3/2", "-8/5", (True, True, True, True, False)),
             ("-5/3", "-8/5", (False, False, False, False, True)),
             ("-8/5", "-8/5", (True, True, True, True, False)),
+            ("-3/2", "-7/5", (True, True, True, True, False)),
+            ("-4/3", "-7/5", (False, False, False, False, True)),
+            ("-7/5", "-7/5", (True, True, True, True, False)),
         ]),
-        # false pairs of 1/2 off its Stern-Brocot path, one near
-        # hi + 1, and a convergent of 7/3 past the integer 2
+        # false pairs of 1/2 off its Stern-Brocot path, one near hi + 1,
+        # and a convergent of 7/3 past the integer 2, with their images at
+        # 1/2 and 3/2 and at 2/3, 4/3 and 5/3; those of 10/3 fall outside
         ((F(2, 5), F(5, 2)), {(1, 4, 1, 2), (2, 3, 1, 2), (10, 3, 1, 2), (7, 3, 7, 3)}, [
+            ("1/3", "1/2", (False, False, False, False, True)),
             ("2/3", "1/2", (False, False, False, False, True)),
             ("10/3", "1/2", (False, False, False, False, True)),
             ("1/4", "1/2", (False, False, False, False, True)),
+            ("3/4", "1/2", (False, False, False, False, True)),
+            ("4/3", "3/2", (False, False, False, False, True)),
+            ("5/3", "3/2", (False, False, False, False, True)),
+            ("5/4", "3/2", (False, False, False, False, True)),
+            ("7/4", "3/2", (False, False, False, False, True)),
+            ("2/3", "2/3", (True, True, True, True, False)),
+            ("4/3", "4/3", (True, True, True, True, False)),
+            ("5/3", "5/3", (True, True, True, True, False)),
             ("7/3", "7/3", (True, True, True, True, False)),
         ]),
     ], ids=["unit", "negative", "wide"])
     def test_engines_report_the_same_inconsistencies(self, monkeypatch, window, flipped,
                                                      expected):
-        # statement (v) flipped on the pairs (a, b, p, q) in both engines;
-        # the reports list them in (b, a) order within each alpha
+        # statement (v) flipped in both engines on the orbits of the pairs
+        # (a, b, p, q): at every image (+-a + n*b, b, +-p + n*q, q), so the
+        # patched kernels keep verify._row's lemma; the reports list the
+        # images inside the window in (b, a) order within each alpha
         reference_flag, reference_set = _kernel.witness_flag, _kernel.witness_set
 
         def witness_flag(a, b, p, q):
-            return reference_flag(a, b, p, q) != ((a, b, p, q) in flipped)
+            return reference_flag(a, b, p, q) != ((a, b) in orbit_images(flipped, p, q))
 
         def witness_set(p, q, max_den):
             # the set calls the flag on the path nodes it tries, and takes
             # the flipped pairs that it skips as well
             return reference_set(p, q, max_den) | {
-                (a, b) for a, b, pp, qq in flipped
-                if (pp, qq) == (p, q) and b <= max_den and witness_flag(a, b, p, q)}
+                (a, b) for a, b in orbit_images(flipped, p, q)
+                if b <= max_den and witness_flag(a, b, p, q)}
 
         monkeypatch.setattr(_kernel, "witness_flag", witness_flag)
         monkeypatch.setattr(_kernel, "witness_set", witness_set)
@@ -1084,6 +1150,19 @@ class TestCandidateSets:
         assert per_pair["inconsistencies"] == report["inconsistencies"] == [
             {"x": x, "alpha": alpha, **dict(zip(names, stmts))}
             for x, alpha, stmts in expected]
+
+    def test_a_flip_off_its_orbit_is_missed(self, monkeypatch):
+        # the price of one row per orbit: (v) flipped at (1/2, 3/5) alone is
+        # not reported, since 3/5's orbit has its row at 2/5, whose sets
+        # agree; the equivariance check catches the patched kernel instead
+        reference_set = _kernel.witness_set
+
+        def witness_set(p, q, max_den):
+            return reference_set(p, q, max_den) ^ ({(1, 2)} if (p, q) == (3, 5) else set())
+
+        monkeypatch.setattr(_kernel, "witness_set", witness_set)
+        assert verify_sweep(8, 8, (F(0), F(1)))["inconsistencies"] == []
+        assert image_mismatches(witness_set, 2, 5, 8, -1, 1) == {(1, 2)}
 
     @pytest.mark.parametrize("window", [
         (F(0), F(1)), (F(-7, 3), F(-4, 3)), (F(2, 5), F(5, 2))], ids=["unit", "negative", "wide"])
@@ -1111,13 +1190,6 @@ class TestCandidateSets:
             monkeypatch.setattr(_kernel, name, _refuse)
         witness_set = _kernel.witness_set
 
-        def by_reference(oracle):
-            def make(p, q, max_den):
-                return {(a, b) for b in range(1, max_den + 1)
-                        for a in range(b * p // q - 1, b * p // q + 3)
-                        if gcd(a, b) == 1 and oracle(F(a, b), F(p, q))}
-            return make
-
         def checked(p, q, max_den):
             with monkeypatch.context() as refused:
                 for name in ("conv_set", "chain_set"):
@@ -1126,8 +1198,8 @@ class TestCandidateSets:
             assert found == reference.witness_set(p, q, max_den), (p, q, max_den)
             return found
 
-        monkeypatch.setattr(_kernel, "best_set", by_reference(reference.best_approx))
-        monkeypatch.setattr(_kernel, "near_set", by_reference(reference.nearby))
+        monkeypatch.setattr(_kernel, "best_set", set_from_oracle(reference.best_approx))
+        monkeypatch.setattr(_kernel, "near_set", set_from_oracle(reference.nearby))
         monkeypatch.setattr(_kernel, "witness_set", checked)
         report = verify_sweep(8, 8, window)
         del unpatched["elapsed"], report["elapsed"]
